@@ -96,7 +96,30 @@ class CampaignSpec:
     description: str = ""
     faults: List[Dict[str, Any]] = field(default_factory=list)
 
+    def _validate_types(self) -> None:
+        """Reject fields of the wrong JSON type before any value check."""
+        for name in ("name", "scenario", "description"):
+            value = getattr(self, name)
+            if not isinstance(value, str):
+                raise CampaignError(f"{name} must be a string, got {type(value).__name__}")
+        if not isinstance(self.parameters, dict):
+            raise CampaignError(
+                f"parameters must be an object, got {type(self.parameters).__name__}"
+            )
+        for name in ("cohort_size", "repeats", "base_seed"):
+            value = getattr(self, name)
+            # bool is an int subclass; `true` is never a count or a seed.
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise CampaignError(
+                    f"{name} must be an integer, got {type(value).__name__} {value!r}"
+                )
+        if not isinstance(self.faults, list):
+            raise CampaignError(
+                f"faults must be a list, got {type(self.faults).__name__}"
+            )
+
     def validate(self) -> None:
+        self._validate_types()
         if not self.name:
             raise CampaignError("campaign name must be non-empty")
         if self.repeats < 1:
@@ -310,7 +333,9 @@ class CampaignSpec:
             raise CampaignError(f"unknown campaign spec fields: {unknown}")
         if "name" not in data or "scenario" not in data:
             raise CampaignError("campaign spec requires 'name' and 'scenario'")
-        return cls(**dict(data))
+        spec = cls(**dict(data))
+        spec._validate_types()
+        return spec
 
     @classmethod
     def from_file(cls, path: Union[str, Path]) -> "CampaignSpec":

@@ -12,7 +12,7 @@ artefacts are available for the fault-injection and smart-alarm experiments.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -21,53 +21,87 @@ from repro.patient.model import PatientModel
 from repro.sim.trace import TraceRecorder
 
 
-class _RollingMean:
-    """Fixed-size chronological sample window with a cached numpy mean.
+#: numpy's pairwise-summation block size (``PW_BLOCKSIZE``).
+_PAIRWISE_BLOCK = 128
 
-    Replaces the ``deque`` + ``np.mean(deque)`` pair: converting the deque
-    to an array on every read dominated the oximeter's sample cost.  Samples
-    live in a preallocated float64 array kept in chronological order (the
-    shift is a C-level memmove over a handful of elements), so the mean is
-    bit-identical to ``np.mean`` over the equivalent deque, and it is
-    computed at most once per appended sample.
+
+def _pairwise_sum(values: List[float]) -> float:
+    """Sum ``values`` in numpy's float64 pairwise order.
+
+    Below 8 values numpy adds sequentially from 0.0; up to a block it keeps
+    eight strided accumulators, combines them as a balanced tree and adds
+    the remainder in order; above a block it splits at a multiple of 8.
+    """
+    count = len(values)
+    if count < 8:
+        total = 0.0
+        for value in values:
+            total += value
+        return total
+    if count <= _PAIRWISE_BLOCK:
+        acc = values[:8]
+        blocked = count - count % 8
+        for base in range(8, blocked, 8):
+            for lane in range(8):
+                acc[lane] += values[base + lane]
+        total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+        for index in range(blocked, count):
+            total += values[index]
+        return total
+    half = count // 2
+    half -= half % 8
+    return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
+
+
+class _RollingMean:
+    """Fixed-size chronological sample window with a cached mean.
+
+    A plain list of floats: the window is a handful of samples, and numpy
+    calls on Python scalars cost more than the arithmetic.  The mean
+    replicates numpy's summation order (a sequential sum below 8 samples,
+    numpy's 8-accumulator pairwise blocks from 8), so it is bit-identical
+    to ``np.mean`` over the same window.  It is computed at most once per
+    appended sample.
     """
 
-    __slots__ = ("_buffer", "_count", "_mean")
+    __slots__ = ("_size", "_samples", "_mean")
 
     def __init__(self, size: int) -> None:
-        self._buffer = np.empty(size, dtype=float)
-        self._count = 0
+        self._size = size
+        self._samples: List[float] = []
         self._mean: Optional[float] = None
 
     def __len__(self) -> int:
-        return self._count
+        return len(self._samples)
 
     def append(self, value: float) -> None:
-        buffer = self._buffer
-        if self._count < buffer.shape[0]:
-            buffer[self._count] = value
-            self._count += 1
-        else:
-            buffer[:-1] = buffer[1:]
-            buffer[-1] = value
+        samples = self._samples
+        if len(samples) == self._size:
+            del samples[0]
+        samples.append(float(value))
         self._mean = None
 
     @property
     def mean(self) -> float:
-        if self._count == 0:
+        samples = self._samples
+        count = len(samples)
+        if count == 0:
             return float("nan")
         mean = self._mean
         if mean is None:
-            mean = self._mean = float(self._buffer[:self._count].mean())
+            # numpy adds the pairwise sum to its reduction's 0.0 start,
+            # which turns a -0.0 sum into 0.0.
+            mean = self._mean = (0.0 + _pairwise_sum(samples)) / count
         return mean
 
     def clear(self) -> None:
-        self._count = 0
+        self._samples.clear()
         self._mean = None
 
     def bias(self, offset: float) -> None:
         """Add ``offset`` to every held sample (value-corruption faults)."""
-        self._buffer[:self._count] += offset
+        offset = float(offset)
+        self._samples = [value + offset for value in self._samples]
         self._mean = None
 
 
@@ -160,7 +194,7 @@ class PulseOximeter(MedicalDevice):
         if self._rng is not None:
             spo2 += float(self._rng.normal(0.0, self.config.spo2_noise_sd))
             heart_rate += float(self._rng.normal(0.0, self.config.heart_rate_noise_sd))
-        self._spo2_window.append(float(np.clip(spo2, 0.0, 100.0)))
+        self._spo2_window.append(min(max(spo2, 0.0), 100.0))
         self._hr_window.append(max(0.0, heart_rate))
 
         if self._frozen:

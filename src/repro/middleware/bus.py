@@ -82,6 +82,16 @@ class DeviceBus:
         self._uplinks: Dict[str, Channel] = {}
         self._downlinks: Dict[str, Channel] = {}
         self._subscriptions: Dict[str, List[Tuple[str, Callable[[str, Any, Message], None]]]] = {}
+        # topic -> downlinks of its subscribed endpoints, each once, in
+        # subscription order.  Insertion order, never a set: delivery order
+        # (and hence downlink sequence numbers and kernel tiebreaks) must not
+        # depend on PYTHONHASHSEED.
+        self._routes: Dict[str, Tuple[Channel, ...]] = {}
+        # Forward coalescing, the pattern Channel uses for deliveries:
+        # forward instant -> FIFO queue of (message, routes) sharing one
+        # kernel event, popped when that event fires.
+        self._pending_forwards: Dict[float, List[Tuple[Message, Tuple[Channel, ...]]]] = {}
+        self._forward_batch_cb = self._forward_batch
         self._attached_devices: Dict[str, MedicalDevice] = {}
         self._command_routes: set = set()
         self.published_count = 0
@@ -148,47 +158,42 @@ class DeviceBus:
             self.trace.event(self.simulator.now, f"bus:publish:{topic}", payload, source=device_id)
         uplink.send(device_id, topic, payload)
 
-    def _on_uplink_message(self, message: Message) -> None:
-        """Uplink delivery: forward to each subscriber after bus processing delay."""
-        if message.topic.startswith(COMMAND_TOPIC_PREFIX):
-            # Commands ride the uplink in reverse and are delivered by their
-            # own topic subscription in send_command(); forwarding them here
-            # would schedule one phantom kernel event per command that fans
-            # out to nobody.
-            return
-        self.simulator.schedule(
-            self.config.processing_delay_s,
-            lambda: self._forward(message),
-            name=f"bus:forward:{message.topic}",
-        )
+    def _on_uplink_message(self, message: Message) -> None:  # repro-lint: hot
+        """Uplink delivery: queue the message for forwarding after the bus delay.
 
-    def _forward(self, message: Message) -> None:  # repro-lint: hot
-        # Deliver one copy per subscribed endpoint; the endpoint's downlink
-        # channel then fans the message out to the handlers registered at
-        # subscribe() time.  The original publish time travels in the
-        # envelope for end-to-end latency accounting.  Dedup with an
-        # insertion-ordered dict, NOT a set: subscription (insertion) order
-        # makes delivery order — and hence downlink sequence numbers and
-        # kernel tiebreaks — independent of PYTHONHASHSEED.  The plain loop
-        # (vs dict.fromkeys over a genexpr) keeps the per-forward generator
-        # frame off this hot path without changing iteration order.
-        subscriptions = self._subscriptions.get(message.topic)
-        if not subscriptions:
+        The subscribers are taken now, as the message reaches the bus.  A
+        topic nobody subscribes to is dropped here and costs no kernel
+        event; that includes every command topic, which ``subscribe``
+        refuses.  Messages forwarded at the same exact instant share one
+        ``bus:forward`` event and leave in arrival order.
+        """
+        routes = self._routes.get(message.topic)
+        if routes is None:
             return
-        endpoints = {}
-        for endpoint_id, _ in subscriptions:
-            if endpoint_id not in endpoints:
-                endpoints[endpoint_id] = None
-        envelope = Envelope(message.payload, message.sent_at)
+        forward_at = self.simulator.now + self.config.processing_delay_s
+        batch = self._pending_forwards.get(forward_at)
+        if batch is not None:
+            batch.append((message, routes))
+        else:
+            self._pending_forwards[forward_at] = [(message, routes)]
+            self.simulator.schedule_at(forward_at, self._forward_batch_cb, name="bus:forward")
+
+    def _forward_batch(self) -> None:  # repro-lint: hot
+        # The kernel fires this event at exactly the pending key's time, so
+        # `now` IS the key.  Pop before sending, as Channel._deliver_batch
+        # does: a zero processing delay must open a fresh batch.  One copy
+        # goes to each subscribed endpoint's downlink, which fans it out to
+        # the handlers registered at subscribe() time; the original publish
+        # time travels in the envelope for end-to-end latency accounting.
+        batch = self._pending_forwards.pop(self.simulator.now)
         obs = self._obs
-        for endpoint_id in endpoints:
-            downlink = self._downlinks.get(endpoint_id)
-            if downlink is None:
-                continue
-            self.forwarded_count += 1
+        for message, downlinks in batch:
+            envelope = Envelope(message.payload, message.sent_at)
+            self.forwarded_count += len(downlinks)
             if obs is not None:
-                obs.forwarded.value += 1
-            downlink.send(message.sender, message.topic, envelope)
+                obs.forwarded.value += len(downlinks)
+            for downlink in downlinks:
+                downlink.send(message.sender, message.topic, envelope)
 
     # ---------------------------------------------------------- subscribing
     def subscribe(
@@ -202,7 +207,14 @@ class DeviceBus:
         ``handler(topic, payload, message)`` is called on each delivery, where
         ``message`` is the downlink delivery record (including end-to-end
         latency information).
+
+        Command topics (``__command__:`` prefix) belong to the reverse path
+        and cannot be subscribed to.
         """
+        if topic.startswith(COMMAND_TOPIC_PREFIX):
+            raise ValueError(
+                f"topic {topic!r} is reserved for device commands and cannot be subscribed to"
+            )
         self.attach_endpoint(endpoint_id)
         downlink = self._downlinks[endpoint_id]
 
@@ -212,6 +224,9 @@ class DeviceBus:
 
         downlink.subscribe(_deliver, topic=topic)
         self._subscriptions.setdefault(topic, []).append((endpoint_id, handler))
+        routes = self._routes.get(topic, ())
+        if downlink not in routes:
+            self._routes[topic] = routes + (downlink,)
 
     def subscribers(self, topic: str) -> List[str]:
         return [endpoint for endpoint, _ in self._subscriptions.get(topic, [])]

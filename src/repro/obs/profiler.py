@@ -4,7 +4,7 @@ Attach a :class:`SamplingProfiler` to a simulator and every ``every``-th
 executed event is timed with ``time.perf_counter`` and attributed to its
 *callback owner* — the device, channel, or middleware component named in
 the event's ``name`` (the kernel already stamps ``"<process>:<method>"``,
-``"channel:<link>:deliver"``, and ``"bus:forward:<topic>"`` names on the
+``"channel:<link>:deliver"``, and ``"bus:forward"`` names on the
 hot paths).  Sampling bounds the overhead: the other ``every - 1`` events
 pay one decrement and one comparison.
 
@@ -32,7 +32,7 @@ def owner_of(name: str) -> str:
     """Map an event name to the component that owns its callback.
 
     ``"channel:uplink:dev-a:deliver"`` -> ``"channel:uplink:dev-a"`` (the
-    link), ``"bus:forward:vitals"`` -> ``"bus"``, ``"pump-1:_tick"`` ->
+    link), ``"bus:forward"`` -> ``"bus"``, ``"pump-1:_tick"`` ->
     ``"pump-1"`` (the process), unnamed events -> ``"<anonymous>"``.
     """
     if not name:

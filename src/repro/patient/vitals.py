@@ -138,11 +138,11 @@ class VitalSignsModel:
             spo2_target = p.baseline_spo2 - deficit * (p.baseline_spo2 - p.min_spo2)
         decay = np.exp(-dt_min / p.spo2_time_constant_min)
         self._spo2 = float(spo2_target + (self._spo2 - spo2_target) * decay)
-        self._spo2 = float(np.clip(self._spo2, p.min_spo2, 100.0))
+        self._spo2 = float(min(max(self._spo2, p.min_spo2), 100.0))
 
         # Pain decays naturally and is relieved by analgesia.
         natural_pain = self._pain * np.exp(-p.pain_decay_per_min * dt_min)
-        self._pain = float(np.clip(natural_pain * (1.0 - analgesia), 0.0, 10.0))
+        self._pain = float(min(max(natural_pain * (1.0 - analgesia), 0.0), 10.0))
 
         # Heart rate: baseline + pain contribution + hypoxia compensation.
         hypoxia = max(0.0, p.baseline_spo2 - self._spo2)
@@ -162,4 +162,4 @@ class VitalSignsModel:
         """External pain stimulus (e.g. physiotherapy) on the 0-10 scale."""
         if magnitude < 0:
             raise ValueError("pain stimulus must be non-negative")
-        self._pain = float(np.clip(self._pain + magnitude, 0.0, 10.0))
+        self._pain = float(min(max(self._pain + magnitude, 0.0), 10.0))

@@ -23,10 +23,11 @@ from repro.sim.kernel import Simulator
 class Message:
     """A datagram exchanged between devices or middleware components.
 
-    Slotted but not frozen: two Message objects are created per delivered
-    datagram on the simulation's hottest path, and a frozen dataclass pays
-    ``object.__setattr__`` per field on every construction.  Treat
-    instances as immutable regardless.
+    Slotted but not frozen: one Message is created per sent datagram on
+    the simulation's hottest path, and a frozen dataclass pays
+    ``object.__setattr__`` per field on every construction.  The channel
+    stamps ``delivered_at`` when it delivers the message; treat every other
+    field as immutable.
     """
 
     sender: str
@@ -35,10 +36,6 @@ class Message:
     sent_at: float
     sequence: int
     delivered_at: Optional[float] = None
-
-    def with_delivery(self, time: float) -> "Message":
-        return Message(self.sender, self.topic, self.payload,
-                       self.sent_at, self.sequence, time)
 
     @property
     def latency(self) -> Optional[float]:
@@ -90,9 +87,10 @@ class Channel:
     this halves-or-better the kernel events per sample without reordering
     any deliveries within a channel; :attr:`coalesced_ticks` and
     :attr:`max_batch` stream how often and how large those shared ticks
-    are.  Streaming statistics (sent/delivered/
-    dropped counts, mean/max
-    latency) are kept for the delay-budget analyses in
+    are.  A message is delivered in place: the record :meth:`send` returns
+    is the object handlers receive, and delivery stamps its
+    ``delivered_at``.  Streaming statistics (sent/delivered/dropped counts,
+    mean/max latency) are kept for the delay-budget analyses in
     :mod:`repro.core.delays`; the full per-message history
     (:attr:`latencies`, :attr:`delivered_messages`) is only retained when
     ``retain_messages=True`` — unconditional retention is an O(events)
@@ -184,7 +182,7 @@ class Channel:
 
     # ---------------------------------------------------------------- sending
     def send(self, sender: str, topic: str, payload: Any) -> Message:  # repro-lint: hot
-        """Send a message; returns the (pre-delivery) message record."""
+        """Send a message; returns its record (``delivered_at`` set on delivery)."""
         now = self.simulator.now
         message = Message(sender, topic, payload, now, next(self._sequence))
         self.sent += 1
@@ -279,9 +277,10 @@ class Channel:
             deliver(message)
 
     def _deliver(self, message: Message) -> None:  # repro-lint: hot
-        delivered = message.with_delivery(self.simulator.now)
+        now = self.simulator.now
+        message.delivered_at = now
         self.delivered += 1
-        latency = delivered.latency or 0.0
+        latency = now - message.sent_at
         self._latency_sum += latency
         if latency > self._latency_max:
             self._latency_max = latency
@@ -291,12 +290,12 @@ class Channel:
             obs.latency.observe(latency)
         if self.retain_messages:
             self.latencies.append(latency)
-            self.delivered_messages.append(delivered)
+            self.delivered_messages.append(message)
         # Iterate a pre-built snapshot (updated on (un)subscribe) so handlers
         # mutating subscriptions cannot disturb the in-flight delivery.
         for topic, handler in self._snapshot:
             if topic is None or topic == message.topic:
-                handler(delivered)
+                handler(message)
 
     # ------------------------------------------------------------- statistics
     @property

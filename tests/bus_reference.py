@@ -1,0 +1,44 @@
+"""Per-message bus forwarder, kept only as a test oracle.
+
+:class:`ReferenceBus` is :class:`~repro.middleware.bus.DeviceBus` with the
+naive forwarding path: every message that reaches the bus schedules its own
+kernel event ``processing_delay_s`` later, named after its topic, and the
+subscribers are looked up when that event fires.  The production bus drops
+unsubscribed topics on arrival and coalesces forwards per exact instant;
+``tests/test_bus_forwarding.py`` checks that the two deliver the same
+messages, at the same times, in the same order.
+"""
+
+from __future__ import annotations
+
+from repro.middleware.bus import COMMAND_TOPIC_PREFIX, DeviceBus, Envelope
+from repro.sim.channel import Message
+
+
+class ReferenceBus(DeviceBus):
+    """DeviceBus forwarding each message with its own kernel event."""
+
+    def _on_uplink_message(self, message: Message) -> None:
+        if message.topic.startswith(COMMAND_TOPIC_PREFIX):
+            return
+        self.simulator.schedule(
+            self.config.processing_delay_s,
+            lambda: self._forward(message),
+            name=f"bus:forward:{message.topic}",
+        )
+
+    def _forward(self, message: Message) -> None:
+        subscriptions = self._subscriptions.get(message.topic)
+        if not subscriptions:
+            return
+        endpoints = {}
+        for endpoint_id, _ in subscriptions:
+            if endpoint_id not in endpoints:
+                endpoints[endpoint_id] = None
+        envelope = Envelope(message.payload, message.sent_at)
+        for endpoint_id in endpoints:
+            downlink = self._downlinks.get(endpoint_id)
+            if downlink is None:
+                continue
+            self.forwarded_count += 1
+            downlink.send(message.sender, message.topic, envelope)

@@ -145,6 +145,27 @@ class TestExpansion:
         with pytest.raises(CampaignError, match="duplicate run id"):
             spec.expand()
 
+    @pytest.mark.parametrize("field, value", [
+        ("parameters", ["mode", "open_loop"]),
+        ("cohort_size", "3"),
+        ("repeats", "3"),
+        ("base_seed", "3"),
+        ("cohort_size", True),
+        ("repeats", True),
+        ("base_seed", False),
+        ("repeats", 2.0),
+        ("faults", {"kind": "channel_outage", "start": 1.0}),
+        ("name", 7),
+    ])
+    def test_wrongly_typed_fields_are_campaign_errors(self, field, value):
+        # Regression: a list `parameters` raised AttributeError and a string
+        # count or seed raised TypeError from deep inside validate().
+        data = {"name": "x", "scenario": "pca", field: value}
+        with pytest.raises(CampaignError, match=field):
+            CampaignSpec.from_dict(data)
+        with pytest.raises(CampaignError, match=field):
+            CampaignSpec(**data).validate()
+
 
 class TestCohort:
     def test_cohort_patient_is_deterministic(self):

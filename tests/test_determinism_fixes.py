@@ -2,7 +2,7 @@
 
 Covers four fixes:
 
-* ``DeviceBus._forward`` iterated a ``set`` of endpoint ids, making downlink
+* The bus forwarder iterated a ``set`` of endpoint ids, making downlink
   delivery order (and hence sequence numbers and kernel tiebreaks) depend on
   ``PYTHONHASHSEED``.
 * ``Channel`` retained every delivered message and latency forever — an
@@ -167,14 +167,20 @@ class TestChannelRetention:
 
 
 class TestCommandPathIsolation:
-    def test_commands_do_not_enter_forwarding_path(self, monkeypatch):
+    def test_commands_do_not_enter_forwarding_path(self):
         simulator, bus, device = _make_bus()
         forwarded_topics = []
-        original_forward = bus._forward
-        monkeypatch.setattr(
-            bus, "_forward",
-            lambda message: (forwarded_topics.append(message.topic),
-                             original_forward(message)))
+
+        class _ForwardRecorder:
+            # Profiler hook: sees each bus:forward event before it fires,
+            # while its batch still sits in the bus's pending queue.
+            def dispatch(self, event):
+                if event.name == "bus:forward":
+                    forwarded_topics.extend(
+                        message.topic for message, _ in bus._pending_forwards[event.time])
+                event.callback()
+
+        simulator.attach_profiler(_ForwardRecorder())
         bus.subscribe("listener", "t", lambda t, p, m: None)
         bus.send_command("supervisor", "dev-1", "ping", {"n": 1})
         bus.send_command("supervisor", "dev-1", "ping", {"n": 2})
@@ -182,7 +188,7 @@ class TestCommandPathIsolation:
         simulator.run()
         # Commands reached the device...
         assert device.pings == [{"n": 1}, {"n": 2}]
-        # ...but never scheduled a bus:forward event; only the real publish did.
+        # ...but never rode a bus:forward event; only the real publish did.
         assert forwarded_topics == ["t"]
         assert bus.forwarded_count == 1
 

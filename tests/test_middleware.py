@@ -115,7 +115,7 @@ class TestGoldenBusWorkload:
     """Multi-subscriber delivery order is pinned byte-for-byte.
 
     The digest in ``tests/data/golden_traces.json`` was captured with the
-    insertion-ordered ``_forward`` dedup; CI replays this test under two
+    insertion-ordered endpoint dedup of the bus routes; CI replays this test under two
     pinned ``PYTHONHASHSEED`` values, so any hash-order dependence sneaking
     back into the delivery path fails one of the two runs.
     """

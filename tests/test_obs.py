@@ -194,7 +194,7 @@ class TestProfiler:
     def test_owner_attribution(self):
         assert owner_of("") == "<anonymous>"
         assert owner_of("channel:uplink:dev-a:deliver") == "channel:uplink:dev-a"
-        assert owner_of("bus:forward:vitals") == "bus"
+        assert owner_of("bus:forward") == "bus"
         assert owner_of("pump-1:_tick") == "pump-1"
         assert owner_of("plain") == "plain"
 
