@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Iterable, Optional, Sequence, Tuple
 
 
 @dataclass
@@ -17,6 +17,22 @@ class SafetyOutcome:
     total_drug_mg: float = 0.0
     mean_pain: float = 0.0
     supervisor_stops: int = 0
+    _pain_total: float = field(default=0.0, init=False, repr=False, compare=False)
+
+    def add(self, result: Any) -> None:
+        """Fold one :class:`repro.core.loop.PCARunResult`-like record in.
+
+        ``mean_pain`` stays the arrival-order sum of ``mean_pain_level``
+        divided by the patient count after every call.
+        """
+        self.patients += 1
+        self.harmed += 1 if result.harmed else 0
+        self.respiratory_failure_events += result.respiratory_failure_events
+        self.total_time_in_danger_s += result.time_below_spo2_90_s
+        self.total_drug_mg += result.total_drug_delivered_mg
+        self.supervisor_stops += result.supervisor_stops
+        self._pain_total += result.mean_pain_level
+        self.mean_pain = self._pain_total / self.patients
 
     @property
     def harm_rate(self) -> float:
@@ -39,17 +55,8 @@ def aggregate_outcomes(results: Iterable) -> SafetyOutcome:
     and ``supervisor_stops`` attributes.
     """
     outcome = SafetyOutcome()
-    pains: List[float] = []
     for result in results:
-        outcome.patients += 1
-        outcome.harmed += 1 if result.harmed else 0
-        outcome.respiratory_failure_events += result.respiratory_failure_events
-        outcome.total_time_in_danger_s += result.time_below_spo2_90_s
-        outcome.total_drug_mg += result.total_drug_delivered_mg
-        outcome.supervisor_stops += result.supervisor_stops
-        pains.append(result.mean_pain_level)
-    if pains:
-        outcome.mean_pain = sum(pains) / len(pains)
+        outcome.add(result)
     return outcome
 
 

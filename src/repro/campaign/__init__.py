@@ -25,7 +25,7 @@ Carlo campaigns:
   (:meth:`~repro.campaign.store.ResultStore.merge`).
 * :mod:`~repro.campaign.aggregate` -- grouped aggregation feeding
   :mod:`repro.analysis` (summary tables, safety outcomes) over thousands
-  of stored runs, materialised or streaming (running moments + a
+  of stored runs, one record at a time (running moments + a
   deterministic quantile sketch for fleet-scale stores).
 * :mod:`~repro.campaign.cli` -- ``python -m repro.campaign run <spec>``.
 """
@@ -35,11 +35,9 @@ from repro.campaign.aggregate import (
     RunningMoments,
     StreamingAggregator,
     campaign_table,
-    group_records,
     safety_outcomes,
     safety_table,
     streaming_campaign_table,
-    summarise_metric,
 )
 from repro.campaign.engine import CampaignEngine, CampaignReport, run_campaign
 from repro.campaign.sharding import (
@@ -49,6 +47,7 @@ from repro.campaign.sharding import (
     write_shard_manifests,
 )
 from repro.campaign.resilience import (
+    FAIL_FAST,
     ResilienceConfig,
     RetryPolicy,
     TransientError,
@@ -82,6 +81,7 @@ __all__ = [
     "CampaignError",
     "CampaignReport",
     "CampaignSpec",
+    "FAIL_FAST",
     "MergeResult",
     "QuantileSketch",
     "ResilienceConfig",
@@ -100,7 +100,6 @@ __all__ = [
     "cohort_patient",
     "current_attempt",
     "get_scenario",
-    "group_records",
     "in_worker",
     "list_scenarios",
     "load_errors",
@@ -112,6 +111,5 @@ __all__ = [
     "safety_outcomes",
     "safety_table",
     "streaming_campaign_table",
-    "summarise_metric",
     "write_shard_manifests",
 ]

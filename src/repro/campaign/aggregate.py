@@ -6,29 +6,26 @@ groups them along swept parameters and pushes the grouped metrics through
 :mod:`repro.analysis.tables`, so the tables the benchmarks print over
 dozens of in-process runs can be reproduced over thousands of stored ones.
 
-Two aggregation paths share one semantics:
-
-* the *materialised* path (:func:`campaign_table`) holds every record in
-  memory — fine for bench-sized campaigns;
-* the *streaming* path (:func:`streaming_campaign_table`) consumes records
-  one at a time through :class:`RunningMoments` (Welford count/mean/M2)
-  and a deterministic :class:`QuantileSketch`, so a report over a 10⁵-run
-  store holds per-group state, never the records.  Below the sketch
-  capacity the streaming path retains the exact sample and computes
-  through the same :func:`~repro.analysis.stats.summarise`, so its tables
-  are *bit-identical* to the materialised ones; past capacity it degrades
-  gracefully to Welford moments and sketch quantiles (still deterministic:
-  the sketch compacts by parity, never randomness).
+There is one aggregation path, and it streams: :func:`campaign_table`
+consumes records one at a time through :class:`RunningMoments` (Welford
+count/mean/M2) and a deterministic :class:`QuantileSketch`, so a report
+over a 10⁵-run store holds per-group state, never the records.  Below the
+sketch capacity (4096 runs per group) the sketch retains the exact sample
+and every statistic is :func:`~repro.analysis.stats.summarise` over it,
+bit for bit; past capacity it degrades gracefully to Welford moments and
+sketch quantiles (still deterministic: the sketch compacts by parity,
+never randomness).  :func:`safety_outcomes` likewise folds each record
+into its group's :class:`~repro.analysis.metrics.SafetyOutcome` as it
+arrives.
 """
 
 from __future__ import annotations
 
-from typing import (Any, Dict, Iterable, List, Mapping, Optional,
-                    Sequence, Tuple)
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 from types import SimpleNamespace
 
-from repro.analysis.metrics import SafetyOutcome, aggregate_outcomes
-from repro.analysis.stats import Summary, summarise
+from repro.analysis.metrics import SafetyOutcome
+from repro.analysis.stats import summarise
 from repro.analysis.tables import Table
 from repro.campaign.registry import CampaignError
 from repro.campaign.spec import axis_id_value
@@ -55,95 +52,32 @@ def _lookup(record: Mapping[str, Any], key: str) -> Any:
     raise CampaignError(f"record {record.get('run_id')!r} has no field {key!r}")
 
 
-def group_records(
-    records: Iterable[Mapping[str, Any]],
-    by: Sequence[str],
-) -> Dict[GroupKey, List[Mapping[str, Any]]]:
-    """Group records by the values of the ``by`` fields (insertion-ordered)."""
-    groups: Dict[GroupKey, List[Mapping[str, Any]]] = {}
-    for record in records:
-        key = tuple(_lookup(record, field) for field in by)
-        groups.setdefault(key, []).append(record)
-    return groups
-
-
-def metric_values(records: Iterable[Mapping[str, Any]], metric: str) -> List[float]:
-    """The numeric values of one result metric across records (None skipped)."""
-    values = []
-    for record in records:
-        value = record["result"].get(metric)
-        if value is None:
-            continue
-        if isinstance(value, bool):
-            value = 1.0 if value else 0.0
-        if not isinstance(value, (int, float)):
-            raise CampaignError(f"result field {metric!r} is not numeric: {value!r}")
-        values.append(float(value))
-    return values
-
-
-def summarise_metric(
-    records: Iterable[Mapping[str, Any]], metric: str
-) -> Summary:
-    """Five-number summary of one result metric across records."""
-    return summarise(metric_values(records, metric))
-
-
-def campaign_table(
-    records: Sequence[Mapping[str, Any]],
-    *,
-    group_by: Sequence[str],
-    metrics: Sequence[str],
-    title: str = "campaign summary",
-    statistic: str = "mean",
-    notes: Optional[str] = None,
-) -> Table:
-    """Summary table: one row per group, one column per metric statistic."""
-    if statistic not in STATISTICS:
-        raise CampaignError(f"unknown statistic {statistic!r}")
-    columns = list(group_by) + ["runs"] + [f"{statistic}_{metric}" for metric in metrics]
-    table = Table(title, columns, notes=notes)
-    for key, group in group_records(records, group_by).items():
-        row: List[Any] = list(key) + [len(group)]
-        for metric in metrics:
-            values = metric_values(group, metric)
-            if not values:
-                row.append(float("nan"))
-                continue
-            summary = summarise(values)
-            row.append(
-                {
-                    "mean": summary.mean,
-                    "median": summary.median,
-                    "min": summary.minimum,
-                    "max": summary.maximum,
-                    "std": summary.std,
-                }[statistic]
-            )
-        table.add_row(*row)
-    return table
+def _group_key(record: Mapping[str, Any], by: Sequence[str]) -> GroupKey:
+    return tuple(_lookup(record, field) for field in by)
 
 
 def safety_outcomes(
-    records: Sequence[Mapping[str, Any]],
+    records: Iterable[Mapping[str, Any]],
     *,
     group_by: Sequence[str] = ("mode",),
 ) -> Dict[GroupKey, SafetyOutcome]:
-    """PCA-style safety outcomes per group, via :func:`aggregate_outcomes`.
+    """PCA-style safety outcomes per group, folded one record at a time.
 
     Works for any scenario whose result records carry the PCA safety
-    fields (``harmed``, ``respiratory_failure_events``, ...).
+    fields (``harmed``, ``respiratory_failure_events``, ...); each group
+    accumulates exactly as :func:`~repro.analysis.metrics.aggregate_outcomes`
+    does.
     """
     outcomes: Dict[GroupKey, SafetyOutcome] = {}
-    for key, group in group_records(records, group_by).items():
-        outcomes[key] = aggregate_outcomes(
-            SimpleNamespace(**record["result"]) for record in group
-        )
+    for record in records:
+        key = _group_key(record, group_by)
+        outcomes.setdefault(key, SafetyOutcome()).add(
+            SimpleNamespace(**record["result"]))
     return outcomes
 
 
 def safety_table(
-    records: Sequence[Mapping[str, Any]],
+    records: Iterable[Mapping[str, Any]],
     *,
     group_by: Sequence[str] = ("mode",),
     title: str = "campaign safety outcomes",
@@ -242,9 +176,9 @@ class QuantileSketch:
 
     Below ``capacity`` total observations nothing has compacted and the
     sketch still holds the **exact sample in arrival order**
-    (:attr:`exact` / :meth:`values`) — the streaming table exploits this
-    to be bit-identical with materialised aggregation on every
-    bench-sized campaign, while 10⁵-run stores degrade gracefully to
+    (:attr:`exact` / :meth:`values`) — the campaign table exploits this
+    to report exact :func:`~repro.analysis.stats.summarise` statistics on
+    every bench-sized campaign, while 10⁵-run stores degrade gracefully to
     approximate quantiles with bounded memory.
     """
 
@@ -359,10 +293,8 @@ class StreamingMetric:
         if self.moments.count == 0:
             return float("nan")
         if self.sketch.exact:
-            # The retained sample is the full sample in arrival order —
-            # route through the same numpy summary the materialised path
-            # uses so the two tables are byte-identical, subnormals and
-            # all.
+            # The retained sample is the full sample in arrival order:
+            # summarise it exactly, subnormals and all.
             summary = summarise(self.sketch.values())
             return {
                 "mean": summary.mean,
@@ -388,9 +320,9 @@ class StreamingAggregator:
     """Record-at-a-time grouped aggregation with bounded memory.
 
     Feed records with :meth:`add` (or a whole iterable with
-    :meth:`consume`); groups appear in first-seen order, exactly like
-    :func:`group_records`.  Per-shard aggregators :meth:`merge` into a
-    campaign-wide one without revisiting records.
+    :meth:`consume`); groups appear in first-seen order.  Per-shard
+    aggregators :meth:`merge` into a campaign-wide one without revisiting
+    records.
     """
 
     def __init__(
@@ -406,8 +338,8 @@ class StreamingAggregator:
         self.records = 0
         self._groups: Dict[GroupKey, Dict[str, Any]] = {}
 
-    def add(self, record: Mapping[str, Any]) -> None:
-        key = tuple(_lookup(record, field) for field in self.group_by)
+    def _state(self, key: GroupKey) -> Dict[str, Any]:
+        """This aggregator's own state for ``key``, created on first use."""
         state = self._groups.get(key)
         if state is None:
             state = {
@@ -416,6 +348,10 @@ class StreamingAggregator:
                             for metric in self.metrics},
             }
             self._groups[key] = state
+        return state
+
+    def add(self, record: Mapping[str, Any]) -> None:
+        state = self._state(_group_key(record, self.group_by))
         state["runs"] += 1
         self.records += 1
         for metric in self.metrics:
@@ -441,10 +377,9 @@ class StreamingAggregator:
                 "group_by/metrics")
         self.records += other.records
         for key, state in other._groups.items():
-            mine = self._groups.get(key)
-            if mine is None:
-                self._groups[key] = state
-                continue
+            # Fold into state of our own: adopting ``other``'s would let
+            # later adds to either aggregator leak into the other.
+            mine = self._state(key)
             mine["runs"] += state["runs"]
             for metric in self.metrics:
                 mine["metrics"][metric].merge(state["metrics"][metric])
@@ -456,7 +391,7 @@ class StreamingAggregator:
         statistic: str = "mean",
         notes: Optional[str] = None,
     ) -> Table:
-        """Same shape (and, while exact, same bytes) as :func:`campaign_table`."""
+        """One row per group, one ``<statistic>_<metric>`` column per metric."""
         if statistic not in STATISTICS:
             raise CampaignError(f"unknown statistic {statistic!r}")
         columns = (list(self.group_by) + ["runs"]
@@ -470,7 +405,7 @@ class StreamingAggregator:
         return table
 
 
-def streaming_campaign_table(
+def campaign_table(
     records: Iterable[Mapping[str, Any]],
     *,
     group_by: Sequence[str],
@@ -480,12 +415,14 @@ def streaming_campaign_table(
     notes: Optional[str] = None,
     sketch_capacity: int = 4096,
 ) -> Table:
-    """:func:`campaign_table` semantics over a record *stream*.
+    """Summary table over a record stream: one row per group, one column
+    per metric statistic.
 
-    Never materialises ``records`` — pass ``store.iter_records()`` and a
-    100k-run store is reported in bounded memory.  While every group is
-    below ``sketch_capacity`` observations the output is bit-identical to
-    the materialised table.
+    Never materialises ``records`` -- pass ``store.iter_records()`` and a
+    100k-run store is reported in bounded memory.  While a group holds at
+    most ``sketch_capacity`` runs its statistics are exactly
+    :func:`~repro.analysis.stats.summarise` over its values; larger groups
+    get Welford moments and sketch medians.
     """
     if statistic not in STATISTICS:
         raise CampaignError(f"unknown statistic {statistic!r}")
@@ -493,3 +430,7 @@ def streaming_campaign_table(
         group_by=group_by, metrics=metrics, sketch_capacity=sketch_capacity)
     return aggregator.consume(records).table(
         title=title, statistic=statistic, notes=notes)
+
+
+#: The same function under the name ``perfbench/workloads.py`` imports.
+streaming_campaign_table = campaign_table

@@ -44,10 +44,10 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from pathlib import Path
 
-from repro.campaign.aggregate import campaign_table, streaming_campaign_table
+from repro.campaign.aggregate import campaign_table
 from repro.campaign.engine import run_campaign
 from repro.campaign.registry import CampaignError, get_scenario, list_scenarios
-from repro.campaign.resilience import ResilienceConfig, RetryPolicy
+from repro.campaign.resilience import FAIL_FAST, ResilienceConfig, RetryPolicy
 from repro.campaign.sharding import (STRATEGIES, ShardSelector,
                                      load_spec_or_shard,
                                      write_shard_manifests)
@@ -96,10 +96,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="campaign directory for streamed results and resume")
     run.add_argument("--resume", action="store_true",
                      help="skip runs already completed in --out")
-    run.add_argument("--chunksize", type=int, default=None,
-                     help="runs handed to a worker per dispatch (default: 1 "
-                          "with --out so checkpointing stays per-run, else "
-                          "auto: max(1, runs // (workers * 4)))")
     run.add_argument("--flush-every", type=int, default=1,
                      help="flush+fsync results.jsonl every N records "
                           "(default 1 = per-record durability; larger values "
@@ -276,7 +272,7 @@ def _cmd_run(args: argparse.Namespace, log: StructLogger) -> int:
                  event="progress", done=done, total=total_runs,
                  run_id=record["run_id"])
 
-    resilience = None
+    resilience = FAIL_FAST
     if args.isolate_failures:
         resilience = ResilienceConfig(
             retry=RetryPolicy(max_attempts=args.retries,
@@ -292,7 +288,6 @@ def _cmd_run(args: argparse.Namespace, log: StructLogger) -> int:
         directory=args.out,
         resume=args.resume,
         progress=progress,
-        chunksize=args.chunksize,
         flush_every=args.flush_every,
         metrics_out=args.metrics_out,
         resilience=resilience,
@@ -304,7 +299,7 @@ def _cmd_run(args: argparse.Namespace, log: StructLogger) -> int:
              event="campaign-done", total=report.total, executed=report.executed,
              skipped=report.skipped,
              directory=str(report.directory) if report.directory else None)
-    if resilience is not None:
+    if resilience.isolate:
         log.info(f"outcomes: {report.ok} ok ({report.retried} after retry), "
                  f"{report.quarantined} quarantined "
                  f"({report.timed_out} timed out), "
@@ -415,7 +410,7 @@ def _cmd_report(args: argparse.Namespace, log: StructLogger) -> int:
     if not metrics:
         log.info("no records", event="table")
         return 0
-    table = streaming_campaign_table(
+    table = campaign_table(
         store.iter_records(), group_by=group_by, metrics=metrics,
         statistic=args.statistic, title=title)
     _emit_rendered(log, table)

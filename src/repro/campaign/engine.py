@@ -7,14 +7,17 @@ its stable run id (not from execution order), the two paths produce
 identical records; after :meth:`ResultStore.finalize` the on-disk results
 are byte-identical as well.
 
+Every run goes through :func:`~repro.campaign.resilience.execute_with_capture`
+-- in the parent when serial, inside a pool worker driven by the
+:class:`~repro.campaign.resilience.ResilientDispatcher` when parallel -- and
+comes back as an outcome.  The :class:`ResilienceConfig` decides what a
+failed outcome does: the default :data:`FAIL_FAST` aborts the campaign with
+a :class:`CampaignError`, an isolating config quarantines the run.
+
 Workers receive the full payload list **once**, through the pool
-initializer, and are handed bare list indices per run — so per-run IPC is a
-single integer each way plus the result record, and nothing unpicklable
-crosses the process boundary.  ``imap_unordered`` chunking is auto-sized to
-``max(1, runs // (workers * 4))`` for in-memory campaigns; with a result
-store it defaults to 1 so checkpointing keeps per-run granularity (results
-only reach the store when their whole chunk completes).  Either way an
-explicit ``chunksize`` wins.
+initializer, and are handed a bare list index per run -- so per-run IPC is
+a single integer each way plus the outcome, and nothing unpicklable crosses
+the process boundary.
 """
 
 from __future__ import annotations
@@ -25,11 +28,12 @@ import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
 from time import perf_counter
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.campaign import resilience as _resilience
 from repro.campaign.registry import CampaignError, get_scenario
 from repro.campaign.resilience import (
+    FAIL_FAST,
     OK,
     TIMEOUT,
     Heartbeat,
@@ -128,40 +132,34 @@ _WORKER_PAYLOADS: List[Tuple[int, str, str, Dict[str, Any], int]] = []
 #: Where this worker process writes its cumulative metrics shard (or None).
 _WORKER_SHARD_DIR: Optional[str] = None
 
-#: Retry policy for resilient workers (None = legacy fail-fast workers).
-_WORKER_RETRY_POLICY: Optional[RetryPolicy] = None
-
-#: Heartbeat writer for resilient workers (None = no watchdog).
-_WORKER_HEARTBEAT: Optional[Heartbeat] = None
+#: Installed in each worker process by the pool initializer.
+_WORKER_RETRY_POLICY: RetryPolicy
+_WORKER_HEARTBEAT: Heartbeat
 
 
 def _pool_initializer(
     payloads: List[Tuple[int, str, str, Dict[str, Any], int]],
-    obs_on: bool = False,
-    shard_dir: Optional[str] = None,
-    retry_policy: Optional[RetryPolicy] = None,
-    heartbeat_dir: Optional[str] = None,
+    obs_on: bool,
+    shard_dir: Optional[str],
+    retry_policy: RetryPolicy,
+    heartbeat_dir: str,
 ) -> None:
     """Install the campaign's payload table in a fresh worker process.
 
     ``obs_on`` carries the parent's observability switch across the process
     boundary explicitly (a programmatic ``enable()`` in the parent is not
     visible to spawn-started workers); ``shard_dir`` is where this worker
-    drops its cumulative metrics shard after each run.  ``retry_policy`` /
-    ``heartbeat_dir`` are only set for resilient campaigns; the pool
-    respawning a killed worker re-runs this initializer, so replacements
-    come up with the same configuration.
+    drops its cumulative metrics shard after each run.  The pool respawning
+    a killed worker re-runs this initializer, so replacements come up with
+    the same retry policy and heartbeat directory.
     """
     global _WORKER_PAYLOADS, _WORKER_SHARD_DIR
     global _WORKER_RETRY_POLICY, _WORKER_HEARTBEAT
     _WORKER_PAYLOADS = payloads
     _WORKER_SHARD_DIR = shard_dir
     _WORKER_RETRY_POLICY = retry_policy
-    _WORKER_HEARTBEAT = (
-        Heartbeat(heartbeat_dir) if heartbeat_dir is not None else None
-    )
-    if retry_policy is not None:
-        _resilience._mark_worker()
+    _WORKER_HEARTBEAT = Heartbeat(heartbeat_dir)
+    _resilience._mark_worker()
     if obs_on:
         obs_metrics.enable()
 
@@ -180,17 +178,6 @@ def _write_worker_shard() -> None:
     )
 
 
-def _worker(index: int) -> Dict[str, Any]:
-    """Pool entry point: look the payload up by index and execute it."""
-    run_index, run_id, scenario, params, seed = _WORKER_PAYLOADS[index]
-    record = execute_manifest(
-        RunManifest(run_index=run_index, run_id=run_id, scenario=scenario,
-                    params=params, seed=seed)
-    )
-    _write_worker_shard()
-    return record
-
-
 def _note_retry() -> None:
     """Count one in-worker retry in this process's metrics registry."""
     instruments = obs_metrics.campaign_instruments()
@@ -198,8 +185,8 @@ def _note_retry() -> None:
         instruments.runs_retried.value += 1
 
 
-def _resilient_worker(index: int) -> Outcome:
-    """Pool entry point for resilient campaigns: never raises for run failures.
+def _worker(index: int) -> Outcome:
+    """Pool entry point: run one payload; never raises for run failures.
 
     Writes a heartbeat file while the run executes (the parent watchdog
     reads it to enforce timeouts and detect worker death) and returns an
@@ -209,18 +196,12 @@ def _resilient_worker(index: int) -> Outcome:
     run_index, run_id, scenario, params, seed = _WORKER_PAYLOADS[index]
     manifest = RunManifest(run_index=run_index, run_id=run_id,
                            scenario=scenario, params=params, seed=seed)
-    heartbeat = _WORKER_HEARTBEAT
-    if heartbeat is not None:
-        heartbeat.start(index)
+    _WORKER_HEARTBEAT.start(index)
     try:
-        outcome = execute_with_capture(
-            manifest,
-            _WORKER_RETRY_POLICY or RetryPolicy(),
-            on_retry=_note_retry,
-        )
+        outcome = execute_with_capture(manifest, _WORKER_RETRY_POLICY,
+                                       on_retry=_note_retry)
     finally:
-        if heartbeat is not None:
-            heartbeat.finish(index)
+        _WORKER_HEARTBEAT.finish(index)
     _write_worker_shard()
     return outcome
 
@@ -229,13 +210,13 @@ def _resilient_worker(index: int) -> Outcome:
 class CampaignReport:
     """What a finished (or resumed-to-completion) campaign hands back.
 
-    With resilience enabled, the failure-path counters separate the runs
-    that finished cleanly (``ok``), finished after in-worker retries
-    (``retried``, a subset of ``ok``), were quarantined to ``errors.jsonl``
-    (``quarantined``, of which ``timed_out`` exceeded their wall-clock
-    budget), and how many worker processes were killed or lost along the
-    way (``worker_restarts``).  Without resilience every executed run is
-    ``ok`` (a failure would have raised instead).
+    The failure-path counters separate the runs that finished cleanly
+    (``ok``), finished after in-worker retries (``retried``, a subset of
+    ``ok``), were quarantined to ``errors.jsonl`` (``quarantined``, of
+    which ``timed_out`` exceeded their wall-clock budget), and how many
+    worker processes were killed or lost along the way
+    (``worker_restarts``).  Under :data:`FAIL_FAST` every executed run is
+    ``ok`` (a failure raises instead).
     """
 
     spec: CampaignSpec
@@ -272,22 +253,18 @@ class CampaignEngine:
         workers: int = 1,
         directory: Optional[Union[str, Path]] = None,
         mp_context: Optional[str] = None,
-        chunksize: Optional[int] = None,
         flush_every: int = 1,
         metrics_out: Optional[Union[str, Path]] = None,
-        resilience: Optional[ResilienceConfig] = None,
+        resilience: ResilienceConfig = FAIL_FAST,
         shard: Optional[ShardSelector] = None,
     ) -> None:
         if workers < 1:
             raise CampaignError("workers must be >= 1")
-        if chunksize is not None and chunksize < 1:
-            raise CampaignError("chunksize must be >= 1")
         if shard is not None:
             shard.validate()
         self.spec = spec
         self.shard = shard
         self.workers = workers
-        self.chunksize = chunksize
         self.store = (
             ResultStore(directory, flush_every=flush_every)
             if directory is not None else None
@@ -364,6 +341,8 @@ class CampaignEngine:
                     if attempts > 1:
                         retried += 1
                 else:
+                    if not self.resilience.isolate:
+                        raise CampaignError(record["error"]["message"])
                     quarantined += 1
                     if record["error"]["classification"] == TIMEOUT:
                         timed_out += 1
@@ -411,56 +390,28 @@ class CampaignEngine:
         )
 
     # --------------------------------------------------------------- workers
-    def _execute(self, pending: List[RunManifest]) -> Iterable[Outcome]:
-        """Yield one :data:`Outcome` tuple per pending run.
-
-        Without resilience, runs execute exactly as before (failures raise)
-        and successful records are wrapped as ``("ok", record, 1)``.
-        """
+    def _execute(self, pending: List[RunManifest]) -> Iterator[Outcome]:
+        """Yield one :data:`Outcome` tuple per pending run."""
         if self.workers == 1 or len(pending) <= 1:
-            yield from self._execute_serial(pending)
-        else:
-            yield from self._execute_parallel(pending)
-
-    def _execute_serial(self, pending: List[RunManifest]) -> Iterable[Outcome]:
-        if self.resilience is None:
             for manifest in pending:
-                yield (OK, execute_manifest(manifest), 1)
+                yield execute_with_capture(manifest, self.resilience.retry,
+                                           on_retry=_note_retry)
             return
-        policy = self.resilience.retry
-        for manifest in pending:
-            yield execute_with_capture(manifest, policy, on_retry=_note_retry)
-
-    def _execute_parallel(self, pending: List[RunManifest]) -> Iterable[Outcome]:
+        # Payloads ship once via the initializer; each dispatch carries a
+        # bare index.  Outcomes arrive in completion order; ordering is
+        # restored by ResultStore.finalize / the report sort.
         payloads = [
             (m.run_index, m.run_id, m.scenario, m.params, m.seed) for m in pending
         ]
-        context = (
-            multiprocessing.get_context(self._mp_context)
-            if self._mp_context is not None
-            else multiprocessing.get_context()
-        )
         processes = min(self.workers, len(payloads))
-        chunksize = self.chunksize
-        if chunksize is None:
-            if self.store is not None:
-                # Checkpointing: results only reach the store when their
-                # chunk completes, so a large chunk would turn a crash into
-                # chunksize*workers re-executed runs.  Keep per-run
-                # granularity unless the caller explicitly trades it away.
-                chunksize = 1
-            else:
-                # ~4 chunks per worker: large enough to amortise IPC, small
-                # enough that a slow chunk cannot straggle the campaign.
-                chunksize = max(1, len(payloads) // (processes * 4))
         shard_dir = self._shard_directory()
         if shard_dir is not None:
             shard_dir.mkdir(parents=True, exist_ok=True)
             for stale in shard_dir.glob("shard-*.ndjson"):
                 stale.unlink()
-        if self.resilience is not None:
-            heartbeat = Heartbeat()
-            with context.Pool(
+        heartbeat = Heartbeat()
+        try:
+            with multiprocessing.get_context(self._mp_context).Pool(
                 processes=processes,
                 initializer=_pool_initializer,
                 initargs=(
@@ -473,29 +424,16 @@ class CampaignEngine:
             ) as pool:
                 dispatcher = ResilientDispatcher(
                     pool, pending, self.resilience, heartbeat,
-                    _resilient_worker, processes, on_retry=_note_retry,
+                    _worker, processes, on_retry=_note_retry,
                 )
                 try:
                     yield from dispatcher.outcomes()
                 finally:
                     self._dispatch_stats = dict(dispatcher.stats)
-            return
-        with context.Pool(
-            processes=processes,
-            initializer=_pool_initializer,
-            initargs=(
-                payloads,
-                obs_metrics.enabled(),
-                str(shard_dir) if shard_dir is not None else None,
-            ),
-        ) as pool:
-            # Payloads ship once via the initializer; the queue carries bare
-            # indices.  imap_unordered: records checkpoint as soon as any
-            # worker finishes; ordering is restored by ResultStore.finalize /
-            # the report sort.
-            for record in pool.imap_unordered(_worker, range(len(payloads)),
-                                              chunksize=chunksize):
-                yield (OK, record, 1)
+        finally:
+            # Only once the pool is terminated: a worker respawned after a
+            # kill re-creates the directory in its initializer.
+            heartbeat.cleanup()
 
     # ----------------------------------------------------------- observability
     def _shard_directory(self) -> Optional[Path]:
@@ -556,16 +494,15 @@ def run_campaign(
     resume: bool = False,
     progress: Optional[ProgressCallback] = None,
     mp_context: Optional[str] = None,
-    chunksize: Optional[int] = None,
     flush_every: int = 1,
     metrics_out: Optional[Union[str, Path]] = None,
-    resilience: Optional[ResilienceConfig] = None,
+    resilience: ResilienceConfig = FAIL_FAST,
     shard: Optional[ShardSelector] = None,
 ) -> CampaignReport:
     """One-call convenience wrapper around :class:`CampaignEngine`."""
     engine = CampaignEngine(
         spec, workers=workers, directory=directory, mp_context=mp_context,
-        chunksize=chunksize, flush_every=flush_every, metrics_out=metrics_out,
+        flush_every=flush_every, metrics_out=metrics_out,
         resilience=resilience, shard=shard,
     )
     return engine.run(resume=resume, progress=progress)

@@ -4,7 +4,7 @@ The paper's core requirement (Section II(c)) is a supervisor "tolerant to
 faults that interfere with the control loop"; at population scale the same
 discipline must apply to the campaign engine itself — one bad run out of a
 million must not kill the job.  This module provides the three layers the
-engine composes when resilience is enabled:
+engine composes:
 
 * **Structured error capture** (:func:`execute_with_capture`): a failing
   run yields an *error record* — exception class, message, traceback
@@ -17,21 +17,24 @@ engine composes when resilience is enabled:
   ``derive_seed(manifest.seed, attempt)``, so reruns of a flaky run are
   reproducible; deterministic failures quarantine immediately.
 * **Worker-death and timeout tolerance** (:class:`ResilientDispatcher`):
-  a parent-side watchdog dispatches runs with ``apply_async``, reads
-  per-run heartbeat files written by the workers, SIGKILLs wedged workers
-  whose run exceeds its wall-clock budget (``multiprocessing.Pool``
-  respawns the process), re-dispatches runs whose worker died under them,
-  and degrades gracefully to in-parent serial execution when the pool
-  cannot be kept alive.
+  a parent-side watchdog dispatches runs with ``apply_async``, wakes as
+  each one completes, reads per-run heartbeat files written by the
+  workers, SIGKILLs wedged workers whose run exceeds its wall-clock budget
+  (``multiprocessing.Pool`` respawns the process), re-dispatches runs
+  whose worker died under them, and degrades gracefully to in-parent
+  serial execution when the pool cannot be kept alive.
 
-Everything here is off the happy path: a campaign run with no
-:class:`ResilienceConfig` executes exactly the same code as before.
+Every campaign runs through these layers.  What a failure *does* is
+configuration: the default :data:`FAIL_FAST` (no retry, no isolation)
+aborts the campaign on the first failing run or lost worker, while an
+isolating :class:`ResilienceConfig` quarantines it and carries on.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
+import queue
 import signal
 import tempfile
 import time
@@ -57,6 +60,19 @@ DETERMINISTIC = "deterministic"
 TIMEOUT = "timeout"
 WORKER_LOST = "worker_lost"
 
+#: Longest the dispatcher waits for a completion before it re-runs the
+#: watchdog checks (timeouts, dead workers).
+_POLL_S = 0.02
+
+#: Dispatches per run when its *worker* dies under it (distinct from
+#: in-worker retries: the run itself never raised).
+_MAX_DISPATCH_ATTEMPTS = 2
+
+#: Killed or lost workers after which the dispatcher stops trusting the pool
+#: and runs the survivors serially in the parent (timeouts can then no
+#: longer be enforced, but the campaign completes).
+_MAX_WORKER_RESTARTS = 3
+
 
 class TransientError(RuntimeError):
     """Marker for failures worth retrying (I/O hiccups, resource races).
@@ -71,7 +87,7 @@ class TransientError(RuntimeError):
 #: 1-based attempt number of the run currently executing in this process.
 _CURRENT_ATTEMPT = 1
 
-#: True inside a resilient pool worker (set by the worker initializer).
+#: True inside a campaign pool worker (set by the worker initializer).
 _IN_WORKER = False
 
 
@@ -86,7 +102,7 @@ def current_attempt() -> int:
 
 
 def in_worker() -> bool:
-    """Whether this process is a resilient campaign pool worker."""
+    """Whether this process is a campaign pool worker."""
     return _IN_WORKER
 
 
@@ -159,40 +175,37 @@ class RetryPolicy:
 
 @dataclass(frozen=True)
 class ResilienceConfig:
-    """Everything the engine needs to survive failing runs and workers.
+    """What the engine does about failing runs and workers.
 
     retry:
         In-worker retry policy for transient errors.
     run_timeout_s:
         Per-run wall-clock budget.  Only enforceable with ``workers > 1``
         (the parent cannot preempt its own thread); a run that exceeds it
-        is quarantined as ``timeout`` and its worker is killed and
-        respawned.
-    max_dispatch_attempts:
-        How many times a run is re-dispatched after its *worker* died under
-        it (distinct from in-worker retries: the run itself never raised).
-    max_worker_restarts:
-        After this many killed/lost workers the dispatcher stops trusting
-        the pool and degrades to in-parent serial execution for the
-        survivors (timeouts can then no longer be enforced, but the
-        campaign completes).
+        fails as ``timeout`` and its worker is killed and respawned.
     heartbeat_grace_s:
         Extra wall-clock allowance between dispatch and the worker's
-        heartbeat appearing, absorbing pool scheduling delay.
+        heartbeat appearing, on top of ``run_timeout_s`` (a dispatched run
+        may wait in the pool behind a run that uses its whole budget).
+    isolate:
+        True quarantines a failed run to ``errors.jsonl`` and carries on;
+        False aborts the campaign with a :class:`CampaignError` carrying
+        the failure's message (see :data:`FAIL_FAST`).
     """
 
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     run_timeout_s: Optional[float] = None
-    max_dispatch_attempts: int = 2
-    max_worker_restarts: int = 3
     heartbeat_grace_s: float = 5.0
-    poll_interval_s: float = 0.02
+    isolate: bool = True
 
     def __post_init__(self) -> None:
         if self.run_timeout_s is not None and self.run_timeout_s <= 0:
             raise CampaignError("run_timeout_s must be positive")
-        if self.max_dispatch_attempts < 1:
-            raise CampaignError("max_dispatch_attempts must be >= 1")
+
+
+#: The engine's default: no retry, no isolation -- the first failing run
+#: (or lost worker) aborts the campaign.
+FAIL_FAST = ResilienceConfig(retry=RetryPolicy(max_attempts=1), isolate=False)
 
 
 # ------------------------------------------------------------ error records
@@ -384,9 +397,16 @@ class ResilientDispatcher:
     :data:`Outcome` tuples as runs finish, survives worker death (re-
     dispatch, bounded), enforces per-run timeouts (targeted SIGKILL of the
     wedged worker — the pool respawns it), and falls back to in-parent
-    serial execution once ``max_worker_restarts`` is exhausted.  The
+    serial execution once ``_MAX_WORKER_RESTARTS`` is exhausted.  The
     ``stats`` dict exposes ``worker_restarts`` / ``timed_out`` /
     ``redispatched`` for the campaign report.
+
+    Each worker has one run executing and one queued in the pool, so a
+    freed worker starts its next run without waiting for the parent.  Each
+    dispatch's completion callback puts ``(payload index, dispatch
+    attempt)`` on a queue; the loop blocks on it, refills the pool as soon
+    as a run completes, and runs the watchdog checks on every wake (at
+    least every ``_POLL_S``).
     """
 
     def __init__(
@@ -410,20 +430,25 @@ class ResilientDispatcher:
         self._queue: List[Tuple[int, int]] = [
             (i, 1) for i in range(len(manifests))]
         self._inflight: Dict[int, _InFlight] = {}
+        self._completed: "queue.SimpleQueue[Tuple[int, int]]" = queue.SimpleQueue()
         self._degraded = False
 
     # ------------------------------------------------------------- dispatch
     def _dispatch(self, payload_index: int, attempt: int) -> None:
+        def wake(_outcome: Any) -> None:
+            self._completed.put((payload_index, attempt))
+
         self._inflight[payload_index] = _InFlight(
             manifest=self.manifests[payload_index],
             payload_index=payload_index,
-            result=self.pool.apply_async(self.worker, (payload_index,)),
+            result=self.pool.apply_async(self.worker, (payload_index,),
+                                         callback=wake, error_callback=wake),
             dispatched_at=time.monotonic(),
             dispatch_attempts=attempt,
         )
 
     def _fill_slots(self) -> None:
-        while self._queue and len(self._inflight) < self.processes:
+        while self._queue and len(self._inflight) < 2 * self.processes:
             index, attempt = self._queue.pop(0)
             self._dispatch(index, attempt)
 
@@ -434,7 +459,8 @@ class ResilientDispatcher:
             return False
         beat = self.heartbeat.read(flight.payload_index)
         if beat is None:
-            # Not picked up yet: allow queueing grace on top of the budget.
+            # Not picked up yet: it may be queued behind a run that uses the
+            # whole budget, so the grace only has to cover the pickup.
             return now - flight.dispatched_at > (
                 timeout + self.config.heartbeat_grace_s)
         _pid, started_at = beat
@@ -466,7 +492,7 @@ class ResilientDispatcher:
         # is innocent — re-dispatch unless its budget is spent.
         self.stats["worker_restarts"] += 1
         self.heartbeat.finish(flight.payload_index)
-        if flight.dispatch_attempts < self.config.max_dispatch_attempts:
+        if flight.dispatch_attempts < _MAX_DISPATCH_ATTEMPTS:
             self.stats["redispatched"] += 1
             self._queue.append(
                 (flight.payload_index, flight.dispatch_attempts + 1))
@@ -492,28 +518,33 @@ class ResilientDispatcher:
     # ------------------------------------------------------------------ run
     def outcomes(self):
         """Yield one outcome per pending run, in completion order."""
-        try:
-            while self._queue or self._inflight:
-                if self._degraded:
-                    yield from self._drain_serial()
-                    return
-                self._fill_slots()
-                yield from self._poll_once()
-                if (self.stats["worker_restarts"]
-                        > self.config.max_worker_restarts):
-                    self._degrade()
-        finally:
-            self.heartbeat.cleanup()
+        while self._queue or self._inflight:
+            if self._degraded:
+                yield from self._drain_serial()
+                return
+            self._fill_slots()
+            yield from self._wait_once()
+            if self.stats["worker_restarts"] > _MAX_WORKER_RESTARTS:
+                self._degrade()
 
-    def _poll_once(self):
-        time.sleep(self.config.poll_interval_s)
-        now = time.monotonic()
-        for index in list(self._inflight):
-            flight = self._inflight[index]
-            if flight.result.ready():
+    def _wait_once(self):
+        """Yield the next completed run (if one arrives within ``_POLL_S``),
+        then any outcome the watchdog checks produce."""
+        try:
+            index, attempt = self._completed.get(timeout=_POLL_S)
+        except queue.Empty:
+            pass
+        else:
+            flight = self._inflight.get(index)
+            # A stale wake (an expired dispatch finishing late) is dropped.
+            if flight is not None and flight.dispatch_attempts == attempt:
                 del self._inflight[index]
+                self._fill_slots()
+                # The callback fires just before the result is marked
+                # ready; get() waits out that instant.
                 yield flight.result.get()
-                continue
+        now = time.monotonic()
+        for index, flight in list(self._inflight.items()):
             if self._deadline_passed(flight, now) \
                     or self._check_worker_death(flight):
                 del self._inflight[index]

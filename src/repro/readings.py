@@ -10,26 +10,15 @@ and :class:`repro.middleware.bus.Envelope` envelopes, and consumed natively
 (attribute access, no string-keyed lookups) by the supervisor, workflow,
 EHR, and alarm layers.
 
-Compatibility shim
-------------------
-``Reading`` implements the read-only :class:`collections.abc.Mapping`
-protocol over its three fields, so third-party handlers written against the
-old dict payloads keep working unchanged::
-
-    reading["value"]            # -> reading.value
-    reading.get("valid", True)  # -> reading.valid
-    dict(reading)               # -> {"value": ..., "valid": ..., "time": ...}
-
-The shim is deprecated in favour of attribute access; the one dict idiom it
-cannot preserve is ``isinstance(payload, dict)``, which handlers should
-replace with :func:`coerce_reading` (handles Readings, legacy dicts, and
-bare numbers uniformly).
+A ``Reading`` is not a mapping: read its fields as attributes.  Handlers
+that may also see a dict payload from outside (a legacy ``{"value": ...}``
+sample, a bare number) view it through :func:`coerce_reading`, and
+:meth:`Reading.as_dict` renders the legacy dict form for serialisation.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-from typing import Any, Iterator, Optional
+from typing import Any, Optional
 
 _FIELDS = ("value", "valid", "time")
 _set = object.__setattr__
@@ -39,7 +28,7 @@ class Reading:
     """One sensor sample: ``value`` measured at ``time``, flagged ``valid``.
 
     Instances are immutable (assignment raises), hashable, and compare equal
-    to other Readings and to mappings with the same three items.
+    to other Readings with the same three fields.
     """
 
     __slots__ = _FIELDS
@@ -60,35 +49,7 @@ class Reading:
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"Reading is immutable (tried to delete {name!r})")
 
-    # ------------------------------------------------- Mapping-compat (shim)
-    def __getitem__(self, key: str) -> Any:
-        if key in _FIELDS:
-            return getattr(self, key)
-        raise KeyError(key)
-
-    def get(self, key: str, default: Any = None) -> Any:
-        if key in _FIELDS:
-            return getattr(self, key)
-        return default
-
-    def keys(self) -> tuple[str, ...]:
-        return _FIELDS
-
-    def values(self) -> tuple[Any, ...]:
-        return (self.value, self.valid, self.time)
-
-    def items(self) -> tuple[tuple[str, Any], ...]:
-        return tuple(zip(_FIELDS, (self.value, self.valid, self.time)))
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(_FIELDS)
-
-    def __len__(self) -> int:
-        return len(_FIELDS)
-
-    def __contains__(self, key: object) -> bool:
-        return key in _FIELDS
-
+    # ----------------------------------------------------------- serialising
     def as_dict(self) -> dict[str, Any]:
         """The legacy dict payload form (same key order the devices used)."""
         return {"value": self.value, "valid": self.valid, "time": self.time}
@@ -98,10 +59,6 @@ class Reading:
         if type(other) is Reading:
             return (self.value == other.value and self.valid == other.valid
                     and self.time == other.time)
-        if isinstance(other, Mapping):
-            return len(other) == 3 and all(
-                key in other and other[key] == getattr(self, key) for key in _FIELDS
-            )
         return NotImplemented
 
     def __hash__(self) -> int:
@@ -117,11 +74,6 @@ class Reading:
         return f"Reading(value={self.value!r}, valid={self.valid!r}, time={self.time!r})"
 
 
-# ``isinstance(payload, Mapping)`` keeps working for handlers that type-check
-# against the ABC rather than the concrete dict.
-Mapping.register(Reading)
-
-
 def coerce_reading(payload: Any, default_time: float = 0.0) -> Optional[Reading]:
     """View an arbitrary topic payload as a :class:`Reading`, if it is one.
 
@@ -129,7 +81,7 @@ def coerce_reading(payload: Any, default_time: float = 0.0) -> Optional[Reading]
     a legacy ``{"value": ...}`` dict (``valid``/``time`` optional), or a bare
     number — and returns ``None`` for anything else (command parameters,
     status dicts like ``bed_height``/``pump_status``, strings).  Consumers
-    that track latest values should route every payload through this shim
+    that track latest values should route every payload through this
     instead of ``isinstance(payload, dict)`` checks, which silently drop
     Readings and bare numbers.
     """

@@ -176,6 +176,7 @@ def bus_workload() -> Dict[str, Any]:
     """
     from repro.devices.base import DeviceDescriptor, DeviceState, MedicalDevice
     from repro.middleware.bus import BusConfig, DeviceBus
+    from repro.readings import Reading
     from repro.sim.channel import ChannelConfig
     from repro.sim.kernel import Simulator
 
@@ -202,7 +203,7 @@ def bus_workload() -> Dict[str, Any]:
 
         def _tick(self):
             for topic in self._topics:
-                self.publish(topic, {"value": self.now, "time": self.now})
+                self.publish(topic, Reading(self.now, True, self.now))
 
     sim = Simulator()
     bus = DeviceBus(sim, BusConfig(
@@ -226,12 +227,12 @@ def bus_workload() -> Dict[str, Any]:
             bus.subscribe(
                 endpoint, topic,
                 lambda t, p, m, e=endpoint: log.append(
-                    (round(sim.now, 9), e, t, p["value"], m.sequence)),
+                    (round(sim.now, 9), e, t, p.value, m.sequence)),
             )
     # Same endpoint, same topic, second handler: exercises endpoint dedup.
     bus.subscribe("alpha", "vitals",
                   lambda t, p, m: log.append((round(sim.now, 9), "alpha#2", t,
-                                              p["value"], m.sequence)))
+                                              p.value, m.sequence)))
     sim.schedule(1.0, lambda: bus.send_command("supervisor", "dev-a", "ping", {"n": 1}))
     sim.schedule(2.0, lambda: bus.send_command("supervisor", "dev-b", "ping"))
     sim.run(until=5.0)

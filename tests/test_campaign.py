@@ -348,12 +348,11 @@ class TestGoldenScenarioTraces:
         digest = hashlib.sha256((tmp_path / "results.jsonl").read_bytes()).hexdigest()
         assert digest == golden[scenario_key]
 
-    def test_parallel_chunked_buffered_results_match_seed_bytes(self, golden, tmp_path):
-        # The perf knobs (pool initializer, chunksize, buffered flushes) must
-        # not leak into the results: same bytes as the seed's serial path.
+    def test_parallel_buffered_results_match_seed_bytes(self, golden, tmp_path):
+        # The perf knobs (pool initializer, buffered flushes) must not leak
+        # into the results: same bytes as the seed's serial path.
         spec = CampaignSpec(**SCENARIO_SPECS["pca"])
-        run_campaign(spec, workers=2, directory=tmp_path,
-                     chunksize=2, flush_every=16)
+        run_campaign(spec, workers=2, directory=tmp_path, flush_every=16)
         digest = hashlib.sha256((tmp_path / "results.jsonl").read_bytes()).hexdigest()
         assert digest == golden["pca"]
 
@@ -438,16 +437,6 @@ class TestStore:
 
 
 class TestEngineKnobs:
-    def test_invalid_chunksize_rejected(self):
-        with pytest.raises(CampaignError):
-            CampaignEngine(tiny_spec(), chunksize=0)
-
-    def test_explicit_chunksize_and_flush_every_keep_records_identical(self, tmp_path):
-        reference = run_campaign(tiny_spec())
-        tuned = run_campaign(tiny_spec(), workers=2, directory=tmp_path,
-                             chunksize=3, flush_every=4)
-        assert tuned.records == reference.records
-
     def test_flush_every_survives_a_failing_run(self, tmp_path):
         # The engine's deterministic close must push buffered records to disk
         # even when a run raises mid-campaign, so resume skips finished work.
@@ -456,15 +445,6 @@ class TestEngineKnobs:
         with pytest.raises(CampaignError):
             run_campaign(spec, workers=1, directory=tmp_path, flush_every=50)
         assert len(load_results(tmp_path)) > 0
-
-    def test_cli_chunksize_and_flush_every_flags(self, tmp_path, capsys):
-        spec_path = tmp_path / "spec.json"
-        spec_path.write_text(json.dumps(tiny_spec().as_dict()))
-        out_dir = tmp_path / "out"
-        assert campaign_main(["run", str(spec_path), "--workers", "2",
-                              "--chunksize", "2", "--flush-every", "8",
-                              "--out", str(out_dir), "--quiet"]) == 0
-        assert len(load_results(out_dir)) == 4
 
 
 class TestAggregation:

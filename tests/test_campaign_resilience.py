@@ -9,9 +9,12 @@ execution of the same spec.
 """
 
 import json
+import time
+from multiprocessing.pool import ThreadPool
 
 import pytest
 
+from repro.campaign import resilience
 from repro.campaign.cli import main as campaign_main
 from repro.campaign.engine import run_campaign
 from repro.campaign.registry import CampaignError
@@ -24,6 +27,7 @@ from repro.campaign.resilience import (
     WORKER_LOST,
     Heartbeat,
     ResilienceConfig,
+    ResilientDispatcher,
     RetryPolicy,
     TransientError,
     execute_with_capture,
@@ -276,6 +280,30 @@ class TestParallelResilience:
         serial = (tmp_path / "serial" / "results.jsonl").read_bytes()
         parallel = (tmp_path / "parallel" / "results.jsonl").read_bytes()
         assert serial == parallel
+
+    def test_fail_fast_parallel_raise_aborts_without_quarantine(self, tmp_path):
+        with pytest.raises(CampaignError, match="scripted deterministic"):
+            run_campaign(chaos_spec(raise_at="1", repeats=8), workers=2,
+                         directory=tmp_path)
+        assert not (tmp_path / "errors.jsonl").exists()
+
+    def test_fail_fast_parallel_detects_a_lost_worker(self):
+        with pytest.raises(CampaignError, match="worker process died"):
+            run_campaign(chaos_spec(kill_at="2", repeats=8), workers=2)
+
+    def test_dispatcher_yields_a_completion_without_waiting_out_the_poll(
+            self, tmp_path, monkeypatch):
+        monkeypatch.setattr(resilience, "_POLL_S", 30.0)
+        manifests = [manifest(seed=seed) for seed in range(4)]
+        started = time.monotonic()
+        with ThreadPool(2) as pool:
+            dispatcher = ResilientDispatcher(
+                pool, manifests, ResilienceConfig(),
+                Heartbeat(str(tmp_path / "hb")),
+                lambda index: (OK, {"index": index}, 1), processes=2)
+            outcomes = list(dispatcher.outcomes())
+        assert time.monotonic() - started < 5.0
+        assert sorted(record["index"] for _, record, _ in outcomes) == [0, 1, 2, 3]
 
 
 # ------------------------------------------------------- interrupt and resume

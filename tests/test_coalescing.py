@@ -312,7 +312,7 @@ order = []
 for endpoint in {endpoints!r}:
     for topic in ("vitals", "status"):
         bus.subscribe(endpoint, topic,
-                      lambda t, p, m, e=endpoint: order.append([e, t, p["value"]]))
+                      lambda t, p, m, e=endpoint: order.append([e, t, p.value]))
 sim.run(until=2.0)
 print(json.dumps({{"order": order, "events": sim.event_count}}))
 """

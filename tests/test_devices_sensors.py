@@ -56,7 +56,7 @@ class TestPulseOximeter:
                                  rng=np.random.default_rng(1))
         published = []
         oximeter.attach_publisher(
-            lambda topic, payload: published.append(payload["value"]) if topic == "spo2" else None
+            lambda topic, payload: published.append(payload.value) if topic == "spo2" else None
         )
         simulator.register(oximeter)
         simulator.run(until=40.0)
@@ -72,7 +72,7 @@ class TestPulseOximeter:
         oximeter.detach_probe()
         simulator.run(until=5.0)
         spo2_msgs = [p for t, p in published if t == "spo2"]
-        assert spo2_msgs and not spo2_msgs[-1]["valid"]
+        assert spo2_msgs and not spo2_msgs[-1].valid
 
     def test_reattach_probe_restores_readings(self, patient_sim):
         simulator, patient = patient_sim
@@ -95,7 +95,7 @@ class TestPulseOximeter:
         oximeter.freeze()
         patient.infuse_bolus(20.0)
         simulator.run(until=20 * 60.0)
-        spo2_values = [p["value"] for t, p in published if t == "spo2"]
+        spo2_values = [p.value for t, p in published if t == "spo2"]
         assert spo2_values[-1] == pytest.approx(spo2_values[-2])
 
     def test_corrupt_offsets_window(self, patient_sim):
@@ -131,10 +131,10 @@ class TestCapnograph:
         capnograph.attach_publisher(lambda topic, payload: published.append((topic, payload)))
         simulator.register(capnograph)
         simulator.run(until=10.0)
-        normal_etco2 = [p["value"] for t, p in published if t == "etco2"][-1]
+        normal_etco2 = [p.value for t, p in published if t == "etco2"][-1]
         patient.infuse_bolus(15.0)
         simulator.run(until=25 * 60.0)
-        depressed_etco2 = [p["value"] for t, p in published if t == "etco2"][-1]
+        depressed_etco2 = [p.value for t, p in published if t == "etco2"][-1]
         assert depressed_etco2 > normal_etco2
 
     def test_freeze_and_unfreeze(self, patient_sim):
@@ -156,7 +156,7 @@ class TestBloodPressureMonitorAndBed:
         monitor.attach_publisher(lambda topic, payload: published.append((topic, payload)))
         simulator.register(monitor)
         simulator.run(until=20.0)
-        readings = [p["value"] for t, p in published if t == "map"]
+        readings = [p.value for t, p in published if t == "map"]
         assert readings and readings[-1] == pytest.approx(90.0, abs=5.0)
 
     def test_bed_move_shifts_map_reading(self, patient_sim):
@@ -164,7 +164,7 @@ class TestBloodPressureMonitorAndBed:
         bed = HospitalBed("bed-1", patient, motion_duration_s=1.0)
         monitor = BloodPressureMonitor("bp-1", patient, BloodPressureMonitorConfig(sample_period_s=5.0))
         published = []
-        monitor.attach_publisher(lambda topic, payload: published.append(payload["value"]))
+        monitor.attach_publisher(lambda topic, payload: published.append(payload.value))
         bed.attach_publisher(lambda t, p: None)
         simulator.register(bed)
         simulator.register(monitor)
@@ -205,7 +205,7 @@ class TestBloodPressureMonitorAndBed:
         simulator, patient = patient_sim
         monitor = BloodPressureMonitor("bp-1", patient, BloodPressureMonitorConfig(sample_period_s=5.0))
         published = []
-        monitor.attach_publisher(lambda topic, payload: published.append(payload["value"]))
+        monitor.attach_publisher(lambda topic, payload: published.append(payload.value))
         simulator.register(monitor)
         patient.map_model.set_bed_height_offset(40.0)
         simulator.run(until=10.0)
@@ -223,7 +223,7 @@ class TestECGMonitor:
         ecg.attach_publisher(lambda topic, payload: published.append((topic, payload)))
         simulator.register(ecg)
         simulator.run(until=10.0)
-        readings = [p["value"] for t, p in published if t == "ecg_heart_rate"]
+        readings = [p.value for t, p in published if t == "ecg_heart_rate"]
         assert readings
         assert readings[-1] == pytest.approx(patient.vital_signs.heart_rate_bpm, abs=8.0)
 
@@ -236,11 +236,11 @@ class TestECGMonitor:
         ecg.detach_lead()
         simulator.run(until=5.0)
         hr = [p for t, p in published if t == "ecg_heart_rate"]
-        assert hr and not hr[-1]["valid"]
+        assert hr and not hr[-1].valid
         ecg.reattach_lead()
         simulator.run(until=10.0)
         hr = [p for t, p in published if t == "ecg_heart_rate"]
-        assert hr[-1]["valid"]
+        assert hr[-1].valid
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -12,6 +12,7 @@ from repro.middleware.clock_sync import ClockSync, DeviceClock
 from repro.middleware.qos import QoSMonitor, TopicQoS
 from repro.middleware.registry import DeviceRegistry, DeviceRequirement, RegistrationError
 from repro.middleware.supervisor_host import SupervisorApp, SupervisorHost
+from repro.readings import Reading
 from repro.sim.channel import ChannelConfig
 from repro.sim.kernel import Simulator
 
@@ -31,7 +32,7 @@ class _EchoDevice(MedicalDevice):
 
     def start(self):
         self.transition(DeviceState.RUNNING)
-        self.every(1.0, lambda: self.publish("tick", {"value": self.now, "time": self.now}))
+        self.every(1.0, lambda: self.publish("tick", Reading(self.now, True, self.now)))
 
 
 @pytest.fixture
@@ -60,13 +61,13 @@ class TestDeviceBus:
         bus.subscribe("listener", "tick", lambda topic, payload, message: received.append(payload))
         simulator.run(until=5.5)
         assert len(received) == 5
-        assert received[0]["value"] == pytest.approx(1.0)
+        assert received[0].value == pytest.approx(1.0)
 
     def test_end_to_end_latency_positive(self, bus_setup):
         simulator, bus, device = bus_setup
         latencies = []
         bus.subscribe("listener", "tick",
-                      lambda topic, payload, message: latencies.append(message.delivered_at - payload["time"]))
+                      lambda topic, payload, message: latencies.append(message.delivered_at - payload.time))
         simulator.run(until=3.5)
         assert all(latency > 0.015 for latency in latencies)
 
