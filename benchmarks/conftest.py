@@ -25,7 +25,12 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 def git_sha() -> str:
-    """Current commit sha, or "unknown" outside a git checkout."""
+    """Current commit sha, or "unknown" outside a git checkout.
+
+    Suffixed ``-dirty`` when tracked files differ from that commit, so
+    numbers measured on an uncommitted change are not attributed to its
+    parent.
+    """
     try:
         out = subprocess.run(
             ["git", "rev-parse", "HEAD"],
@@ -34,9 +39,17 @@ def git_sha() -> str:
             text=True,
             timeout=10,
         )
+        if out.returncode != 0:
+            return "unknown"
+        dirty = subprocess.run(
+            ["git", "diff", "--quiet", "HEAD"],
+            cwd=REPO_ROOT,
+            capture_output=True,
+            timeout=10,
+        ).returncode == 1
     except (OSError, subprocess.TimeoutExpired):
         return "unknown"
-    return out.stdout.strip() if out.returncode == 0 else "unknown"
+    return out.stdout.strip() + ("-dirty" if dirty else "")
 
 
 def bench_meta() -> dict:

@@ -5,10 +5,24 @@ uplink channel to the bus and the bus forwards messages to subscriber
 downlink channels, so end-to-end latency is the sum of two channel delays
 plus any bus processing delay.  Channels can be degraded or cut by the fault
 injector to model communication failures.
+
+Compiled routes: while every link of the bus is deterministic (see
+:attr:`~repro.sim.channel.Channel.deterministic`), a sample's route is fixed
+when it is published, so :meth:`DeviceBus.publish` queues it straight into
+each subscriber's downlink at the instant it would have been forwarded.  One
+downlink event then replaces the uplink delivery, the ``bus:forward`` event
+and the downlink event, with bit-identical delivery times, per-downlink
+order and sequence numbers.  The first publish that finds a link
+non-deterministic switches the whole bus to the hop-by-hop path for the rest
+of the run: a downlink fed by both paths would see same-instant messages in
+a different order.  Only the samples published at the switching instant
+itself can still leave in another order than the hop-by-hop path gives
+them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -59,8 +73,9 @@ class BusConfig:
     def validate(self) -> None:
         self.uplink.validate()
         self.downlink.validate()
-        if self.processing_delay_s < 0:
-            raise ValueError("processing_delay_s must be non-negative")
+        delay = self.processing_delay_s
+        if not (math.isfinite(delay) and delay >= 0):
+            raise ValueError(f"processing_delay_s must be finite and non-negative, got {delay!r}")
 
 
 class DeviceBus:
@@ -92,10 +107,19 @@ class DeviceBus:
         # kernel event, popped when that event fires.
         self._pending_forwards: Dict[float, List[Tuple[Message, Tuple[Channel, ...]]]] = {}
         self._forward_batch_cb = self._forward_batch
+        # Compiled routes: None until the first publish checks every link,
+        # then True until a publish finds a non-deterministic link.
+        self._compiled: Optional[bool] = None
+        self._uplink_latency = 0.0
+        # The bus-arrival instant of the newest compiled sample, and the
+        # uplinks with a message arriving then, in the order their uplink
+        # batches would have been created (the order the bus takes them in).
+        self._arrival_at = -math.inf
+        self._arrivals: List[Channel] = []
         self._attached_devices: Dict[str, MedicalDevice] = {}
         self._command_routes: set = set()
         self.published_count = 0
-        self.forwarded_count = 0
+        self._forwarded = 0
         # Registry-backed metrics; None unless repro.obs was enabled when
         # this bus was constructed.
         self._obs = bus_instruments()
@@ -147,16 +171,105 @@ class DeviceBus:
     def channels(self) -> List[Channel]:
         return list(self._uplinks.values()) + list(self._downlinks.values())
 
+    @property
+    def forwarded_count(self) -> int:
+        """Copies forwarded to subscriber downlinks so far.
+
+        Counted at each copy's forward instant on both paths: a compiled
+        copy is queued at publish, stamped with its forward instant, and is
+        not counted before that instant.
+        """
+        now = self.simulator.now
+        return self._forwarded - sum(downlink.queued_after(now)
+                                     for downlink in self._downlinks.values())
+
     # ------------------------------------------------------------ publishing
-    def publish(self, device_id: str, topic: str, payload: Any) -> None:
-        """Called by devices; routes the message through the device's uplink."""
-        uplink = self._make_uplink(device_id)
+    def publish(self, device_id: str, topic: str, payload: Any) -> None:  # repro-lint: hot
+        """Called by devices; routes the message to its subscribers.
+
+        On a compiled bus the subscribers are taken now, and each
+        subscribed downlink gets a send stamped with the forward instant
+        ``(now + uplink latency) + processing delay``, the same float
+        additions the hop-by-hop path makes.  A topic nobody subscribes to
+        makes no ``Message`` and no event; only its uplink's arrival at the
+        bus is noted, since it orders the device's later samples at that
+        instant.  Otherwise the message rides the device's uplink.
+        """
+        uplink = self._uplinks.get(device_id)
+        if uplink is None:
+            uplink = self._make_uplink(device_id)
         self.published_count += 1
-        if self._obs is not None:
-            self._obs.published.value += 1
+        obs = self._obs
+        if obs is not None:
+            obs.published.value += 1
         if self.trace is not None:
             self.trace.event(self.simulator.now, f"bus:publish:{topic}", payload, source=device_id)
+        compiled = self._compiled
+        if compiled is None:
+            compiled = self._compile()
+        if compiled:
+            # The uplink is checked for an unsubscribed topic too: on a
+            # stochastic uplink the sample must draw from the rng as it
+            # rides the link.
+            routes = self._routes.get(topic)
+            compiled = uplink.deterministic and uplink.config.latency_s == self._uplink_latency
+            if routes is not None:
+                for downlink in routes:
+                    compiled = compiled and downlink.deterministic
+            if compiled:
+                # Every sample, subscribed or not, would have opened or
+                # joined its uplink's batch at the bus-arrival instant.
+                now = self.simulator.now
+                arrival_at = now + self._uplink_latency
+                overtakes = None
+                if arrival_at != self._arrival_at:
+                    self._arrival_at = arrival_at
+                    self._arrivals = [uplink]
+                elif self._arrivals[-1] is not uplink:
+                    if uplink in self._arrivals:
+                        overtakes = self._overtaken_by(uplink, arrival_at)
+                    else:
+                        self._arrivals.append(uplink)
+                if routes is None:
+                    return
+                forward_at = arrival_at + self.config.processing_delay_s
+                envelope = Envelope(payload, now)
+                self._forwarded += len(routes)
+                if obs is not None:
+                    obs.forwarded.value += len(routes)
+                for downlink in routes:
+                    downlink.send_at(forward_at, device_id, topic, envelope, overtakes)
+                return
+            self._compiled = False
         uplink.send(device_id, topic, payload)
+
+    def _compile(self) -> bool:
+        """Decide, at the first publish, whether routes can be compiled."""
+        latency = self.config.uplink.latency_s
+        compiled = latency > 0.0 and all(
+            channel.deterministic for channel in self.channels
+        ) and all(uplink.config.latency_s == latency for uplink in self._uplinks.values())
+        self._uplink_latency = latency
+        self._compiled = compiled
+        return compiled
+
+    def _overtaken_by(self, uplink: Channel, arrival_at: float) -> Callable[[Message], bool]:
+        """Which queued copies a sample from ``uplink`` goes ahead of.
+
+        ``uplink`` already has a message reaching the bus at
+        ``arrival_at``, and uplinks after it have too.  On the hop-by-hop
+        path its new message would join its uplink's batch and reach the
+        bus before theirs, so its copies go ahead of their copies.
+        """
+        later = set(self._arrivals[self._arrivals.index(uplink) + 1:])
+        latency = self._uplink_latency
+        uplinks = self._uplinks
+
+        def overtakes(message: Message) -> bool:
+            return (message.payload.published_at + latency == arrival_at
+                    and uplinks[message.sender] in later)
+
+        return overtakes
 
     def _on_uplink_message(self, message: Message) -> None:  # repro-lint: hot
         """Uplink delivery: queue the message for forwarding after the bus delay.
@@ -189,7 +302,7 @@ class DeviceBus:
         obs = self._obs
         for message, downlinks in batch:
             envelope = Envelope(message.payload, message.sent_at)
-            self.forwarded_count += len(downlinks)
+            self._forwarded += len(downlinks)
             if obs is not None:
                 obs.forwarded.value += len(downlinks)
             for downlink in downlinks:
@@ -258,6 +371,15 @@ class DeviceBus:
         if self._obs is not None:
             self._obs.commands.value += 1
         channel.send(sender_id, command_topic, parameters or {})
+        if self._compiled is not False:
+            # The command opens (or joins) its uplink's batch, which fixes
+            # where that device's later samples reach the bus in turn.
+            arrival_at = self.simulator.now + channel.config.latency_s
+            if arrival_at > self._arrival_at:
+                self._arrival_at = arrival_at
+                self._arrivals = [channel]
+            elif arrival_at == self._arrival_at and channel not in self._arrivals:
+                self._arrivals.append(channel)
         if self.trace is not None:
             self.trace.event(
                 self.simulator.now,

@@ -3,10 +3,10 @@
 Attach a :class:`SamplingProfiler` to a simulator and every ``every``-th
 executed event is timed with ``time.perf_counter`` and attributed to its
 *callback owner* — the device, channel, or middleware component named in
-the event's ``name`` (the kernel already stamps ``"<process>:<method>"``,
-``"channel:<link>:deliver"``, and ``"bus:forward"`` names on the
-hot paths).  Sampling bounds the overhead: the other ``every - 1`` events
-pay one decrement and one comparison.
+the event's ``name`` (the kernel already stamps ``"<process>:<method>"``
+and ``"channel:<link>:deliver"`` names on the hot paths; a bus that
+routes hop by hop adds ``"bus:forward"``).  Sampling bounds the overhead:
+the other ``every - 1`` events pay one decrement and one comparison.
 
 The profiler is independent of the metrics enable switch — it is opt-in
 per simulator — but its results export through the same NDJSON snapshot

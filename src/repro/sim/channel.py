@@ -12,6 +12,7 @@ scripted outages.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -65,14 +66,19 @@ class ChannelConfig:
     bandwidth_msgs_per_s: Optional[float] = None
 
     def validate(self) -> None:
-        if self.latency_s < 0:
-            raise ValueError("latency_s must be non-negative")
-        if self.jitter_s < 0:
-            raise ValueError("jitter_s must be non-negative")
+        # A NaN passes every ``< 0`` test, so bounds are checked as
+        # "finite and in range", which rejects NaN and infinities.
+        if not (math.isfinite(self.latency_s) and self.latency_s >= 0):
+            raise ValueError(f"latency_s must be finite and non-negative, got {self.latency_s!r}")
+        if not (math.isfinite(self.jitter_s) and self.jitter_s >= 0):
+            raise ValueError(f"jitter_s must be finite and non-negative, got {self.jitter_s!r}")
         if not 0.0 <= self.loss_probability <= 1.0:
             raise ValueError("loss_probability must be within [0, 1]")
-        if self.bandwidth_msgs_per_s is not None and self.bandwidth_msgs_per_s <= 0:
-            raise ValueError("bandwidth_msgs_per_s must be positive when set")
+        bandwidth = self.bandwidth_msgs_per_s
+        if bandwidth is not None and not (math.isfinite(bandwidth) and bandwidth > 0):
+            raise ValueError(
+                f"bandwidth_msgs_per_s must be finite and positive when set, got {bandwidth!r}"
+            )
 
 
 class Channel:
@@ -99,6 +105,13 @@ class Channel:
     A config that demands randomness (jitter or loss) without an ``rng`` is
     rejected at construction time: silently degrading to a deterministic
     channel would invalidate any loss/jitter experiment built on it.
+
+    A link is :attr:`deterministic` when a message's fate is fixed the
+    moment it is sent: no jitter, loss, bandwidth cap, outage window, or
+    outage armed against it (:attr:`outage_armed`, set by the fault
+    injector).  Such a link also accepts :meth:`send_at`, a send stamped
+    with a later send time, which is how the device bus compiles a
+    multi-hop route into one delivery.
     """
 
     def __init__(
@@ -127,6 +140,9 @@ class Channel:
         self._snapshot: Tuple[Tuple[Optional[str], Callable[[Message], None]], ...] = ()
         self._sequence = itertools.count()
         self._outages: List[Tuple[float, float]] = []
+        # Set when a channel_outage fault is planned against this link, so
+        # it counts as non-deterministic before the outage window opens.
+        self.outage_armed = False
         self._busy_until = 0.0
         self._deliver_name = f"channel:{name}:deliver"
         # Same-tick coalescing: delivery-time -> FIFO queue of in-flight
@@ -138,7 +154,7 @@ class Channel:
         # fires it at exactly the pending key's time) avoids allocating a
         # closure per scheduled delivery tick on the hot send path.
         self._deliver_batch_cb = self._deliver_batch
-        self.sent: int = 0
+        self._sent = 0
         self.delivered: int = 0
         self.dropped: int = 0
         # Streaming coalescing counters (always on — they cost one compare
@@ -180,12 +196,24 @@ class Channel:
             return False
         return any(start <= time < end for start, end in self._outages)
 
+    @property
+    def deterministic(self) -> bool:
+        """Whether every send's delivery time is fixed when it is sent.
+
+        Read from the live config on each call, so a config mutated to
+        jitter, loss or a bandwidth cap stops qualifying at once.
+        """
+        config = self.config
+        return (config.jitter_s == 0.0 and config.loss_probability == 0.0
+                and config.bandwidth_msgs_per_s is None
+                and not self._outages and not self.outage_armed)
+
     # ---------------------------------------------------------------- sending
     def send(self, sender: str, topic: str, payload: Any) -> Message:  # repro-lint: hot
         """Send a message; returns its record (``delivered_at`` set on delivery)."""
         now = self.simulator.now
         message = Message(sender, topic, payload, now, next(self._sequence))
-        self.sent += 1
+        self._sent += 1
 
         # Inlined guards: the common case (no outages, no loss, no jitter)
         # must not pay method calls per message on the hottest messaging
@@ -235,6 +263,55 @@ class Channel:
                 name=self._deliver_name,
             )
         return message
+
+    def send_at(  # repro-lint: hot
+        self,
+        sent_at: float,
+        sender: str,
+        topic: str,
+        payload: Any,
+        overtakes: Optional[Callable[[Message], bool]] = None,
+    ) -> Message:
+        """Queue a message as if :meth:`send` were called at ``sent_at``.
+
+        For :attr:`deterministic` links only, and ``sent_at >= now``: the
+        message is stamped ``sent_at`` and joins the delivery batch at
+        ``sent_at + latency_s``, the time a send at ``sent_at`` computes.
+        It takes the next sequence number, so callers send in the order the
+        sends would have happened.  ``overtakes`` is for the one exception:
+        the new message is queued ahead of the trailing run of messages in
+        its batch that ``overtakes`` accepts, and takes over their sequence
+        numbers (each of them moves up by one), as if sent before them.
+        """
+        message = Message(sender, topic, payload, sent_at, next(self._sequence))
+        self._sent += 1
+        obs = self._obs
+        if obs is not None:
+            obs.sent.value += 1
+        delivery_time = sent_at + self.config.latency_s
+        batch = self._pending.get(delivery_time)
+        if batch is None:
+            self._pending[delivery_time] = [message]
+            self.simulator.schedule_at(
+                delivery_time,
+                self._deliver_batch_cb,
+                name=self._deliver_name,
+            )
+        elif overtakes is None:
+            batch.append(message)
+        else:
+            index = len(batch)
+            while index and overtakes(batch[index - 1]):
+                index -= 1
+            for later in reversed(batch[index:]):
+                message.sequence, later.sequence = later.sequence, message.sequence
+            batch.insert(index, message)
+        return message
+
+    def queued_after(self, time: float) -> int:
+        """How many queued messages carry a send time later than ``time``."""
+        return sum(message.sent_at > time
+                   for batch in self._pending.values() for message in batch)
 
     def _sample_loss(self) -> bool:
         if self.config.loss_probability <= 0:
@@ -299,10 +376,16 @@ class Channel:
 
     # ------------------------------------------------------------- statistics
     @property
+    def sent(self) -> int:
+        """Messages sent so far; a :meth:`send_at` counts from its send time."""
+        return self._sent - self.queued_after(self.simulator.now)
+
+    @property
     def loss_rate(self) -> float:
-        if self.sent == 0:
+        sent = self.sent
+        if sent == 0:
             return 0.0
-        return self.dropped / self.sent
+        return self.dropped / sent
 
     @property
     def mean_latency(self) -> float:

@@ -125,6 +125,9 @@ class FaultInjector:
     # ---------------------------------------------------------- registration
     def register_channel(self, channel: Channel) -> None:
         self._channels[channel.name] = channel
+        if any(spec.kind == "channel_outage" and spec.target == channel.name
+               for spec in self._specs):
+            channel.outage_armed = True
 
     def register_device(self, name: str, device: Any) -> None:
         self._devices[name] = device
@@ -136,12 +139,19 @@ class FaultInjector:
     def add(self, spec: FaultSpec) -> None:
         """Register one fault; scheduled now if the injector is already armed.
 
-        Before :meth:`arm` this only records the spec.  After :meth:`arm`
-        the spec is scheduled immediately — previously it was silently
-        dropped, the worst possible failure mode for a fault campaign that
-        believes it injected something.
+        A ``channel_outage`` marks its target channel
+        (:attr:`~repro.sim.channel.Channel.outage_armed`) at once, or when
+        the channel is registered.  Before :meth:`arm` this otherwise only
+        records the spec.  After :meth:`arm` the spec is scheduled
+        immediately — previously it was silently dropped, the worst
+        possible failure mode for a fault campaign that believes it
+        injected something.
         """
         self._specs.append(spec)
+        if spec.kind == "channel_outage" and spec.target in self._channels:
+            # From now on the link is not deterministic, so the bus routes
+            # traffic published over it hop by hop, where the outage applies.
+            self._channels[spec.target].outage_armed = True
         if self._armed:
             self._schedule(spec)
 

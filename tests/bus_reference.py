@@ -1,9 +1,11 @@
 """Per-message bus forwarder, kept only as a test oracle.
 
 :class:`ReferenceBus` is :class:`~repro.middleware.bus.DeviceBus` with the
-naive forwarding path: every message that reaches the bus schedules its own
-kernel event ``processing_delay_s`` later, named after its topic, and the
-subscribers are looked up when that event fires.  The production bus drops
+naive forwarding path: every published message rides its device's uplink,
+every message that reaches the bus schedules its own kernel event
+``processing_delay_s`` later, named after its topic, and the subscribers
+are looked up when that event fires.  The production bus compiles the
+routes of deterministic links into one downlink send at publish, drops
 unsubscribed topics on arrival and coalesces forwards per exact instant;
 ``tests/test_bus_forwarding.py`` checks that the two deliver the same
 messages, at the same times, in the same order.
@@ -17,6 +19,13 @@ from repro.sim.channel import Message
 
 class ReferenceBus(DeviceBus):
     """DeviceBus forwarding each message with its own kernel event."""
+
+    def publish(self, device_id: str, topic: str, payload) -> None:
+        # Always through the uplink: the production bus compiles the route
+        # of a deterministic link into one downlink send instead.
+        uplink = self._make_uplink(device_id)
+        self.published_count += 1
+        uplink.send(device_id, topic, payload)
 
     def _on_uplink_message(self, message: Message) -> None:
         if message.topic.startswith(COMMAND_TOPIC_PREFIX):
@@ -40,5 +49,5 @@ class ReferenceBus(DeviceBus):
             downlink = self._downlinks.get(endpoint_id)
             if downlink is None:
                 continue
-            self.forwarded_count += 1
+            self._forwarded += 1
             downlink.send(message.sender, message.topic, envelope)

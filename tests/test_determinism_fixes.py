@@ -25,6 +25,7 @@ import pytest
 from repro.devices.base import DeviceDescriptor, DeviceState, MedicalDevice
 from repro.middleware.bus import BusConfig, DeviceBus
 from repro.sim.channel import Channel, ChannelConfig
+from repro.sim.faults import FaultInjector, FaultSpec
 from repro.sim.kernel import Simulator
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -47,12 +48,21 @@ class _Sensor(MedicalDevice):
         self.transition(DeviceState.RUNNING)
 
 
-def _make_bus():
+def _make_bus(armed=False):
+    """One sensor on a bus; ``armed`` plans a far-future outage on its
+    uplink, which sends the bus's traffic hop by hop."""
     simulator = Simulator()
     bus = DeviceBus(simulator)
     device = _Sensor()
     bus.attach_device(device)
     simulator.register(device)
+    if armed:
+        injector = FaultInjector(simulator)
+        for channel in bus.channels:
+            injector.register_channel(channel)
+        injector.add(FaultSpec(kind="channel_outage", start=1e6, duration=1.0,
+                               target="uplink:dev-1"))
+        injector.arm()
     return simulator, bus, device
 
 
@@ -168,7 +178,7 @@ class TestChannelRetention:
 
 class TestCommandPathIsolation:
     def test_commands_do_not_enter_forwarding_path(self):
-        simulator, bus, device = _make_bus()
+        simulator, bus, device = _make_bus(armed=True)
         forwarded_topics = []
 
         class _ForwardRecorder:
@@ -190,6 +200,28 @@ class TestCommandPathIsolation:
         assert device.pings == [{"n": 1}, {"n": 2}]
         # ...but never rode a bus:forward event; only the real publish did.
         assert forwarded_topics == ["t"]
+        assert bus.forwarded_count == 1
+
+    def test_commands_ride_the_uplink_alone_on_compiled_routes(self):
+        simulator, bus, device = _make_bus()
+        names = []
+
+        class _Names:
+            def dispatch(self, event):
+                names.append(event.name)
+                event.callback()
+
+        simulator.attach_profiler(_Names())
+        bus.subscribe("listener", "t", lambda t, p, m: None)
+        bus.send_command("supervisor", "dev-1", "ping", {"n": 1})
+        bus.send_command("supervisor", "dev-1", "ping", {"n": 2})
+        device.publish("t", {"v": 1})
+        simulator.run()
+        assert device.pings == [{"n": 1}, {"n": 2}]
+        # The sample's route was compiled: one downlink event, and the
+        # uplink carried the two commands only.
+        assert names == ["channel:uplink:dev-1:deliver", "channel:downlink:listener:deliver"]
+        assert bus.uplink("dev-1").sent == 2
         assert bus.forwarded_count == 1
 
     def test_command_only_traffic_forwards_nothing(self):

@@ -111,6 +111,11 @@ class TestDeviceBus:
         assert stats["published"] == 4
         assert stats["forwarded"] == 4
 
+    @pytest.mark.parametrize("delay", [float("nan"), float("inf"), -0.001])
+    def test_bad_processing_delay_rejected_naming_the_field(self, delay):
+        with pytest.raises(ValueError, match="processing_delay_s"):
+            DeviceBus(Simulator(), BusConfig(processing_delay_s=delay))
+
 
 class TestGoldenBusWorkload:
     """Multi-subscriber delivery order is pinned byte-for-byte.

@@ -37,6 +37,25 @@ class TestConfigValidation:
     def test_valid_config_passes(self):
         ChannelConfig(latency_s=0.1, jitter_s=0.01, loss_probability=0.05).validate()
 
+    @pytest.mark.parametrize("field, value", [
+        ("latency_s", float("nan")),
+        ("latency_s", float("inf")),
+        ("jitter_s", float("nan")),
+        ("jitter_s", float("inf")),
+        ("loss_probability", float("nan")),
+        ("bandwidth_msgs_per_s", float("nan")),
+        ("bandwidth_msgs_per_s", float("inf")),
+    ])
+    def test_non_finite_value_rejected_naming_the_field(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ChannelConfig(**{field: value}).validate()
+
+    def test_nan_jitter_cannot_build_an_rng_free_channel(self, sim):
+        # NaN > 0 is False, so a NaN jitter used to pass validation and the
+        # rng check, and the channel silently ran as a deterministic link.
+        with pytest.raises(ValueError, match="jitter_s"):
+            make_channel(sim, jitter_s=float("nan"))
+
 
 class TestDelivery:
     def test_message_delivered_after_latency(self, sim):
