@@ -6,18 +6,17 @@ downlink channels, so end-to-end latency is the sum of two channel delays
 plus any bus processing delay.  Channels can be degraded or cut by the fault
 injector to model communication failures.
 
-Compiled routes: while every link of the bus is deterministic (see
-:attr:`~repro.sim.channel.Channel.deterministic`), a sample's route is fixed
-when it is published, so :meth:`DeviceBus.publish` queues it straight into
-each subscriber's downlink at the instant it would have been forwarded.  One
-downlink event then replaces the uplink delivery, the ``bus:forward`` event
-and the downlink event, with bit-identical delivery times, per-downlink
-order and sequence numbers.  The first publish that finds a link
-non-deterministic switches the whole bus to the hop-by-hop path for the rest
-of the run: a downlink fed by both paths would see same-instant messages in
-a different order.  Only the samples published at the switching instant
-itself can still leave in another order than the hop-by-hop path gives
-them.
+One route: a sample's uplink hop is decided when it is published
+(:meth:`~repro.sim.channel.Channel.fate` applies outages, loss, jitter and
+the bandwidth cap), so the bus takes the subscribers then and queues each
+copy for its forward instant ``arrival + processing_delay_s``.  A
+:attr:`~repro.sim.channel.Channel.deterministic` downlink gets the copy at
+once through :meth:`~repro.sim.channel.Channel.send_at`; any other downlink
+gets it from the one ``bus:forward`` event of that instant, where it draws
+the copy's fate.  Both take copies in the order they reach the bus: by
+arrival instant, then by the order in which their uplinks' messages first
+reached the bus at that instant (the order of the uplinks' delivery
+batches on the per-message path), then in publish order.
 """
 
 from __future__ import annotations
@@ -102,20 +101,18 @@ class DeviceBus:
         # (and hence downlink sequence numbers and kernel tiebreaks) must not
         # depend on PYTHONHASHSEED.
         self._routes: Dict[str, Tuple[Channel, ...]] = {}
-        # Forward coalescing, the pattern Channel uses for deliveries:
-        # forward instant -> FIFO queue of (message, routes) sharing one
-        # kernel event, popped when that event fires.
-        self._pending_forwards: Dict[float, List[Tuple[Message, Tuple[Channel, ...]]]] = {}
+        # Forwards to downlinks that are not deterministic, coalesced as
+        # Channel coalesces deliveries: forward instant -> (order, sender,
+        # topic, envelope, downlinks) in arrival order, sharing one kernel
+        # event, popped when it fires.
+        self._pending_forwards: Dict[float, List[Tuple[Tuple[float, int], str, str, Envelope,
+                                                       List[Channel]]]] = {}
         self._forward_batch_cb = self._forward_batch
-        # Compiled routes: None until the first publish checks every link,
-        # then True until a publish finds a non-deterministic link.
-        self._compiled: Optional[bool] = None
-        self._uplink_latency = 0.0
-        # The bus-arrival instant of the newest compiled sample, and the
-        # uplinks with a message arriving then, in the order their uplink
-        # batches would have been created (the order the bus takes them in).
-        self._arrival_at = -math.inf
-        self._arrivals: List[Channel] = []
+        # Arrival order at the bus: arrival instant -> {uplink: order key}.
+        # The key (instant, rank) ranks an uplink by when its first message
+        # for that instant was sent, as its delivery batch would be.
+        self._arrivals: Dict[float, Dict[Channel, Tuple[float, int]]] = {}
+        self._sweep_at = 8
         self._attached_devices: Dict[str, MedicalDevice] = {}
         self._command_routes: set = set()
         self.published_count = 0
@@ -147,14 +144,12 @@ class DeviceBus:
 
     def _make_uplink(self, device_id: str) -> Channel:
         if device_id not in self._uplinks:
-            channel = Channel(
+            self._uplinks[device_id] = Channel(
                 self.simulator,
                 name=f"uplink:{device_id}",
                 config=self.config.uplink,
                 rng=self._rng,
             )
-            channel.subscribe(self._on_uplink_message)
-            self._uplinks[device_id] = channel
         return self._uplinks[device_id]
 
     def uplink(self, device_id: str) -> Channel:
@@ -175,9 +170,7 @@ class DeviceBus:
     def forwarded_count(self) -> int:
         """Copies forwarded to subscriber downlinks so far.
 
-        Counted at each copy's forward instant on both paths: a compiled
-        copy is queued at publish, stamped with its forward instant, and is
-        not counted before that instant.
+        A copy queued at publish counts from its forward instant on.
         """
         now = self.simulator.now
         return self._forwarded - sum(downlink.queued_after(now)
@@ -187,13 +180,10 @@ class DeviceBus:
     def publish(self, device_id: str, topic: str, payload: Any) -> None:  # repro-lint: hot
         """Called by devices; routes the message to its subscribers.
 
-        On a compiled bus the subscribers are taken now, and each
-        subscribed downlink gets a send stamped with the forward instant
-        ``(now + uplink latency) + processing delay``, the same float
-        additions the hop-by-hop path makes.  A topic nobody subscribes to
-        makes no ``Message`` and no event; only its uplink's arrival at the
-        bus is noted, since it orders the device's later samples at that
-        instant.  Otherwise the message rides the device's uplink.
+        The uplink decides the sample's fate now.  A delivered sample is
+        ranked among the arrivals at its instant even if nobody subscribes
+        to its topic (it still orders its device's later samples there),
+        but only a subscribed one makes a ``Message`` or an event.
         """
         uplink = self._uplinks.get(device_id)
         if uplink is None:
@@ -204,109 +194,77 @@ class DeviceBus:
             obs.published.value += 1
         if self.trace is not None:
             self.trace.event(self.simulator.now, f"bus:publish:{topic}", payload, source=device_id)
-        compiled = self._compiled
-        if compiled is None:
-            compiled = self._compile()
-        if compiled:
-            # The uplink is checked for an unsubscribed topic too: on a
-            # stochastic uplink the sample must draw from the rng as it
-            # rides the link.
-            routes = self._routes.get(topic)
-            compiled = uplink.deterministic and uplink.config.latency_s == self._uplink_latency
-            if routes is not None:
-                for downlink in routes:
-                    compiled = compiled and downlink.deterministic
-            if compiled:
-                # Every sample, subscribed or not, would have opened or
-                # joined its uplink's batch at the bus-arrival instant.
-                now = self.simulator.now
-                arrival_at = now + self._uplink_latency
-                overtakes = None
-                if arrival_at != self._arrival_at:
-                    self._arrival_at = arrival_at
-                    self._arrivals = [uplink]
-                elif self._arrivals[-1] is not uplink:
-                    if uplink in self._arrivals:
-                        overtakes = self._overtaken_by(uplink, arrival_at)
-                    else:
-                        self._arrivals.append(uplink)
-                if routes is None:
-                    return
-                forward_at = arrival_at + self.config.processing_delay_s
-                envelope = Envelope(payload, now)
-                self._forwarded += len(routes)
-                if obs is not None:
-                    obs.forwarded.value += len(routes)
-                for downlink in routes:
-                    downlink.send_at(forward_at, device_id, topic, envelope, overtakes)
-                return
-            self._compiled = False
-        uplink.send(device_id, topic, payload)
-
-    def _compile(self) -> bool:
-        """Decide, at the first publish, whether routes can be compiled."""
-        latency = self.config.uplink.latency_s
-        compiled = latency > 0.0 and all(
-            channel.deterministic for channel in self.channels
-        ) and all(uplink.config.latency_s == latency for uplink in self._uplinks.values())
-        self._uplink_latency = latency
-        self._compiled = compiled
-        return compiled
-
-    def _overtaken_by(self, uplink: Channel, arrival_at: float) -> Callable[[Message], bool]:
-        """Which queued copies a sample from ``uplink`` goes ahead of.
-
-        ``uplink`` already has a message reaching the bus at
-        ``arrival_at``, and uplinks after it have too.  On the hop-by-hop
-        path its new message would join its uplink's batch and reach the
-        bus before theirs, so its copies go ahead of their copies.
-        """
-        later = set(self._arrivals[self._arrivals.index(uplink) + 1:])
-        latency = self._uplink_latency
-        uplinks = self._uplinks
-
-        def overtakes(message: Message) -> bool:
-            return (message.payload.published_at + latency == arrival_at
-                    and uplinks[message.sender] in later)
-
-        return overtakes
-
-    def _on_uplink_message(self, message: Message) -> None:  # repro-lint: hot
-        """Uplink delivery: queue the message for forwarding after the bus delay.
-
-        The subscribers are taken now, as the message reaches the bus.  A
-        topic nobody subscribes to is dropped here and costs no kernel
-        event; that includes every command topic, which ``subscribe``
-        refuses.  Messages forwarded at the same exact instant share one
-        ``bus:forward`` event and leave in arrival order.
-        """
-        routes = self._routes.get(message.topic)
+        arrival_at = uplink.fate()
+        if arrival_at is None:
+            return
+        ranks = self._arrivals.get(arrival_at)
+        order = None if ranks is None else ranks.get(uplink)
+        if order is None:
+            order = self._order(uplink, arrival_at)
+        routes = self._routes.get(topic)
         if routes is None:
             return
-        forward_at = self.simulator.now + self.config.processing_delay_s
-        batch = self._pending_forwards.get(forward_at)
-        if batch is not None:
-            batch.append((message, routes))
-        else:
-            self._pending_forwards[forward_at] = [(message, routes)]
-            self.simulator.schedule_at(forward_at, self._forward_batch_cb, name="bus:forward")
+        forward_at = arrival_at + self.config.processing_delay_s
+        envelope = Envelope(payload, self.simulator.now)
+        later: Optional[List[Channel]] = None
+        for downlink in routes:
+            if downlink.deterministic:
+                downlink.send_at(forward_at, device_id, topic, envelope, order)
+            elif later is None:
+                later = [downlink]
+            else:
+                later.append(downlink)
+        queued = len(routes)
+        if later is not None:
+            queued -= len(later)
+            forward = (order, device_id, topic, envelope, later)
+            batch = self._pending_forwards.get(forward_at)
+            if batch is None:
+                self._pending_forwards[forward_at] = [forward]
+                self.simulator.schedule_at(forward_at, self._forward_batch_cb, name="bus:forward")
+            else:
+                index = len(batch)
+                while index and batch[index - 1][0] > order:
+                    index -= 1
+                batch.insert(index, forward)
+        self._forwarded += queued
+        if obs is not None:
+            obs.forwarded.value += queued
+
+    def _order(self, uplink: Channel, arrival_at: float) -> Tuple[float, int]:
+        """The order key of ``uplink`` at ``arrival_at``, ranking it last if new.
+
+        Instants already past are forgotten once the map doubles in size:
+        kept longer, they pin allocator arenas and raise peak memory.
+        """
+        ranks = self._arrivals.get(arrival_at)
+        if ranks is None:
+            if len(self._arrivals) >= self._sweep_at:
+                now = self.simulator.now
+                self._arrivals = {instant: ranks for instant, ranks in self._arrivals.items()
+                                  if instant >= now}
+                self._sweep_at = 2 * len(self._arrivals) + 8
+            ranks = self._arrivals[arrival_at] = {}
+        order = ranks.get(uplink)
+        if order is None:
+            order = ranks[uplink] = (arrival_at, len(ranks))
+        return order
 
     def _forward_batch(self) -> None:  # repro-lint: hot
         # The kernel fires this event at exactly the pending key's time, so
         # `now` IS the key.  Pop before sending, as Channel._deliver_batch
-        # does: a zero processing delay must open a fresh batch.  One copy
-        # goes to each subscribed endpoint's downlink, which fans it out to
-        # the handlers registered at subscribe() time; the original publish
-        # time travels in the envelope for end-to-end latency accounting.
+        # does: a zero processing delay must open a fresh batch.  Each
+        # downlink draws its copy's fate as it is sent; the original
+        # publish time travels in the envelope for end-to-end latency
+        # accounting.
         batch = self._pending_forwards.pop(self.simulator.now)
         obs = self._obs
-        for message, downlinks in batch:
-            envelope = Envelope(message.payload, message.sent_at)
+        for _, sender, topic, envelope, downlinks in batch:
             self._forwarded += len(downlinks)
             if obs is not None:
                 obs.forwarded.value += len(downlinks)
             for downlink in downlinks:
-                downlink.send(message.sender, message.topic, envelope)
+                downlink.send(sender, topic, envelope)
 
     # ---------------------------------------------------------- subscribing
     def subscribe(
@@ -370,16 +328,13 @@ class DeviceBus:
             self._command_routes.add(command_topic)
         if self._obs is not None:
             self._obs.commands.value += 1
-        channel.send(sender_id, command_topic, parameters or {})
-        if self._compiled is not False:
-            # The command opens (or joins) its uplink's batch, which fixes
-            # where that device's later samples reach the bus in turn.
-            arrival_at = self.simulator.now + channel.config.latency_s
-            if arrival_at > self._arrival_at:
-                self._arrival_at = arrival_at
-                self._arrivals = [channel]
-            elif arrival_at == self._arrival_at and channel not in self._arrivals:
-                self._arrivals.append(channel)
+        # The command opens (or joins) its uplink's batch, which ranks that
+        # device's later samples at the same arrival instant.
+        arrival_at = channel.fate()
+        if arrival_at is not None:
+            self._order(channel, arrival_at)
+            channel.enqueue(arrival_at, Message(sender_id, command_topic, parameters or {},
+                                               self.simulator.now, -1))
         if self.trace is not None:
             self.trace.event(
                 self.simulator.now,

@@ -4,8 +4,9 @@ Attach a :class:`SamplingProfiler` to a simulator and every ``every``-th
 executed event is timed with ``time.perf_counter`` and attributed to its
 *callback owner* — the device, channel, or middleware component named in
 the event's ``name`` (the kernel already stamps ``"<process>:<method>"``
-and ``"channel:<link>:deliver"`` names on the hot paths; a bus that
-routes hop by hop adds ``"bus:forward"``).  Sampling bounds the overhead:
+and ``"channel:<link>:deliver"`` names on the hot paths; a bus adds
+``"bus:forward"`` for copies to a downlink with jitter, loss, a bandwidth
+cap or an outage).  Sampling bounds the overhead:
 the other ``every - 1`` events pay one decrement and one comparison.
 
 The profiler is independent of the metrics enable switch — it is opt-in

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.obs.metrics import channel_instruments
@@ -28,7 +28,8 @@ class Message:
     the simulation's hottest path, and a frozen dataclass pays
     ``object.__setattr__`` per field on every construction.  The channel
     stamps ``delivered_at`` when it delivers the message; treat every other
-    field as immutable.
+    field as immutable.  ``order`` is the queueing key of
+    :meth:`Channel.enqueue`.
     """
 
     sender: str
@@ -37,6 +38,7 @@ class Message:
     sent_at: float
     sequence: int
     delivered_at: Optional[float] = None
+    order: Optional[Tuple[float, int]] = field(default=None, compare=False, repr=False)
 
     @property
     def latency(self) -> Optional[float]:
@@ -106,12 +108,11 @@ class Channel:
     rejected at construction time: silently degrading to a deterministic
     channel would invalidate any loss/jitter experiment built on it.
 
-    A link is :attr:`deterministic` when a message's fate is fixed the
-    moment it is sent: no jitter, loss, bandwidth cap, outage window, or
-    outage armed against it (:attr:`outage_armed`, set by the fault
-    injector).  Such a link also accepts :meth:`send_at`, a send stamped
-    with a later send time, which is how the device bus compiles a
-    multi-hop route into one delivery.
+    :meth:`send` is :meth:`fate` (the delivery instant, or None for a
+    drop) then :meth:`enqueue`.  A :attr:`deterministic` link (no jitter,
+    loss, bandwidth cap, outage window, or outage armed against it by the
+    fault injector, :attr:`outage_armed`) also accepts :meth:`send_at`, a
+    send stamped with a later send time.
     """
 
     def __init__(
@@ -211,17 +212,23 @@ class Channel:
     # ---------------------------------------------------------------- sending
     def send(self, sender: str, topic: str, payload: Any) -> Message:  # repro-lint: hot
         """Send a message; returns its record (``delivered_at`` set on delivery)."""
-        now = self.simulator.now
-        message = Message(sender, topic, payload, now, next(self._sequence))
-        self._sent += 1
+        message = Message(sender, topic, payload, self.simulator.now, next(self._sequence))
+        delivery_time = self.fate()
+        if delivery_time is not None:
+            self.enqueue(delivery_time, message)
+        return message
 
+    def fate(self) -> Optional[float]:  # repro-lint: hot
+        """Count one send now; returns its delivery instant, or None if dropped.
+
+        The one place outages, loss, jitter and the bandwidth cap apply.
+        """
+        now = self.simulator.now
+        self._sent += 1
         # Inlined guards: the common case (no outages, no loss, no jitter)
         # must not pay method calls per message on the hottest messaging
-        # path.  This is the only place latency is sampled; the loud
-        # _require_rng failure on mutated configs is preserved.  The two
-        # drop causes are tested in the same short-circuit order as the old
-        # combined condition (loss is only sampled outside an outage), so
-        # rng draw sequences are unchanged.
+        # path.  The loud _require_rng failure on mutated configs is
+        # preserved.  Loss is only sampled outside an outage window.
         config = self.config
         obs = self._obs
         if obs is not None:
@@ -231,12 +238,12 @@ class Channel:
             if obs is not None:
                 obs.outage_hits.value += 1
                 obs.dropped.value += 1
-            return message
-        if config.loss_probability > 0.0 and self._sample_loss():
+            return None
+        if config.loss_probability > 0.0 and self._require_rng().random() < config.loss_probability:
             self.dropped += 1
             if obs is not None:
                 obs.dropped.value += 1
-            return message
+            return None
 
         latency = config.latency_s
         if config.jitter_s > 0.0:
@@ -249,20 +256,7 @@ class Channel:
             start_service = max(delivery_time, self._busy_until)
             delivery_time = start_service + service_time
             self._busy_until = delivery_time
-
-        batch = self._pending.get(delivery_time)
-        if batch is not None:
-            # Another message is already in flight for this exact instant:
-            # ride its kernel event instead of scheduling a second one.
-            batch.append(message)
-        else:
-            self._pending[delivery_time] = [message]
-            self.simulator.schedule_at(
-                delivery_time,
-                self._deliver_batch_cb,
-                name=self._deliver_name,
-            )
-        return message
+        return delivery_time
 
     def send_at(  # repro-lint: hot
         self,
@@ -270,25 +264,32 @@ class Channel:
         sender: str,
         topic: str,
         payload: Any,
-        overtakes: Optional[Callable[[Message], bool]] = None,
+        order: Tuple[float, int],
     ) -> Message:
         """Queue a message as if :meth:`send` were called at ``sent_at``.
 
         For :attr:`deterministic` links only, and ``sent_at >= now``: the
         message is stamped ``sent_at`` and joins the delivery batch at
-        ``sent_at + latency_s``, the time a send at ``sent_at`` computes.
-        It takes the next sequence number, so callers send in the order the
-        sends would have happened.  ``overtakes`` is for the one exception:
-        the new message is queued ahead of the trailing run of messages in
-        its batch that ``overtakes`` accepts, and takes over their sequence
-        numbers (each of them moves up by one), as if sent before them.
+        ``sent_at + latency_s``, the time a send at ``sent_at`` computes,
+        in ``order`` (see :meth:`enqueue`).  It takes its sequence number
+        when it is delivered: on a fixed-latency link, delivery order is
+        send order.
         """
-        message = Message(sender, topic, payload, sent_at, next(self._sequence))
+        message = Message(sender, topic, payload, sent_at, -1, None, order)
         self._sent += 1
         obs = self._obs
         if obs is not None:
             obs.sent.value += 1
-        delivery_time = sent_at + self.config.latency_s
+        self.enqueue(sent_at + self.config.latency_s, message)
+        return message
+
+    def enqueue(self, delivery_time: float, message: Message) -> None:  # repro-lint: hot
+        """Queue ``message`` for delivery at ``delivery_time``.
+
+        A message with an ``order`` key goes ahead of the trailing queued
+        messages whose keys are greater than its own; any other message
+        goes last.  A ``sequence`` of -1 is assigned at delivery.
+        """
         batch = self._pending.get(delivery_time)
         if batch is None:
             self._pending[delivery_time] = [message]
@@ -297,26 +298,22 @@ class Channel:
                 self._deliver_batch_cb,
                 name=self._deliver_name,
             )
-        elif overtakes is None:
-            batch.append(message)
-        else:
-            index = len(batch)
-            while index and overtakes(batch[index - 1]):
-                index -= 1
-            for later in reversed(batch[index:]):
-                message.sequence, later.sequence = later.sequence, message.sequence
-            batch.insert(index, message)
-        return message
+            return
+        # Another message is already in flight for this exact instant:
+        # ride its kernel event instead of scheduling a second one.
+        order = message.order
+        index = len(batch)
+        while order is not None and index:
+            ahead = batch[index - 1].order
+            if ahead is None or ahead <= order:
+                break
+            index -= 1
+        batch.insert(index, message)
 
     def queued_after(self, time: float) -> int:
         """How many queued messages carry a send time later than ``time``."""
         return sum(message.sent_at > time
                    for batch in self._pending.values() for message in batch)
-
-    def _sample_loss(self) -> bool:
-        if self.config.loss_probability <= 0:
-            return False
-        return bool(self._require_rng().random() < self.config.loss_probability)
 
     def _require_rng(self):
         # The constructor rejects random configs without an rng; this can
@@ -356,6 +353,8 @@ class Channel:
     def _deliver(self, message: Message) -> None:  # repro-lint: hot
         now = self.simulator.now
         message.delivered_at = now
+        if message.sequence < 0:
+            message.sequence = next(self._sequence)
         self.delivered += 1
         latency = now - message.sent_at
         self._latency_sum += latency

@@ -9,6 +9,7 @@ stochastic faults against channels and devices so the experiments in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
@@ -55,10 +56,11 @@ class FaultSpec:
     def __post_init__(self) -> None:
         if self.kind not in FAULT_KINDS:
             raise ValueError(f"unknown fault kind {self.kind!r}; expected one of {FAULT_KINDS}")
-        if self.start < 0:
-            raise ValueError("fault start must be non-negative")
-        if self.duration < 0:
-            raise ValueError("fault duration must be non-negative")
+        # "finite and non-negative" also rejects NaN, which passes "< 0".
+        for name in ("start", "duration"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"fault {name} must be finite and non-negative, got {value!r}")
 
     @property
     def end(self) -> float:
@@ -81,13 +83,27 @@ class FaultSpec:
             raise ValueError(f"unknown fault spec fields: {unknown}")
         if "kind" not in data or "start" not in data:
             raise ValueError("fault spec requires 'kind' and 'start'")
+        parameters = data.get("parameters", {})
+        if not isinstance(parameters, Mapping):
+            raise ValueError(
+                f"fault parameters must be an object, got {type(parameters).__name__}")
         return cls(
             kind=data["kind"],
-            start=float(data["start"]),
-            duration=float(data.get("duration", 0.0)),
+            start=_seconds("start", data["start"]),
+            duration=_seconds("duration", data.get("duration", 0.0)),
             target=str(data.get("target", "")),
-            parameters=dict(data.get("parameters", {})),
+            parameters=dict(parameters),
         )
+
+
+def _seconds(name: str, value: Any) -> float:
+    """A fault spec time field as a float, or ValueError naming ``name``."""
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ValueError(f"fault {name} must be a number, got {value!r}")
 
 
 def fault_plan_specs(plan: Sequence[Mapping[str, Any]]) -> List[FaultSpec]:
@@ -124,6 +140,7 @@ class FaultInjector:
 
     # ---------------------------------------------------------- registration
     def register_channel(self, channel: Channel) -> None:
+        """Register ``channel`` by name; marks it if an outage targets it (see :meth:`add`)."""
         self._channels[channel.name] = channel
         if any(spec.kind == "channel_outage" and spec.target == channel.name
                for spec in self._specs):
@@ -141,16 +158,15 @@ class FaultInjector:
 
         A ``channel_outage`` marks its target channel
         (:attr:`~repro.sim.channel.Channel.outage_armed`) at once, or when
-        the channel is registered.  Before :meth:`arm` this otherwise only
-        records the spec.  After :meth:`arm` the spec is scheduled
-        immediately — previously it was silently dropped, the worst
-        possible failure mode for a fault campaign that believes it
-        injected something.
+        the channel is registered: a device bus then stops queueing copies
+        on a marked downlink at publish, so the outage applies to them.
+        Before :meth:`arm` this otherwise only records the spec.  After
+        :meth:`arm` the spec is scheduled immediately — previously it was
+        silently dropped, the worst possible failure mode for a fault
+        campaign that believes it injected something.
         """
         self._specs.append(spec)
         if spec.kind == "channel_outage" and spec.target in self._channels:
-            # From now on the link is not deterministic, so the bus routes
-            # traffic published over it hop by hop, where the outage applies.
             self._channels[spec.target].outage_armed = True
         if self._armed:
             self._schedule(spec)

@@ -12,6 +12,7 @@ existing machinery consumes: ``fault_plan`` entries for
 
 from __future__ import annotations
 
+import math
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -56,8 +57,8 @@ def generate_fault_plan(
     Every entry round-trips through :class:`~repro.sim.faults.FaultSpec`, so
     the returned plan is guaranteed valid against ``FAULT_KINDS``.
     """
-    if duration_s <= 0:
-        raise TopologyError("fault plan duration_s must be positive")
+    if not (math.isfinite(duration_s) and duration_s > 0):
+        raise TopologyError(f"fault plan duration_s must be finite and positive, got {duration_s!r}")
     if manifest is None:
         from repro.topology.expand import expand_topology
 

@@ -15,6 +15,7 @@ everything here is inert data with validation.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Dict, Mapping, Tuple, Union
@@ -40,8 +41,23 @@ class TopologyError(ValueError):
     """Raised for invalid topology specifications."""
 
 
+def _finite(name: str, value: Any) -> float:
+    """``value`` if it is a finite number (not a bool), else TopologyError."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value)):
+        raise TopologyError(f"{name} must be a finite number, got {value!r}")
+    return value
+
+
+def _whole(name: str, value: Any) -> int:
+    """``value`` as an int if it is a whole number, else TopologyError."""
+    if _finite(name, value) != int(value):
+        raise TopologyError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
+
+
 def _check_fraction(name: str, value: float) -> None:
-    if not 0.0 <= value <= 1.0:
+    if not 0.0 <= _finite(name, value) <= 1.0:
         raise TopologyError(f"{name} must be within [0, 1], got {value}")
 
 
@@ -141,6 +157,8 @@ class StaffingSpec:
     shift: str = "day"
 
     def __post_init__(self) -> None:
+        for name in ("caregivers", "beds_per_caregiver"):
+            object.__setattr__(self, name, _whole(f"staffing.{name}", getattr(self, name)))
         if self.caregivers < 0:
             raise TopologyError("staffing.caregivers must be non-negative")
         if self.beds_per_caregiver < 1:
@@ -188,13 +206,12 @@ class FaultProfile:
 
     def __post_init__(self) -> None:
         for name in ("channel_outage_rate", "stuck_sensor_rate", "misprogramming_rate"):
-            if getattr(self, name) < 0:
+            if _finite(f"faults.{name}", getattr(self, name)) < 0:
                 raise TopologyError(f"faults.{name} must be non-negative")
-        for name in ("channel_outage_duration_s", "stuck_sensor_duration_s"):
-            if getattr(self, name) <= 0:
+        for name in ("channel_outage_duration_s", "stuck_sensor_duration_s",
+                     "misprogramming_rate_multiplier"):
+            if _finite(f"faults.{name}", getattr(self, name)) <= 0:
                 raise TopologyError(f"faults.{name} must be positive")
-        if self.misprogramming_rate_multiplier <= 0:
-            raise TopologyError("faults.misprogramming_rate_multiplier must be positive")
 
     @property
     def any_faults(self) -> bool:
@@ -235,6 +252,7 @@ class WardSpec:
                 f"ward name {self.name!r} must not contain ':', '&', '=' or spaces "
                 "(it becomes part of seed-derivation names and run ids)"
             )
+        object.__setattr__(self, "beds", _whole(f"ward {self.name!r} beds", self.beds))
         if self.beds < 1:
             raise TopologyError(f"ward {self.name!r} must have at least one bed")
 
@@ -260,7 +278,7 @@ class WardSpec:
             raise TopologyError("ward spec requires 'name' and 'beds'")
         return cls(
             name=str(data["name"]),
-            beds=int(data["beds"]),
+            beds=data["beds"],
             device_mix=DeviceMix.from_dict(data.get("device_mix", {})),
             cohort=CohortMix.from_dict(data.get("cohort", {})),
             staffing=StaffingSpec.from_dict(data.get("staffing", {})),

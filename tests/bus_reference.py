@@ -1,12 +1,12 @@
 """Per-message bus forwarder, kept only as a test oracle.
 
 :class:`ReferenceBus` is :class:`~repro.middleware.bus.DeviceBus` with the
-naive forwarding path: every published message rides its device's uplink,
-every message that reaches the bus schedules its own kernel event
-``processing_delay_s`` later, named after its topic, and the subscribers
-are looked up when that event fires.  The production bus compiles the
-routes of deterministic links into one downlink send at publish, drops
-unsubscribed topics on arrival and coalesces forwards per exact instant;
+naive forwarding path: every published message rides its device's uplink
+to a delivery there, every message that reaches the bus schedules its own
+kernel event ``processing_delay_s`` later, named after its topic, and the
+subscribers are looked up when that event fires.  The production bus
+decides the uplink hop at publish, queues copies for deterministic
+downlinks at once and coalesces the other forwards per exact instant;
 ``tests/test_bus_forwarding.py`` checks that the two deliver the same
 messages, at the same times, in the same order.
 """
@@ -14,15 +14,20 @@ messages, at the same times, in the same order.
 from __future__ import annotations
 
 from repro.middleware.bus import COMMAND_TOPIC_PREFIX, DeviceBus, Envelope
-from repro.sim.channel import Message
+from repro.sim.channel import Channel, Message
 
 
 class ReferenceBus(DeviceBus):
     """DeviceBus forwarding each message with its own kernel event."""
 
+    def _make_uplink(self, device_id: str) -> Channel:
+        if device_id not in self._uplinks:
+            super()._make_uplink(device_id).subscribe(self._on_uplink_message)
+        return self._uplinks[device_id]
+
     def publish(self, device_id: str, topic: str, payload) -> None:
-        # Always through the uplink: the production bus compiles the route
-        # of a deterministic link into one downlink send instead.
+        # Always delivered over the uplink: the production bus decides the
+        # uplink hop at publish instead.
         uplink = self._make_uplink(device_id)
         self.published_count += 1
         uplink.send(device_id, topic, payload)

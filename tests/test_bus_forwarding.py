@@ -1,18 +1,16 @@
 """The production bus against the per-message reference forwarder.
 
-``DeviceBus`` compiles the route of a sample into one downlink send at
-publish while every link is deterministic, and otherwise forwards hop by
-hop: it drops a message whose topic has no subscriber when it reaches the
-bus, and sends everything forwarded at one exact instant from one
-``bus:forward`` kernel event.  ``bus_reference.ReferenceBus`` keeps the old
-path (every sample rides its uplink, one event per forward, subscribers
+``DeviceBus`` decides a sample's uplink hop at publish and takes the
+subscribers then.  A deterministic downlink gets its copy queued at once;
+any other downlink gets it from the one ``bus:forward`` kernel event of its
+forward instant.  ``bus_reference.ReferenceBus`` keeps the old path (every
+sample is delivered over its uplink, one event per forward, subscribers
 looked up when it fires).  On random topologies, per-link channel configs,
 outage plans, commands and devices' publishes interleaved within an
-instant, the two must agree on everything a subscriber or
-an analysis can see: per-endpoint delivery order, sequence numbers and
-times, handler payloads, the forward count, and every downlink's
-statistics.  Uplinks agree too on the hop-by-hop path; on compiled routes
-they carry only commands.
+instant, the two must agree on everything a subscriber or an analysis can
+see: per-endpoint delivery order, sequence numbers and times, handler
+payloads, the forward count, every downlink's statistics, and every
+uplink's sends and drops.  Uplinks deliver commands only.
 """
 
 import numpy as np
@@ -79,9 +77,9 @@ channel_configs = st.builds(
     bandwidth_msgs_per_s=st.sampled_from([None, None, 40.0, 400.0]),
 )
 
-#: Per-link replacements: deterministic ones (a downlink of its own
-#: latency keeps routes compiled; an uplink of its own latency does not)
-#: and stochastic ones, which send the whole bus hop by hop.
+#: Per-link replacements: deterministic ones (an uplink of its own latency
+#: reaches the bus at other instants than the rest) and stochastic ones
+#: (a downlink among them takes its copies from ``bus:forward``).
 deterministic_links = [ChannelConfig(latency_s=0.01), ChannelConfig(latency_s=0.0)]
 link_configs = st.sampled_from(deterministic_links + [
     ChannelConfig(latency_s=0.01, jitter_s=0.004),
@@ -121,9 +119,9 @@ def _scenarios(uplinks, downlinks, links, outage_count):
     })
 
 
-#: Half the examples draw any links and outage plan (mostly hop by hop);
-#: the other half draw deterministic links and no outage, where routes
-#: compile unless a replaced uplink latency breaks uniformity.
+#: Half the examples draw any links and outage plan (mostly with some
+#: ``bus:forward`` traffic); the other half draw deterministic links and no
+#: outage, where every copy is queued at publish.
 scenarios = st.one_of(
     _scenarios(channel_configs, channel_configs, link_configs, 3),
     _scenarios(st.builds(ChannelConfig, latency_s=st.sampled_from([0.003, 0.01, 0.02])),
@@ -182,39 +180,36 @@ def _run(bus_class, scenario, until=3.0):
         "forwarded": bus.forwarded_count,
         "pings": [device.pings for device in devices],
     }, {device.descriptor.device_id: bus.uplink(device.descriptor.device_id).stats()
-        for device in devices}, bus, names.names
+        for device in devices}, names.names
 
 
 class TestAgainstPerMessageReference:
     @given(scenario=scenarios)
     @settings(max_examples=150, deadline=None)
     def test_same_deliveries_times_payloads_and_stats(self, scenario):
-        observed, uplinks, bus, names = _run(DeviceBus, scenario)
-        expected, reference_uplinks, _, reference_names = _run(ReferenceBus, scenario)
+        observed, uplinks, names = _run(DeviceBus, scenario)
+        expected, reference_uplinks, reference_names = _run(ReferenceBus, scenario)
         assert observed == expected
         # Never more forward events than the per-message path.
         forwards = names.count("bus:forward")
         assert forwards <= sum(name.startswith("bus:forward:") for name in reference_names)
-        compiled = bool(bus._compiled)
-        event("compiled routes" if compiled else "hop by hop")
-        if not compiled:
-            assert uplinks == reference_uplinks
-            return
-        # Compiled: no forward events, and uplinks carried only commands.
-        assert forwards == 0
-        commands = {}
-        for target, _ in scenario["commands"]:
-            device_id = f"dev-{target % len(scenario['devices'])}"
-            commands[device_id] = commands.get(device_id, 0) + 1
-        assert {device_id: stats["sent"] for device_id, stats in uplinks.items()} == {
-            device_id: float(commands.get(device_id, 0)) for device_id in uplinks}
+        event("some bus:forward" if forwards else "every copy queued at publish")
+        # Uplinks: the same sends, drops and loss rate as the reference;
+        # they deliver the commands a device received, and nothing else.
+        assert {device_id: (stats["sent"], stats["dropped"], stats["loss_rate"])
+                for device_id, stats in uplinks.items()} == {
+            device_id: (stats["sent"], stats["dropped"], stats["loss_rate"])
+            for device_id, stats in reference_uplinks.items()}
+        assert [stats["delivered"] for stats in uplinks.values()] == [
+            float(len(pings)) for pings in observed["pings"]]
 
 
-def _one_topic_bus(device_count=1, armed=True, bus_class=DeviceBus, config=None):
+def _one_topic_bus(device_count=1, armed="listener", bus_class=DeviceBus, config=None):
     """Devices publishing "t" and "u" on one bus.
 
-    ``armed`` plans an outage, far in the future, on the first uplink: the
-    bus then forwards hop by hop, the path :class:`TestForwardEvents` tests.
+    ``armed`` names an endpoint whose downlink gets an outage planned far
+    in the future: it then takes its copies from ``bus:forward`` events,
+    the path :class:`TestForwardEvents` tests.  None plans no outage.
     """
     simulator = Simulator()
     bus = bus_class(simulator, config)
@@ -223,18 +218,19 @@ def _one_topic_bus(device_count=1, armed=True, bus_class=DeviceBus, config=None)
         device = _Sensor(f"dev-{index}", ["t", "u"], period=1.0)
         bus.attach_device(device)
         devices.append(device)
-    if armed:
+    if armed is not None:
+        bus.attach_endpoint(armed)
         injector = FaultInjector(simulator)
         for channel in bus.channels:
             injector.register_channel(channel)
         injector.add(FaultSpec(kind="channel_outage", start=1e6, duration=1.0,
-                               target="uplink:dev-0"))
+                               target=f"downlink:{armed}"))
         injector.arm()
     return simulator, bus, devices
 
 
 class TestForwardEvents:
-    """The hop-by-hop path, on a bus with an outage armed on one link."""
+    """The ``bus:forward`` path, to a downlink with an outage armed."""
 
     def test_unsubscribed_topic_schedules_no_forward_event(self):
         simulator, bus, (device,) = _one_topic_bus()
@@ -243,7 +239,8 @@ class TestForwardEvents:
         simulator.attach_profiler(names)
         device.publish("t", {"v": 1})
         simulator.run()
-        assert bus.uplink("dev-0").delivered == 1
+        assert bus.uplink("dev-0").sent == 1
+        assert bus.uplink("dev-0").delivered == 0
         assert "bus:forward" not in names.names
         assert bus.forwarded_count == 0
         assert bus._pending_forwards == {}
@@ -292,10 +289,10 @@ def _publish_log(bus, endpoint, topic, simulator):
 
 
 class TestCompiledRoutes:
-    """The compiled path: every link deterministic, no outage armed."""
+    """Copies queued at publish on deterministic downlinks."""
 
     def test_one_event_per_downlink_and_delivery_instant(self):
-        simulator, bus, devices = _one_topic_bus(3, armed=False)
+        simulator, bus, devices = _one_topic_bus(3, armed=None)
         both = _publish_log(bus, "both", "t", simulator)
         bus.subscribe("both", "u", lambda t, p, m: both.append((simulator.now, p)))
         only_t = _publish_log(bus, "only-t", "t", simulator)
@@ -309,14 +306,15 @@ class TestCompiledRoutes:
         assert [entry[1]["v"] for entry in both] == [
             f"{device.name}:{topic}" for device in devices for topic in ("t", "u")]
         assert [entry[1]["v"] for entry in only_t] == [f"{device.name}:t" for device in devices]
-        assert all(channel.sent == 0 for channel in bus.channels if channel.name.startswith("uplink:"))
+        # Uplinks send every sample and deliver none of them.
+        assert [(uplink.sent, uplink.delivered) for uplink in bus.channels[:3]] == [(2, 0)] * 3
         assert bus.forwarded_count == 9
-        # ((0 + uplink) + processing) + downlink, as on the hop-by-hop path.
+        # ((0 + uplink) + processing) + downlink, as on the per-message path.
         assert both[0][0] == ((0.0 + 0.02) + 0.005) + 0.02
         assert both[0][4] == (0.0 + 0.02) + 0.005
 
     def test_unsubscribed_topic_costs_no_event_and_no_message(self, monkeypatch):
-        simulator, bus, (device,) = _one_topic_bus(armed=False)
+        simulator, bus, (device,) = _one_topic_bus(armed=None)
         bus.subscribe("listener", "u", lambda t, p, m: None)
         created = []
         message_class = channel_module.Message
@@ -331,13 +329,14 @@ class TestCompiledRoutes:
         assert created == []
         assert bus.published_count == 1
         simulator.run()
-        assert all(channel.sent == 0 for channel in bus.channels)
+        assert (bus.uplink("dev-0").sent, bus.uplink("dev-0").delivered) == (1, 0)
+        assert bus.downlink("listener").sent == 0
         assert bus.forwarded_count == 0
 
     def test_same_deliveries_as_the_hop_by_hop_path(self):
         runs = []
         for bus_class in (DeviceBus, ReferenceBus):
-            simulator, bus, devices = _one_topic_bus(2, armed=False, bus_class=bus_class)
+            simulator, bus, devices = _one_topic_bus(2, armed=None, bus_class=bus_class)
             log = _publish_log(bus, "listener", "t", simulator)
             for device in devices:
                 simulator.register(device)
@@ -347,12 +346,12 @@ class TestCompiledRoutes:
         assert len(runs[0][0]) == 2 * 4
 
     def test_sample_overtakes_uplinks_that_reached_the_bus_after_its_own(self):
-        # A command opens dev-0's uplink batch first, so on the hop-by-hop
+        # A command opens dev-0's uplink batch first, so on the per-message
         # path dev-0's later sample joins that batch and reaches the bus
         # before dev-1's, although dev-1 published first.
         runs = []
         for bus_class in (DeviceBus, ReferenceBus):
-            simulator, bus, devices = _one_topic_bus(3, armed=False, bus_class=bus_class)
+            simulator, bus, devices = _one_topic_bus(3, armed=None, bus_class=bus_class)
             log = _publish_log(bus, "listener", "t", simulator)
             bus.send_command("sup", "dev-0", "ping", {})
             devices[1].publish("t", {"v": "dev-1:a"})
@@ -366,12 +365,12 @@ class TestCompiledRoutes:
         assert [entry[3] for entry in runs[0]] == [0, 1, 2, 3]
 
     def test_unsubscribed_sample_opens_its_uplink_batch_too(self):
-        # On the hop-by-hop path dev-0's unsubscribed "u" rides its uplink
+        # On the per-message path dev-0's unsubscribed "u" rides its uplink
         # and opens that batch, so dev-0's "t" reaches the bus before
         # dev-1's, although dev-1 published "t" first.
         runs = []
         for bus_class in (DeviceBus, ReferenceBus):
-            simulator, bus, devices = _one_topic_bus(2, armed=False, bus_class=bus_class)
+            simulator, bus, devices = _one_topic_bus(2, armed=None, bus_class=bus_class)
             log = _publish_log(bus, "listener", "t", simulator)
             devices[0].publish("u", {"v": "dev-0:u"})
             devices[1].publish("t", {"v": "dev-1:t"})
@@ -392,7 +391,7 @@ class TestCompiledRoutes:
         counts = []
         for bus_class in (DeviceBus, ReferenceBus):
             simulator, bus, (device,) = _one_topic_bus(
-                armed=False, bus_class=bus_class, config=config)
+                armed=None, bus_class=bus_class, config=config)
             bus.subscribe("a", "t", lambda t, p, m: None)
             bus.subscribe("b", "t", lambda t, p, m: None)
             simulator.schedule_at(publish_at, lambda: device.publish("t", {"v": 1}))
@@ -404,11 +403,13 @@ class TestCompiledRoutes:
         assert counts == [expected_at_until, 2, expected_at_until, 2]
 
     def test_obs_forwarded_counter_equal_on_both_paths(self):
+        # Once with every copy queued at publish, once with the copies to
+        # "b" (an outage armed on its downlink) sent from bus:forward.
         was_enabled = obsm.enabled()
         obsm.enable()
         try:
             totals = []
-            for armed in (False, True):
+            for armed in (None, "b"):
                 obsm.registry().reset()
                 simulator, bus, devices = _one_topic_bus(2, armed=armed)
                 bus.subscribe("a", "t", lambda t, p, m: None)
@@ -416,50 +417,58 @@ class TestCompiledRoutes:
                 bus.subscribe("b", "u", lambda t, p, m: None)
                 for device in devices:
                     simulator.register(device)
+                names = _EventNames()
+                simulator.attach_profiler(names)
                 simulator.run(until=3.5)
                 totals.append((obsm.registry().counter("bus.forwarded").value,
-                               bus.forwarded_count, bool(bus._compiled)))
+                               bus.forwarded_count, names.names.count("bus:forward")))
         finally:
             obsm.registry().reset()
             if not was_enabled:
                 obsm.disable()
-        assert totals == [(18, 18, True), (18, 18, False)]
+        assert totals == [(18, 18, 0), (18, 18, 3)]
 
     @pytest.mark.parametrize("register_first", [True, False])
-    def test_planned_outage_sends_the_bus_hop_by_hop(self, register_first):
-        # However the injector learns of the channel, an outage planned
-        # against it marks it before the run: the first publish finds a
-        # non-deterministic link and the bus forwards hop by hop.
-        simulator, bus, (device,) = _one_topic_bus(armed=False)
+    def test_planned_outage_reroutes_only_a_downlink(self, register_first):
+        # However the injector learns of a channel, an outage planned
+        # against it marks it before the run.  An uplink outage still
+        # leaves every copy queued at publish; a downlink outage sends that
+        # downlink's copies, and no others, through bus:forward.
+        simulator, bus, (device,) = _one_topic_bus(armed=None)
         bus.subscribe("listener", "t", lambda t, p, m: None)
+        bus.subscribe("other", "t", lambda t, p, m: None)
         injector = FaultInjector(simulator)
-        spec = FaultSpec(kind="channel_outage", start=50.0, duration=1.0,
-                         target="downlink:listener")
+        specs = [FaultSpec(kind="channel_outage", start=50.0, duration=1.0, target=target)
+                 for target in ("uplink:dev-0", "downlink:listener")]
         if register_first:
             for channel in bus.channels:
                 injector.register_channel(channel)
-            injector.add(spec)
+            injector.extend(specs)
         else:
-            injector.add(spec)
+            injector.extend(specs)
             for channel in bus.channels:
                 injector.register_channel(channel)
-        assert bus.downlink("listener").outage_armed
-        assert not bus.downlink("listener").deterministic
+        for name in ("dev-0", "listener"):
+            channel = bus.uplink(name) if name == "dev-0" else bus.downlink(name)
+            assert channel.outage_armed
+            assert not channel.deterministic
+        assert bus.downlink("other").deterministic
         names = _EventNames()
         simulator.attach_profiler(names)
         device.publish("t", {"v": 1})
         simulator.run()
-        assert names.names == ["channel:uplink:dev-0:deliver", "bus:forward",
+        assert names.names == ["bus:forward", "channel:downlink:other:deliver",
                                "channel:downlink:listener:deliver"]
+        assert bus.forwarded_count == 2
 
     def test_outage_added_mid_run_applies_to_samples_published_after_the_add(self):
         # Uplink, processing and downlink take 0.25 s each; dev-0 publishes
         # every 0.5 s.  At 0.75 an outage [0.75, 1.75) is added against the
         # downlink.  The sample published at 0.5 is forwarded at 1.0, inside
-        # the window, but its compiled route was queued before the add, so
-        # it is delivered; hop by hop it would have been dropped.  Samples
-        # published after the add take the hop-by-hop path, where the
-        # outage applies: 1.0 (forwarded at 1.5) is dropped.
+        # the window, but its copy was queued at publish, before the add, so
+        # it is delivered; the per-message path drops it.  Copies of samples
+        # published after the add go through bus:forward, where the outage
+        # applies: 1.0 (forwarded at 1.5) is dropped.
         config = BusConfig(uplink=ChannelConfig(latency_s=0.25),
                            downlink=ChannelConfig(latency_s=0.25), processing_delay_s=0.25)
         logs = []
@@ -478,22 +487,25 @@ class TestCompiledRoutes:
                 kind="channel_outage", start=0.75, duration=1.0, target="downlink:listener")))
             simulator.run(until=3.0)
             logs.append([(entry[0], entry[4]) for entry in log])
-        compiled, reference = logs
-        assert compiled[0] == (1.25, 1.0)
-        assert compiled[1:] == reference
+        production, reference = logs
+        assert production[0] == (1.25, 1.0)
+        assert production[1:] == reference
         assert reference[0] == (2.25, 2.0)
 
-    def test_order_at_the_switch_instant_is_not_pinned(self):
-        # dev-0 and dev-1 publish compiled samples at 0; then an outage far
-        # in the future is armed against the subscriber's downlink and dev-0
-        # publishes again at 0, hop by hop.  The reference lets that sample join dev-0's uplink batch,
-        # ahead of dev-1's; the switching bus forwards it after dev-1's
-        # compiled copy.  Only that instant's order (and with it its
-        # sequence numbers) differs: the delivered samples and their times
-        # agree, and from the next instant on everything does.
+    def test_order_not_pinned_where_downlink_turns_stochastic(self):
+        # dev-0 and dev-1 publish at 0 and their copies are queued on the
+        # listener's deterministic downlink.  Then an outage far in the
+        # future is armed against that downlink and dev-0 publishes again
+        # at 0.  That copy goes through bus:forward, and the downlink sends
+        # it at its forward instant, behind the copies already queued; the
+        # reference lets it join dev-0's uplink batch, ahead of dev-1's.
+        # Queued copies keep their place and take their sequence numbers
+        # at delivery, so only that instant's order and sequence numbers
+        # differ: what is delivered, and when, agrees, and from the next
+        # instant on everything does.
         runs = []
         for bus_class in (DeviceBus, ReferenceBus):
-            simulator, bus, devices = _one_topic_bus(2, armed=False, bus_class=bus_class)
+            simulator, bus, devices = _one_topic_bus(2, armed=None, bus_class=bus_class)
             log = _publish_log(bus, "listener", "t", simulator)
             injector = FaultInjector(simulator)
             for channel in bus.channels:
@@ -514,17 +526,33 @@ class TestCompiledRoutes:
             simulator.schedule_at(1.0, at_one)
             simulator.run()
             runs.append(log)
-        switching, reference = runs
-        assert [entry[1]["v"] for entry in reference[:3]] == ["dev-0:a", "dev-0:b", "dev-1:a"]
-        assert [entry[1]["v"] for entry in switching[:3]] == ["dev-0:a", "dev-1:a", "dev-0:b"]
+        production, reference = runs
+        assert [(entry[1]["v"], entry[3]) for entry in reference[:3]] == [
+            ("dev-0:a", 0), ("dev-0:b", 1), ("dev-1:a", 2)]
+        assert [(entry[1]["v"], entry[3]) for entry in production[:3]] == [
+            ("dev-0:a", 1), ("dev-1:a", 2), ("dev-0:b", 0)]
 
         def unordered(entries):
             return sorted((entry[1]["v"], entry[0], entry[2], entry[4], entry[5])
                           for entry in entries)
 
-        assert unordered(switching[:3]) == unordered(reference[:3])
-        assert switching[3:] == reference[3:]
-        assert [entry[1]["v"] for entry in switching[3:]] == ["dev-1:c", "dev-0:c"]
+        assert unordered(production[:3]) == unordered(reference[:3])
+        assert production[3:] == reference[3:]
+        assert [entry[1]["v"] for entry in production[3:]] == ["dev-1:c", "dev-0:c"]
+
+    def test_arrival_order_map_forgets_past_instants(self):
+        # A jittered uplink reaches the bus at a new instant with every
+        # sample; the map that ranks arrivals must not keep them all.
+        simulator = Simulator()
+        bus = DeviceBus(simulator, BusConfig(uplink=ChannelConfig(latency_s=0.02, jitter_s=0.004)),
+                        rng=np.random.default_rng(3))
+        device = _Sensor("dev-0", ["t", "u"], period=0.25)
+        bus.attach_device(device)
+        simulator.register(device)
+        _publish_log(bus, "listener", "t", simulator)
+        simulator.run(until=300.0)
+        assert bus.published_count == 2 * 1200
+        assert len(bus._arrivals) <= 16
 
     def test_unsubscribed_sample_on_a_turned_stochastic_uplink_draws_jitter(self):
         # dev-0's uplink turns jittered mid-run.  Its unsubscribed "u" at 1.0

@@ -527,6 +527,21 @@ class TestFaultSweepSpecs:
         with pytest.raises(CampaignError, match="sweeps no values"):
             spec.validate()
 
+    @pytest.mark.parametrize("field, value", [
+        ("start", float("nan")),
+        ("start", [30.0, float("inf")]),
+        ("duration", float("inf")),
+        ("parameters", [1]),
+    ])
+    def test_non_finite_or_malformed_fault_is_a_spec_error(self, field, value):
+        # Regression: a NaN start validated and expanded, and the run then
+        # failed in the kernel; the spec error must surface at expansion.
+        fault = {"kind": "channel_outage", "start": 30.0, "duration": 10.0,
+                 "target": "uplink:pulse-ox-1", field: value}
+        spec = self.outage_spec(faults=[fault])
+        with pytest.raises(CampaignError, match=f"faults\\[0\\] does not compile: fault {field}"):
+            spec.expand()
+
     def test_as_dict_roundtrip_carries_faults(self):
         spec = self.outage_spec()
         clone = CampaignSpec.from_dict(json.loads(json.dumps(spec.as_dict())))

@@ -49,19 +49,21 @@ class _Sensor(MedicalDevice):
 
 
 def _make_bus(armed=False):
-    """One sensor on a bus; ``armed`` plans a far-future outage on its
-    uplink, which sends the bus's traffic hop by hop."""
+    """One sensor on a bus; ``armed`` plans a far-future outage on the
+    downlink of endpoint "listener", which then takes its copies from
+    ``bus:forward`` events."""
     simulator = Simulator()
     bus = DeviceBus(simulator)
     device = _Sensor()
     bus.attach_device(device)
     simulator.register(device)
     if armed:
+        bus.attach_endpoint("listener")
         injector = FaultInjector(simulator)
         for channel in bus.channels:
             injector.register_channel(channel)
         injector.add(FaultSpec(kind="channel_outage", start=1e6, duration=1.0,
-                               target="uplink:dev-1"))
+                               target="downlink:listener"))
         injector.arm()
     return simulator, bus, device
 
@@ -187,7 +189,7 @@ class TestCommandPathIsolation:
             def dispatch(self, event):
                 if event.name == "bus:forward":
                     forwarded_topics.extend(
-                        message.topic for message, _ in bus._pending_forwards[event.time])
+                        topic for _, _, topic, _, _ in bus._pending_forwards[event.time])
                 event.callback()
 
         simulator.attach_profiler(_ForwardRecorder())
@@ -218,10 +220,11 @@ class TestCommandPathIsolation:
         device.publish("t", {"v": 1})
         simulator.run()
         assert device.pings == [{"n": 1}, {"n": 2}]
-        # The sample's route was compiled: one downlink event, and the
-        # uplink carried the two commands only.
+        # The sample's uplink hop was decided at publish: one downlink
+        # event, and the uplink delivered the two commands only.
         assert names == ["channel:uplink:dev-1:deliver", "channel:downlink:listener:deliver"]
-        assert bus.uplink("dev-1").sent == 2
+        assert bus.uplink("dev-1").sent == 3
+        assert bus.uplink("dev-1").delivered == 2
         assert bus.forwarded_count == 1
 
     def test_command_only_traffic_forwards_nothing(self):

@@ -116,6 +116,31 @@ class TestDelivery:
         assert channel.stats()["loss_rate"] == 0.0
 
 
+    def test_send_at_queues_by_order_and_numbers_at_delivery(self, sim):
+        channel = make_channel(sim, latency_s=0.1)
+        received = []
+        channel.subscribe(lambda m: received.append((m.payload, m.sequence, m.sent_at)))
+        sent = channel.send("a", "t", "sent")
+        for payload, order in (("b1", (1.0, 1)), ("a", (1.0, 0)), ("b2", (1.0, 1))):
+            channel.send_at(0.0, "a", "t", payload, order)
+        # Queued copies wait for a sequence number, and never overtake a
+        # message queued by send(), which has no order key.
+        assert sent.sequence == 0
+        assert channel.sent == 4
+        sim.run()
+        assert received == [("sent", 0, 0.0), ("a", 1, 0.0), ("b1", 2, 0.0), ("b2", 3, 0.0)]
+
+    def test_fate_is_send_without_the_delivery(self, sim):
+        channel = make_channel(sim, latency_s=0.1)
+        channel.add_outage(1.0, 2.0)
+        assert channel.fate() == pytest.approx(0.1)
+        received = []
+        sim.schedule_at(1.5, lambda: received.append(channel.fate()))
+        sim.run()
+        assert received == [None]
+        assert (channel.sent, channel.dropped, channel.delivered) == (2, 1, 0)
+
+
 class TestLossAndOutages:
     def test_full_loss_drops_everything(self, sim):
         channel = make_channel(sim, loss_probability=1.0, rng=np.random.default_rng(0))

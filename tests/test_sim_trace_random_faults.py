@@ -387,6 +387,26 @@ class TestFaultSpecRoundtrip:
         with pytest.raises(ValueError, match="requires 'kind' and 'start'"):
             FaultSpec.from_dict({"kind": "device_crash"})
 
+    @pytest.mark.parametrize("field, value", [
+        ("start", float("nan")),
+        ("start", float("inf")),
+        ("start", None),
+        ("start", True),
+        ("duration", float("inf")),
+        ("duration", float("nan")),
+        ("duration", "long"),
+        ("parameters", [1, 2]),
+        ("parameters", "x"),
+    ])
+    def test_from_dict_rejects_bad_values_naming_the_field(self, field, value):
+        # Regression: NaN and infinite times were accepted (a NaN start then
+        # failed inside the kernel), and a non-object parameters raised a
+        # bare TypeError.
+        data = {"kind": "channel_outage", "start": 1.0, "target": "uplink:x"}
+        data[field] = value
+        with pytest.raises(ValueError, match=f"fault {field}"):
+            FaultSpec.from_dict(data)
+
     def test_fault_plan_specs_compiles_plan(self):
         from repro.sim.faults import fault_plan_specs
 

@@ -100,6 +100,46 @@ class TestTopologySpec:
         with pytest.raises(TopologyError):
             small_spec(staffing={"shift": "graveyard"})
 
+    @pytest.mark.parametrize("beds, message", [
+        (2.5, "whole number"),
+        (True, "finite number"),
+        (float("nan"), "finite number"),
+        ("3", "finite number"),
+    ])
+    def test_ward_beds_must_be_a_whole_number(self, beds, message):
+        # Regression: 2.5 built 2 beds, true built 1, and NaN failed with
+        # a bare "cannot convert float NaN to integer".
+        with pytest.raises(TopologyError, match=f"ward 'w' beds must be a {message}"):
+            TopologySpec.from_dict({"name": "x", "wards": [{"name": "w", "beds": beds}]})
+
+    def test_integral_float_beds_are_accepted(self):
+        spec = TopologySpec.from_dict({"name": "x", "wards": [{"name": "w", "beds": 3.0}]})
+        assert spec.wards[0].beds == 3 and isinstance(spec.wards[0].beds, int)
+
+    @pytest.mark.parametrize("field", [
+        "channel_outage_rate", "channel_outage_duration_s", "stuck_sensor_rate",
+        "stuck_sensor_duration_s", "misprogramming_rate",
+        "misprogramming_rate_multiplier",
+    ])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), "1"])
+    def test_fault_profile_values_must_be_finite_numbers(self, field, value):
+        # Regression: a NaN rate passed validation and then realised no
+        # faults at all; an infinite one failed inside numpy.
+        with pytest.raises(TopologyError, match=f"faults.{field} must be a finite number"):
+            small_spec(faults={field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("caregivers", 1.5), ("caregivers", float("nan")),
+        ("beds_per_caregiver", float("nan")), ("beds_per_caregiver", False),
+    ])
+    def test_staffing_counts_must_be_whole_numbers(self, field, value):
+        with pytest.raises(TopologyError, match=f"staffing.{field} must be a"):
+            small_spec(staffing={field: value})
+
+    def test_fault_plan_duration_must_be_finite(self):
+        with pytest.raises(TopologyError, match="duration_s must be finite"):
+            generate_fault_plan(small_spec(faults=FAULTY), 3, float("nan"))
+
     def test_staffing_derivation(self):
         spec = small_spec(wards=1, beds_per_ward=9,
                           staffing={"beds_per_caregiver": 4})
