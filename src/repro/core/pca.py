@@ -25,6 +25,7 @@ modelling the full control loop rather than a one-shot trip.
 from __future__ import annotations
 
 import enum
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, List, Optional, Tuple
@@ -91,8 +92,10 @@ class SupervisorConfig:
             raise ValueError("spo2_resume_threshold must be >= spo2_stop_threshold")
         if self.trend_window_samples < 2:
             raise ValueError("trend_window_samples must be >= 2")
-        if self.data_staleness_limit_s <= 0:
-            raise ValueError("data_staleness_limit_s must be positive")
+        # NaN compares False with everything, so "age > limit" would never
+        # fire and the stale-data fail-safe would be silently disabled.
+        if not (math.isfinite(self.data_staleness_limit_s) and self.data_staleness_limit_s > 0):
+            raise ValueError(f"data_staleness_limit_s must be finite and positive, got {self.data_staleness_limit_s!r}")
         if self.startup_grace_s < 0:
             raise ValueError("startup_grace_s must be non-negative")
         if self.resume_hold_time_s < 0:

@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.devices.base import DeviceDescriptor, DeviceState, MedicalDevice
 from repro.patient.model import PatientModel
+from repro.sim.random import GaussianNoise
 from repro.sim.trace import TraceRecorder
 
 # Normal end-tidal CO2 is about 38 mmHg; hypoventilation raises it roughly in
@@ -60,7 +61,7 @@ class Capnograph(MedicalDevice):
         self.config = config or CapnographConfig()
         self.config.validate()
         self.patient = patient
-        self._rng = rng
+        self._noise = None if rng is None else GaussianNoise(rng)
         self._frozen = False
         self._frozen_rr: Optional[float] = None
         self.readings_published = 0
@@ -76,15 +77,16 @@ class Capnograph(MedicalDevice):
             return
         vitals = self.patient.vital_signs
         rr = vitals.respiratory_rate_bpm
-        if self._rng is not None:
-            rr += float(self._rng.normal(0.0, self.config.respiratory_rate_noise_sd))
+        noise = self._noise
+        if noise is not None:
+            rr += noise(self.config.respiratory_rate_noise_sd)
         rr = max(0.0, rr)
 
         baseline_rr = self.patient.parameters.baseline_respiratory_rate_bpm
         ventilation_fraction = min(1.0, rr / baseline_rr) if baseline_rr > 0 else 1.0
         etco2 = BASELINE_ETCO2_MMHG / max(ventilation_fraction, BASELINE_ETCO2_MMHG / MAX_ETCO2_MMHG)
-        if self._rng is not None:
-            etco2 += float(self._rng.normal(0.0, self.config.etco2_noise_sd))
+        if noise is not None:
+            etco2 += noise(self.config.etco2_noise_sd)
         etco2 = float(min(max(etco2, 0.0), MAX_ETCO2_MMHG))
 
         if self._frozen:

@@ -16,6 +16,7 @@ import numpy as np
 
 from repro.devices.base import DeviceDescriptor, DeviceState, MedicalDevice
 from repro.patient.model import PatientModel
+from repro.sim.random import GaussianNoise
 from repro.sim.trace import TraceRecorder
 
 
@@ -56,7 +57,7 @@ class ECGMonitor(MedicalDevice):
         self.config = config or ECGConfig()
         self.config.validate()
         self.patient = patient
-        self._rng = rng
+        self._noise = None if rng is None else GaussianNoise(rng)
         self._lead_off = False
         self.readings_published = 0
         self._declare_signals("ecg_heart_rate_reading")
@@ -74,8 +75,9 @@ class ECGMonitor(MedicalDevice):
             self.publish_reading("ecg_heart_rate", self.config.lead_off_value, valid=False)
             return
         heart_rate = self.patient.vital_signs.heart_rate_bpm
-        if self._rng is not None:
-            heart_rate += float(self._rng.normal(0.0, self.config.heart_rate_noise_sd))
+        noise = self._noise
+        if noise is not None:
+            heart_rate += noise(self.config.heart_rate_noise_sd)
         heart_rate = max(0.0, heart_rate)
         self.readings_published += 1
         self.publish_reading("ecg_heart_rate", heart_rate, record="ecg_heart_rate_reading")

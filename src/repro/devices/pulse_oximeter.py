@@ -18,6 +18,7 @@ import numpy as np
 
 from repro.devices.base import DeviceDescriptor, DeviceState, MedicalDevice
 from repro.patient.model import PatientModel
+from repro.sim.random import GaussianNoise
 from repro.sim.trace import TraceRecorder
 
 
@@ -161,7 +162,7 @@ class PulseOximeter(MedicalDevice):
         self.config = config or PulseOximeterConfig()
         self.config.validate()
         self.patient = patient
-        self._rng = rng
+        self._noise = None if rng is None else GaussianNoise(rng)
         self._spo2_window = _RollingMean(self.config.averaging_window_samples)
         self._hr_window = _RollingMean(self.config.averaging_window_samples)
         self._frozen = False
@@ -191,9 +192,10 @@ class PulseOximeter(MedicalDevice):
         vitals = self.patient.vital_signs
         spo2 = vitals.spo2_percent
         heart_rate = vitals.heart_rate_bpm
-        if self._rng is not None:
-            spo2 += float(self._rng.normal(0.0, self.config.spo2_noise_sd))
-            heart_rate += float(self._rng.normal(0.0, self.config.heart_rate_noise_sd))
+        noise = self._noise
+        if noise is not None:
+            spo2 += noise(self.config.spo2_noise_sd)
+            heart_rate += noise(self.config.heart_rate_noise_sd)
         self._spo2_window.append(min(max(spo2, 0.0), 100.0))
         self._hr_window.append(max(0.0, heart_rate))
 

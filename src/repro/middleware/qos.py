@@ -11,7 +11,7 @@ back to a safe state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.sim.kernel import Simulator
@@ -32,10 +32,12 @@ class TopicQoS:
     max_latency_s: float = float("inf")
 
     def __post_init__(self) -> None:
-        if self.max_age_s <= 0:
-            raise ValueError("max_age_s must be positive")
-        if self.max_latency_s <= 0:
-            raise ValueError("max_latency_s must be positive")
+        # "not > 0" rather than "<= 0": a NaN deadline is never exceeded, so
+        # it would silently disable the staleness or latency check.
+        if not self.max_age_s > 0:
+            raise ValueError(f"max_age_s must be positive, got {self.max_age_s!r}")
+        if not self.max_latency_s > 0:
+            raise ValueError(f"max_latency_s must be positive, got {self.max_latency_s!r}")
 
 
 @dataclass
@@ -44,7 +46,10 @@ class TopicStats:
     deadline_violations: int = 0
     last_delivery_time: Optional[float] = None
     last_published_time: Optional[float] = None
-    latencies: List[float] = field(default_factory=list)
+    # Streaming latency statistics: count, sum and max, never the samples.
+    latency_count: int = 0
+    latency_sum: float = 0.0
+    latency_max: float = 0.0
 
 
 class QoSMonitor:
@@ -73,7 +78,10 @@ class QoSMonitor:
         stats.last_delivery_time = delivered_at
         stats.last_published_time = published_at
         latency = max(0.0, delivered_at - published_at)
-        stats.latencies.append(latency)
+        stats.latency_count += 1
+        stats.latency_sum += latency
+        if latency > stats.latency_max:
+            stats.latency_max = latency
         contract = self._contracts.get(topic)
         if contract is not None and latency > contract.max_latency_s:
             stats.deadline_violations += 1
@@ -105,15 +113,15 @@ class QoSMonitor:
 
     def mean_latency(self, topic: str) -> float:
         stats = self._stats.get(topic)
-        if stats is None or not stats.latencies:
+        if stats is None or not stats.latency_count:
             return 0.0
-        return sum(stats.latencies) / len(stats.latencies)
+        return stats.latency_sum / stats.latency_count
 
     def max_latency(self, topic: str) -> float:
         stats = self._stats.get(topic)
-        if stats is None or not stats.latencies:
+        if stats is None:
             return 0.0
-        return max(stats.latencies)
+        return stats.latency_max
 
     def summary(self) -> Dict[str, Dict[str, float]]:
         return {

@@ -11,6 +11,7 @@ processing delay (the "Algorithm Processing time" of Figure 1).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -18,7 +19,7 @@ from repro.middleware.bus import DeviceBus
 from repro.middleware.qos import QoSMonitor, TopicQoS
 from repro.readings import Reading
 from repro.sim.channel import Message
-from repro.sim.kernel import Process
+from repro.sim.kernel import PeriodicTask, Process, SimulationError, Simulator
 from repro.sim.trace import TraceRecorder
 
 
@@ -74,6 +75,65 @@ class CommandRecord:
     reason: str = ""
 
 
+class _StepTask(PeriodicTask):
+    """An app's control step as one self-rescheduling kernel event.
+
+    The app ticks every ``period`` seconds and decides ``delay`` seconds
+    after each tick (the Figure 1 "Algorithm Processing time").  Only the
+    decision is a kernel event: the tick clock ``t_k`` is a float advanced
+    with the same addition a :class:`PeriodicTask` reschedule performs
+    (``t_1 = now + period``, ``t_{k+1} = t_k + period``), and step ``k``
+    fires at ``t_k + delay``, so every step time is the one a separate tick
+    event followed by a delayed step event would give.
+
+    Cancel semantics: a tick counts as fired once its instant has passed.
+    :meth:`cancel` at time ``c`` keeps every step whose tick ``t_k < c``
+    (with a long delay there may be several) and drops every step whose
+    tick ``t_k >= c``, including one that would tick at ``c`` itself.
+    """
+
+    def __init__(
+        self,
+        simulator: Simulator,
+        period: float,
+        delay: float,
+        step: Callable[[float], None],
+        *,
+        name: str,
+    ) -> None:
+        if period <= 0:
+            raise SimulationError(f"period must be positive, got {period!r}")
+        # The base class's zero-argument callback slot is unused: the step
+        # is called with its decision instant.
+        super().__init__(simulator, period, lambda: None, name=name)
+        self.delay = delay
+        self._step = step
+        self._tick_time = simulator.now + period
+        self._cancel_time = math.inf
+        self._event = simulator.schedule_at(self._tick_time + delay, self._tick, name=name)
+
+    # repro-lint: hot
+    def _tick(self) -> None:
+        simulator = self._simulator
+        next_tick = self._tick_time + self.period
+        self._tick_time = next_tick
+        if next_tick < self._cancel_time:
+            self._event = simulator.schedule_at(next_tick + self.delay, self._tick, name=self.name)
+        else:
+            self._event = None
+        self.run_count += 1
+        self._step(simulator.now)
+
+    def cancel(self) -> None:
+        now = self._simulator.now
+        self._cancelled = True
+        self._cancel_time = min(self._cancel_time, now)
+        event = self._event
+        if event is not None and self._tick_time >= now:
+            event.cancel()
+            self._event = None
+
+
 class SupervisorHost(Process):
     """Hosts supervisor apps on top of the device bus."""
 
@@ -87,8 +147,8 @@ class SupervisorHost(Process):
         trace: Optional[TraceRecorder] = None,
     ) -> None:
         super().__init__(name=host_id)
-        if algorithm_delay_s < 0:
-            raise ValueError("algorithm_delay_s must be non-negative")
+        if not (math.isfinite(algorithm_delay_s) and algorithm_delay_s >= 0):
+            raise ValueError(f"algorithm_delay_s must be finite and non-negative, got {algorithm_delay_s!r}")
         self.bus = bus
         self.host_id = host_id
         self.algorithm_delay_s = algorithm_delay_s
@@ -140,13 +200,9 @@ class SupervisorHost(Process):
     def _schedule_app(self, app: SupervisorApp) -> None:
         if app.step_period_s is None:
             return
-        self.every(app.step_period_s, lambda app=app: self._run_step(app))
-
-    def _run_step(self, app: SupervisorApp) -> None:
-        # The algorithm's own processing time delays its effects: schedule the
-        # actual decision after algorithm_delay_s so commands it issues carry
-        # the Figure 1 "Algorithm Processing time" term.
-        self.after(self.algorithm_delay_s, lambda: app.step(self.now))
+        task = _StepTask(self.simulator, app.step_period_s, self.algorithm_delay_s,
+                         app.step, name=f"{self.name}:step")
+        self._tasks.append(task)
 
     # -------------------------------------------------------------- commands
     def send_command(

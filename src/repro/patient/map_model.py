@@ -16,6 +16,8 @@ from typing import Optional
 
 import numpy as np
 
+from repro.sim.random import GaussianNoise
+
 # Hydrostatic pressure of a 1 cm blood column, in mmHg.  Raising the
 # transducer relative to the heart lowers the measured pressure by this much
 # per centimetre of height difference.
@@ -48,7 +50,7 @@ class ArterialPressureModel:
     ) -> None:
         self.parameters = parameters or ArterialPressureParameters()
         self.parameters.validate()
-        self._rng = rng
+        self._noise = None if rng is None else GaussianNoise(rng)
         self._true_map = self.parameters.baseline_map_mmhg
         self._target_map = self.parameters.baseline_map_mmhg
         self._bed_height_offset_cm = 0.0
@@ -68,8 +70,8 @@ class ArterialPressureModel:
     def measured_map_mmhg(self) -> float:
         """What the pressure transducer reports, including the height artefact."""
         reading = self._true_map - self._bed_height_offset_cm * MMHG_PER_CM_HEIGHT
-        if self._rng is not None and self.parameters.noise_sd_mmhg > 0:
-            reading += float(self._rng.normal(0.0, self.parameters.noise_sd_mmhg))
+        if self._noise is not None and self.parameters.noise_sd_mmhg > 0:
+            reading += self._noise(self.parameters.noise_sd_mmhg)
         return reading
 
     # -------------------------------------------------------------- dynamics

@@ -31,6 +31,7 @@ import numpy as np
 from repro.alarms.thresholds import ThresholdAlarm, ThresholdRule, AlarmSeverity
 from repro.analysis.metrics import detection_latency
 from repro.campaign.registry import campaign_scenario
+from repro.sim.random import GaussianNoise
 
 
 @dataclass
@@ -67,6 +68,8 @@ class HomeMonitoringConfig:
             raise ValueError("durations must be positive")
         if self.upload_period_s <= 0 or self.review_delay_s < 0:
             raise ValueError("upload_period_s must be positive and review_delay_s non-negative")
+        if self.spo2_noise_sd < 0 or self.heart_rate_noise_sd < 0:
+            raise ValueError("spo2_noise_sd and heart_rate_noise_sd must be non-negative")
 
 
 @dataclass
@@ -103,7 +106,7 @@ class HomeMonitoringScenario:
                 DeteriorationEpisode(onset_s=self.config.duration_s * 0.3),
                 DeteriorationEpisode(onset_s=self.config.duration_s * 0.7, spo2_drop=10.0),
             ]
-        self._rng = np.random.default_rng(self.config.seed)
+        self._noise = GaussianNoise(np.random.default_rng(self.config.seed))
 
     # --------------------------------------------------------------- signals
     def _true_vitals(self, time: float) -> Tuple[float, float]:
@@ -120,8 +123,8 @@ class HomeMonitoringScenario:
 
     def _sampled_vitals(self, time: float) -> Tuple[float, float]:
         spo2, heart_rate = self._true_vitals(time)
-        spo2 += float(self._rng.normal(0.0, self.config.spo2_noise_sd))
-        heart_rate += float(self._rng.normal(0.0, self.config.heart_rate_noise_sd))
+        spo2 += self._noise(self.config.spo2_noise_sd)
+        heart_rate += self._noise(self.config.heart_rate_noise_sd)
         return float(np.clip(spo2, 0.0, 100.0)), max(0.0, heart_rate)
 
     def _make_alarm(self) -> ThresholdAlarm:

@@ -5,12 +5,15 @@ PCA) on *the same* patient population and fault schedule.  To make such
 comparisons paired rather than confounded by random-number consumption order,
 every stochastic component draws from its own named stream derived
 deterministically from a master seed.
+
+Sensor noise is drawn through :class:`GaussianNoise`, which reads its stream
+in blocks.  A noise stream owns its Generator: nothing else may draw from it.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Dict
+from typing import Dict, List
 
 import numpy as np
 
@@ -66,3 +69,40 @@ class RandomStreams:
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"RandomStreams(master_seed={self.master_seed}, streams={sorted(self._streams)})"
+
+
+#: Standard normals drawn per :class:`GaussianNoise` refill.
+NOISE_BLOCK = 256
+
+
+class GaussianNoise:
+    """Zero-mean Gaussian noise drawn from ``rng`` in blocks.
+
+    ``noise(sd)`` returns exactly ``float(rng.normal(0.0, sd))``, bit for
+    bit, at a fraction of a scalar numpy call's cost.  numpy computes a
+    scalar normal as ``loc + scale * z`` from one standard normal ``z``, and
+    ``rng.standard_normal(n)`` makes the same ``n`` draws in the same order,
+    so ``0.0 + sd * z[i]`` is the ``i``-th scalar value (``sd == 0.0`` still
+    uses up its draw).  ``sd`` must be non-negative; callers validate it.
+
+    The block is drawn ahead, so the helper must be the *only* consumer of
+    its Generator: another draw from ``rng`` would see a different stream
+    position than it would with scalar calls.
+    """
+
+    __slots__ = ("_rng", "_block", "_index")
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        self._rng = rng
+        self._block: List[float] = []
+        self._index = 0
+
+    # repro-lint: hot
+    def __call__(self, sd: float) -> float:
+        index = self._index
+        block = self._block
+        if index == len(block):
+            block = self._block = self._rng.standard_normal(NOISE_BLOCK).tolist()
+            index = 0
+        self._index = index + 1
+        return 0.0 + sd * block[index]

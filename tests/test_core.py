@@ -33,6 +33,12 @@ class TestSupervisorConfig:
         with pytest.raises(ValueError):
             SupervisorConfig(spo2_stop_threshold=95.0, spo2_resume_threshold=92.0).validate()
 
+    @pytest.mark.parametrize("limit", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_staleness_limit_must_be_finite_and_positive(self, limit):
+        # A NaN limit made "age > limit" False forever: no fail-safe on outage.
+        with pytest.raises(ValueError, match="data_staleness_limit_s"):
+            SupervisorConfig(data_staleness_limit_s=limit).validate()
+
 
 class _FakeQoS:
     def __init__(self):

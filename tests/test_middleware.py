@@ -222,6 +222,14 @@ class TestQoSMonitor:
         with pytest.raises(ValueError):
             TopicQoS(topic="spo2", max_age_s=0.0)
 
+    def test_nan_deadlines_rejected_naming_the_field(self):
+        # A NaN deadline is never exceeded: the topic could never go stale.
+        with pytest.raises(ValueError, match="max_age_s"):
+            TopicQoS(topic="spo2", max_age_s=float("nan"))
+        with pytest.raises(ValueError, match="max_latency_s"):
+            TopicQoS(topic="spo2", max_age_s=5.0, max_latency_s=float("nan"))
+        assert TopicQoS(topic="spo2", max_age_s=5.0).max_latency_s == float("inf")
+
     def test_age_infinite_before_any_delivery(self):
         monitor = QoSMonitor(Simulator())
         monitor.add_contract(TopicQoS(topic="spo2", max_age_s=5.0))
@@ -268,6 +276,20 @@ class TestQoSMonitor:
         monitor.record_delivery("spo2", published_at=0.0)
         summary = monitor.summary()
         assert "spo2" in summary and summary["spo2"]["deliveries"] == 1.0
+
+    def test_latency_statistics_are_streamed(self):
+        monitor = QoSMonitor(Simulator())
+        assert monitor.mean_latency("spo2") == 0.0 and monitor.max_latency("spo2") == 0.0
+        latencies = [0.25, 1.5, 0.0, 0.75]
+        for latency in latencies:
+            monitor.record_delivery("spo2", published_at=0.0, delivered_at=latency)
+        # A clock-skewed delivery counts as zero latency, as before.
+        monitor.record_delivery("spo2", published_at=2.0, delivered_at=1.0)
+        stats = monitor.stats("spo2")
+        assert (stats.latency_count, stats.latency_sum, stats.latency_max) == (5, 2.5, 1.5)
+        assert monitor.mean_latency("spo2") == 2.5 / 5
+        assert monitor.max_latency("spo2") == 1.5
+        assert not hasattr(stats, "latencies")
 
 
 class TestClockSync:
@@ -362,6 +384,11 @@ class TestSupervisorHost:
         simulator, host, app, device = self._build()
         with pytest.raises(ValueError):
             host.attach_app(app)
+
+    @pytest.mark.parametrize("delay", [float("nan"), float("inf"), -0.1])
+    def test_bad_algorithm_delay_rejected_naming_the_field(self, delay):
+        with pytest.raises(ValueError, match="algorithm_delay_s"):
+            SupervisorHost(DeviceBus(Simulator(), BusConfig()), algorithm_delay_s=delay)
 
     def test_qos_contract_registered(self):
         simulator, host, app, device = self._build()

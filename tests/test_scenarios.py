@@ -140,6 +140,12 @@ class TestHomeMonitoringScenario:
         with pytest.raises(ValueError):
             HomeMonitoringConfig(mode="carrier_pigeon").validate()
 
+    @pytest.mark.parametrize("field", ["spo2_noise_sd", "heart_rate_noise_sd"])
+    def test_negative_noise_sd_rejected(self, field):
+        # Block-drawn noise does not re-check sd per draw as rng.normal did.
+        with pytest.raises(ValueError, match=field):
+            HomeMonitoringConfig(**{field: -0.5}).validate()
+
     def test_real_time_detects_episodes_quickly(self):
         config = HomeMonitoringConfig(mode="real_time", seed=1)
         result = HomeMonitoringScenario(config).run()
