@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.readings import Reading
-from repro.sim.kernel import Process
-from repro.sim.sampler import BatchedTraceWriter, PeriodicSampler
+from repro.sim.kernel import PeriodicTask, Process
+from repro.sim.sampler import BatchedTraceWriter
 from repro.sim.trace import TraceRecorder
 
 
@@ -123,8 +123,7 @@ class MedicalDevice(Process):
         # names are cached — no per-sample f-strings anywhere.  Assigning
         # `trace` (at construction or later) rebuilds the writer so a trace
         # attached after __init__ records signals exactly like one passed in:
-        # the old writer is flushed and unregistered from its recorder, and
-        # any live sampling loops are re-pointed at the new writer.
+        # the old writer is flushed and unregistered from its recorder.
         old_writer = getattr(self, "_writer", None)
         if old_writer is not None:
             old_writer.detach()
@@ -136,9 +135,6 @@ class MedicalDevice(Process):
                 trace, prefix=self.descriptor.device_id, source=self.name)
             for signal in self._declared_signals:
                 self._writer.declare(signal)
-        for task in self._tasks:
-            if isinstance(task, PeriodicSampler):
-                task.writer = self._writer
 
     # --------------------------------------------------------------- states
     def transition(self, new_state: DeviceState) -> bool:
@@ -238,21 +234,15 @@ class MedicalDevice(Process):
         return handler(parameters)
 
     # ---------------------------------------------------------------- tracing
-    def sample_every(self, period: float, callback: Callable[[], None]) -> PeriodicSampler:
-        """Run ``callback`` every ``period`` seconds on the sampling backbone.
+    def sample_every(self, period: float, callback: Callable[[], None]) -> PeriodicTask:
+        """Run ``callback`` every ``period`` seconds, first one period from now.
 
-        Same scheduling pattern as :meth:`Process.every` (so kernel event
-        counts and ordering are unchanged), but the returned sampler also
-        flushes this device's batched trace samples through ``record_many``.
-        Registered with :meth:`cancel_all`, so :meth:`crash` stops it.
+        The loop is named ``"<device>:sampler"`` and registered with
+        :meth:`cancel_all`, so :meth:`crash` stops it.
         """
-        sampler = PeriodicSampler(
-            self.simulator, period, callback,
-            writer=self._writer, name=f"{self.name}:sampler",
-        )
-        sampler.start(self.simulator.now + period)
-        self._tasks.append(sampler)
-        return sampler
+        task = self.simulator.call_every(period, callback, name=f"{self.name}:sampler")
+        self._tasks.append(task)
+        return task
 
     def _declare_signals(self, *signals: str) -> None:
         """Precompute the full trace names of ``signals`` (attach-time cost)."""

@@ -177,13 +177,16 @@ class SupervisorHost(Process):
     def _make_handler(self, app: SupervisorApp):
         def _handler(topic: str, payload: Any, message: Message) -> None:
             # Fast path: Readings carry their publish time in a slot.  Legacy
-            # dict payloads fall back to the old string-keyed lookup.
+            # dict payloads fall back to the old string-keyed lookup.  A
+            # payload with no time of its own takes the publish instant from
+            # the bus envelope: `message.sent_at` is the bus forward instant,
+            # so it would leave the uplink hop out of the latency.
             if type(payload) is Reading:
                 published_at = payload.time
             elif isinstance(payload, dict):
-                published_at = payload.get("time", message.sent_at)
+                published_at = payload.get("time", message.payload.published_at)
             else:
-                published_at = message.sent_at
+                published_at = message.payload.published_at
             self.qos.record_delivery(topic, published_at=float(published_at), delivered_at=message.delivered_at)
             app.on_data(topic, payload, message)
         return _handler

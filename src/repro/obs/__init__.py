@@ -1,18 +1,20 @@
 """``repro.obs`` — zero-overhead-when-disabled observability.
 
-Five pieces, one enable switch (``REPRO_OBS=1`` or :func:`enable`):
+Four pieces share one enable switch (``REPRO_OBS=1`` or :func:`enable`):
 
 * :mod:`repro.obs.metrics` — slotted ``Counter`` / ``Gauge`` / ``Histogram``
   in a process-wide registry; instrument bundles give hot paths direct
   attribute access and collapse to ``None`` when disabled.
 * :mod:`repro.obs.spans` — sim-time span tracing for run lifecycle phases
   with deterministic ids derived from run-id seeding.
-* :mod:`repro.obs.profiler` — an opt-in sampling profiler that attributes
-  event-dispatch wall time to callback owners every N-th event.
 * :mod:`repro.obs.export` — deterministic NDJSON snapshots plus the shard
   merge used by the campaign engine.
 * :mod:`repro.obs.logging` — a structured logging facade (human / json /
   quiet) for CLI-facing output.
+
+:mod:`repro.obs.profiler` holds :func:`~repro.obs.profiler.owner_of`, which
+maps a kernel event name to the component that owns its callback, for
+dispatchers attached with :meth:`~repro.sim.kernel.Simulator.attach_profiler`.
 
 Design invariants: observability is off by default; metric values never
 feed back into simulation state (golden digests are identical with obs on
@@ -38,7 +40,6 @@ from repro.obs.metrics import (
     enabled,
     registry,
 )
-from repro.obs.profiler import SamplingProfiler
 from repro.obs.spans import SpanTracer, derive_id, tracer
 
 __all__ = [
@@ -46,7 +47,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "SamplingProfiler",
     "SpanTracer",
     "StructLogger",
     "derive_id",

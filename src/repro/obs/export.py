@@ -1,16 +1,15 @@
 """NDJSON snapshot export and the shard-merge operation.
 
 A *snapshot* is a list of JSON-object lines: one ``meta`` header, then the
-registry's metrics, then spans and profiles.  Ordering is fully
-deterministic — types in a fixed order, metrics sorted by name, spans by
-their derived ids, profiles by owner, and every object serialised with
-``sort_keys=True`` — so two runs of the same workload produce snapshots
-whose line/key ordering is identical under any ``PYTHONHASHSEED`` (CI pins
-this with a subprocess test).
+registry's metrics, then spans.  Ordering is fully deterministic — types
+in a fixed order, metrics sorted by name, spans by their derived ids, and
+every object serialised with ``sort_keys=True`` — so two runs of the same
+workload produce snapshots whose line/key ordering is identical under any
+``PYTHONHASHSEED`` (CI pins this with a subprocess test).
 
 Campaign workers each write their own *shard* snapshot;
 :func:`merge_lines` folds any number of shards into one campaign-level
-snapshot: counters and profiles sum, gauges fold by their declared ``agg``,
+snapshot: counters sum, gauges fold by their declared ``agg``,
 histograms add bucket-wise (bounds must agree), spans concatenate.  Merging
 is associative over sorted shard order, so a sharded campaign and a serial
 one produce the same *shape* of snapshot.
@@ -24,8 +23,6 @@ Schema (one JSON object per line)::
      "sum": X, "count": N}
     {"type": "span", "trace_id": "...", "span_id": "...", "parent_id": "...",
      "name": "...", "clock": "sim|wall", "start": X, "end": X}
-    {"type": "profile", "owner": "...", "samples": N, "sampled_wall_s": X,
-     "every": N}
 """
 
 from __future__ import annotations
@@ -40,27 +37,24 @@ from repro.obs import spans as _spans
 SCHEMA_VERSION = 1
 
 #: Fixed emission order of line types within a snapshot.
-_TYPE_ORDER = {"meta": 0, "counter": 1, "gauge": 2, "histogram": 3,
-               "span": 4, "profile": 5}
+_TYPE_ORDER = {"meta": 0, "counter": 1, "gauge": 2, "histogram": 3, "span": 4}
 
 Line = Dict[str, Any]
 
 
-def _sort_key(line: Line) -> Tuple[int, str, str, str, str]:
+def _sort_key(line: Line) -> Tuple[int, str, str, str]:
     kind = line.get("type", "")
     return (
         _TYPE_ORDER.get(kind, len(_TYPE_ORDER)),
         line.get("name", ""),
         line.get("trace_id", ""),
         line.get("span_id", ""),
-        line.get("owner", ""),
     )
 
 
 def snapshot_lines(
     registry: Optional[_metrics.MetricsRegistry] = None,
     tracer: Optional[_spans.SpanTracer] = None,
-    profilers: Sequence = (),
     meta: Optional[Dict[str, Any]] = None,
 ) -> List[Line]:
     """Capture the current snapshot (defaults: process registry + tracer)."""
@@ -74,8 +68,6 @@ def snapshot_lines(
     lines: List[Line] = [header]
     lines.extend(registry.snapshot())
     lines.extend(tracer.lines())
-    for profiler in profilers:
-        lines.extend(profiler.lines())
     return sorted(lines, key=_sort_key)
 
 
@@ -142,12 +134,6 @@ def _merge_histogram(into: Line, line: Line) -> None:
     into["count"] += line["count"]
 
 
-def _merge_profile(into: Line, line: Line) -> None:
-    into["samples"] += line["samples"]
-    into["sampled_wall_s"] += line["sampled_wall_s"]
-    into["every"] = max(into["every"], line["every"])
-
-
 def merge_lines(groups: Iterable[Iterable[Line]]) -> List[Line]:
     """Fold several snapshots (e.g. per-worker shards) into one.
 
@@ -169,10 +155,7 @@ def merge_lines(groups: Iterable[Iterable[Line]]) -> List[Line]:
             if kind == "span":
                 spans.append(dict(line))
                 continue
-            if kind == "profile":
-                key = ("profile", line.get("owner"))
-            else:
-                key = (kind, line.get("name"))
+            key = (kind, line.get("name"))
             existing = merged.get(key)
             if existing is None:
                 merged[key] = dict(line)
@@ -182,8 +165,6 @@ def merge_lines(groups: Iterable[Iterable[Line]]) -> List[Line]:
                 _merge_gauge(existing, line)
             elif kind == "histogram":
                 _merge_histogram(existing, line)
-            elif kind == "profile":
-                _merge_profile(existing, line)
             else:
                 raise ValueError(f"cannot merge unknown line type {kind!r}")
     lines = [meta] + list(merged.values()) + spans

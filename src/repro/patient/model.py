@@ -23,7 +23,7 @@ from repro.patient.pharmacokinetics import PKParameters, TwoCompartmentPK
 from repro.patient.population import DEFAULT_PATIENT, PatientParameters
 from repro.patient.vitals import VitalSigns, VitalSignsModel, VitalSignsParameters
 from repro.sim.kernel import Process
-from repro.sim.sampler import BatchedTraceWriter, PeriodicSampler
+from repro.sim.sampler import BatchedTraceWriter
 from repro.sim.trace import TraceRecorder
 
 SECONDS_PER_MINUTE = 60.0
@@ -70,9 +70,9 @@ class PatientModel(Process):
         # Sampling backbone: the seven physiological signals are declared
         # once per trace attachment, so recording a ground-truth row is
         # fourteen list appends with no name formatting, flushed in batches
-        # via record_many.  Assigning `trace` after construction records
-        # exactly like a trace passed to __init__: the old writer is flushed
-        # and unregistered, and live sampling loops re-pointed.
+        # via record_many when the trace is read.  Assigning `trace` after
+        # construction records exactly like a trace passed to __init__: the
+        # old writer is flushed and unregistered.
         old_writer = getattr(self, "_writer", None)
         if old_writer is not None:
             old_writer.detach()
@@ -90,19 +90,12 @@ class PatientModel(Process):
             self._sig_respiratory_rate = writer.declare("respiratory_rate")
             self._sig_pain = writer.declare("pain")
             self._sig_true_map = writer.declare("true_map")
-        for task in self._tasks:
-            if isinstance(task, PeriodicSampler):
-                task.writer = self._writer
 
     # --------------------------------------------------------------- process
     def start(self) -> None:
         self._last_update_time = self.now
-        sampler = PeriodicSampler(
-            self.simulator, self.update_period_s, self._advance,
-            writer=self._writer, name=f"{self.name}:sampler",
-        )
-        sampler.start(self.now + self.update_period_s)
-        self._tasks.append(sampler)
+        self._tasks.append(self.simulator.call_every(
+            self.update_period_s, self._advance, name=f"{self.name}:sampler"))
 
     def _advance(self) -> None:
         now = self.now

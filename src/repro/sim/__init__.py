@@ -15,10 +15,9 @@ provides:
   injection (message loss bursts, device crashes, value corruption).
 * :class:`~repro.sim.trace.TraceRecorder` -- time-stamped signal and event
   traces for analysis and plotting.
-* :class:`~repro.sim.sampler.PeriodicSampler` -- the fixed-rate sampling
-  backbone shared by devices and the patient model: precomputed signal
-  names, batched ``record_many`` flushes, and the reschedule loop in one
-  place.
+* :class:`~repro.sim.sampler.BatchedTraceWriter` -- the batched trace
+  front-end shared by devices and the patient model: precomputed signal
+  names, with samples reaching the recorder at its read barrier.
 * :class:`~repro.sim.random.RandomStreams` -- named, independently seeded
   random streams so experiments are reproducible stream-by-stream.
 """
@@ -26,13 +25,12 @@ provides:
 from repro.sim.kernel import Event, Process, Simulator, SimulationError
 from repro.sim.channel import Channel, ChannelConfig, Message
 from repro.sim.faults import FaultInjector, FaultSpec
-from repro.sim.sampler import BatchedTraceWriter, PeriodicSampler, SignalBatch
+from repro.sim.sampler import BatchedTraceWriter, SignalBatch
 from repro.sim.trace import TraceRecorder, TracePoint
 from repro.sim.random import RandomStreams, derive_seed
 
 __all__ = [
     "BatchedTraceWriter",
-    "PeriodicSampler",
     "SignalBatch",
     "Event",
     "Process",

@@ -98,11 +98,9 @@ class Channel:
     are.  A message is delivered in place: the record :meth:`send` returns
     is the object handlers receive, and delivery stamps its
     ``delivered_at``.  Streaming statistics (sent/delivered/dropped counts,
-    mean/max latency) are kept for the delay-budget analyses in
-    :mod:`repro.core.delays`; the full per-message history
-    (:attr:`latencies`, :attr:`delivered_messages`) is only retained when
-    ``retain_messages=True`` — unconditional retention is an O(events)
-    memory leak at campaign scale.
+    mean/max latency) are the channel's one latency record, kept for the
+    delay-budget analyses in :mod:`repro.core.delays`; a caller that needs
+    each message's latency subscribes and reads ``delivered_at - sent_at``.
 
     A config that demands randomness (jitter or loss) without an ``rng`` is
     rejected at construction time: silently degrading to a deterministic
@@ -121,8 +119,6 @@ class Channel:
         name: str,
         config: Optional[ChannelConfig] = None,
         rng=None,
-        *,
-        retain_messages: bool = False,
     ) -> None:
         config = config or ChannelConfig()
         config.validate()
@@ -166,14 +162,9 @@ class Channel:
         # Registry-backed metrics; None unless repro.obs was enabled when
         # this channel was constructed.
         self._obs = channel_instruments()
-        # Latency statistics stream (count is `delivered`); the full
-        # per-message history is opt-in — retaining every delivery is an
-        # O(events) memory leak at campaign scale.
+        # Latency statistics stream (count is `delivered`).
         self._latency_sum = 0.0
         self._latency_max = 0.0
-        self.retain_messages = retain_messages
-        self.latencies: List[float] = []
-        self.delivered_messages: List[Message] = []
 
     # ----------------------------------------------------------- subscription
     def subscribe(self, handler: Callable[[Message], None], topic: Optional[str] = None) -> None:
@@ -364,9 +355,6 @@ class Channel:
         if obs is not None:
             obs.delivered.value += 1
             obs.latency.observe(latency)
-        if self.retain_messages:
-            self.latencies.append(latency)
-            self.delivered_messages.append(message)
         # Iterate a pre-built snapshot (updated on (un)subscribe) so handlers
         # mutating subscriptions cannot disturb the in-flight delivery.
         for topic, handler in self._snapshot:

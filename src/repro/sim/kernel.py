@@ -291,17 +291,15 @@ class Simulator:
 
     # ---------------------------------------------------------- observability
     def attach_profiler(self, profiler) -> None:
-        """Attach a :class:`repro.obs.SamplingProfiler` to the dispatch loop.
+        """Route event dispatch through ``profiler``: any object with ``dispatch(event)``.
 
+        :meth:`run` then calls ``profiler.dispatch(event)`` in place of
+        ``event.callback()``; the dispatcher must invoke the callback itself.
         Takes effect on the next :meth:`run` call (the loop hoists the
         profiler reference once, so attaching mid-run has no effect on the
-        segment already executing).
+        segment already executing).  ``None`` detaches it.
         """
         self._profiler = profiler
-
-    def detach_profiler(self) -> None:
-        """Remove the attached profiler (next :meth:`run` is uninstrumented)."""
-        self._profiler = None
 
     # ------------------------------------------------------------- processes
     def register(self, process: "Process") -> None:

@@ -13,13 +13,15 @@ per-sample path:
   Recording a sample is two list appends.
 * :class:`BatchedTraceWriter` -- one producer's set of signal batches.  It
   registers a flush hook with the recorder so any *read* of the trace drains
-  pending batches first (a read barrier); the data a query returns is always
-  complete, no matter when batches were last flushed.
-* :class:`PeriodicSampler` -- owns the reschedule loop (same event pattern
-  and ``run_count`` semantics as :class:`~repro.sim.kernel.PeriodicTask`)
-  and flushes its writer's batches through
-  :meth:`~repro.sim.trace.TraceRecorder.record_many` every ``flush_every``
-  ticks, amortising the recorder work over whole batches.
+  pending batches through :meth:`~repro.sim.trace.TraceRecorder.record_many`
+  first (the read barrier).  That barrier, and :meth:`BatchedTraceWriter.detach`
+  when a producer swaps its writer, are the only points where samples reach
+  the recorder, so a run that reads its trace once pays the recorder work
+  once per signal.
+
+Producers drive their sampling callbacks with
+:meth:`~repro.sim.kernel.Simulator.call_every`; the backbone schedules no
+kernel events of its own.
 
 Determinism: batches preserve per-signal chronological order exactly, and
 ``record_many`` appends the very same float objects ``record`` would have,
@@ -30,10 +32,9 @@ recording.  The one rule is that each signal must have a single producer
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.obs.metrics import sampler_instruments
-from repro.sim.kernel import PeriodicTask, SimulationError, Simulator
 from repro.sim.trace import TraceRecorder
 
 
@@ -130,61 +131,3 @@ class BatchedTraceWriter:
     def pending(self) -> int:
         """Number of samples not yet flushed into the recorder."""
         return sum(len(batch.times) for batch in self._batch_list)
-
-
-class PeriodicSampler(PeriodicTask):
-    """A fixed-rate sampling loop with amortised trace flushing.
-
-    Extends :class:`~repro.sim.kernel.PeriodicTask` — the reschedule loop is
-    inherited, so kernel event counts and tie-break ordering are identical
-    to ``call_every`` by construction — and adds: every ``flush_every``
-    ticks the attached :class:`BatchedTraceWriter` is drained through
-    ``record_many``.  A flush never schedules kernel events, so running it
-    after the inherited tick leaves the event stream untouched.
-
-    ``writer`` is a mutable attribute: producers whose ``trace`` is
-    reassigned mid-lifecycle re-point their live samplers at the new writer.
-    """
-
-    def __init__(
-        self,
-        simulator: Simulator,
-        period: float,
-        callback: Callable[[], None],
-        *,
-        writer: Optional[BatchedTraceWriter] = None,
-        name: str = "sampler",
-        flush_every: int = 64,
-    ) -> None:
-        if period <= 0:
-            raise SimulationError(f"period must be positive, got {period!r}")
-        if flush_every < 1:
-            raise SimulationError(f"flush_every must be >= 1, got {flush_every!r}")
-        super().__init__(simulator, period, callback, name=name)
-        self.writer = writer
-        self.flush_every = flush_every
-        self._ticks_since_flush = 0
-
-    def start(self, first_time: Optional[float] = None) -> "PeriodicSampler":
-        """Schedule the first tick (default: one period from now)."""
-        if first_time is None:
-            first_time = self._simulator.now + self.period
-        super().start(first_time)
-        return self
-
-    def _tick(self) -> None:  # repro-lint: hot
-        if self._cancelled:
-            return
-        super()._tick()
-        writer = self.writer
-        if writer is not None:
-            self._ticks_since_flush += 1
-            if self._ticks_since_flush >= self.flush_every:
-                self._ticks_since_flush = 0
-                writer.flush()
-
-    def cancel(self) -> None:
-        """Stop future ticks and flush whatever the loop still holds."""
-        super().cancel()
-        if self.writer is not None:
-            self.writer.flush()

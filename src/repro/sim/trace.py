@@ -12,9 +12,9 @@ code calls them repeatedly per run, and rebuilding the arrays each call
 dominated metric collection on large traces.
 
 Batched producers (the :mod:`repro.sim.sampler` backbone) register a flush
-hook via :meth:`TraceRecorder.register_pending`; every signal query drains
-those hooks first, so readers always observe a complete trace regardless of
-when a producer last flushed its batches.
+hook via :meth:`TraceRecorder.register_pending` and hold their samples until
+a read: every signal query drains those hooks first (the read barrier), so
+readers always observe a complete trace.
 """
 
 from __future__ import annotations

@@ -28,8 +28,14 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 def make_channel(sim, name="c", **kwargs):
     rng = kwargs.pop("rng", None)
-    retain = kwargs.pop("retain_messages", False)
-    return Channel(sim, name, ChannelConfig(**kwargs), rng=rng, retain_messages=retain)
+    return Channel(sim, name, ChannelConfig(**kwargs), rng=rng)
+
+
+def collect_latencies(channel):
+    """Subscribe a handler recording each delivery's latency, in delivery order."""
+    latencies = []
+    channel.subscribe(lambda m: latencies.append(m.delivered_at - m.sent_at))
+    return latencies
 
 
 class TestEventCoalescing:
@@ -152,20 +158,20 @@ class TestStatsEquivalence:
         # Reference: the same five messages sent at five distinct ticks
         # (nothing coalesces — the per-message scheduling of PR 3).
         sim_ref = Simulator()
-        ref = make_channel(sim_ref, latency_s=0.25, retain_messages=True)
-        ref.subscribe(lambda m: None)
+        ref = make_channel(sim_ref, latency_s=0.25)
+        ref_latencies = collect_latencies(ref)
         for i in range(5):
             sim_ref.schedule(i * 1.0, lambda: ref.send("a", "t", 0))
         sim_ref.run()
 
         sim = Simulator()
-        coalesced = make_channel(sim, latency_s=0.25, retain_messages=True)
-        coalesced.subscribe(lambda m: None)
+        coalesced = make_channel(sim, latency_s=0.25)
+        coalesced_latencies = collect_latencies(coalesced)
         for _ in range(5):
             coalesced.send("a", "t", 0)
         sim.run()
 
-        assert coalesced.latencies == ref.latencies == [0.25] * 5
+        assert coalesced_latencies == ref_latencies == [0.25] * 5
         # Latency statistics are identical; only the coalescing counters
         # (which exist precisely to tell these two schedules apart) differ.
         coalescing_keys = {"coalesced_ticks", "max_batch"}
@@ -181,9 +187,9 @@ class TestStatsEquivalence:
 
     def test_jitter_latencies_match_rng_draw_order(self):
         # With jitter, per-message latencies are sampled in send order
-        # regardless of how deliveries batch; the retained history must hold
-        # exactly the rng's draws, ordered by delivery time (stable for
-        # equal times).
+        # regardless of how deliveries batch; the latencies a subscriber sees
+        # must be exactly the rng's draws, ordered by delivery time (stable
+        # for equal times).
         reference_rng = np.random.default_rng(7)
         expected = sorted(
             max(0.0, 0.5 + reference_rng.uniform(-0.2, 0.2)) for _ in range(20)
@@ -191,15 +197,15 @@ class TestStatsEquivalence:
 
         sim = Simulator()
         channel = make_channel(sim, latency_s=0.5, jitter_s=0.2,
-                               rng=np.random.default_rng(7), retain_messages=True)
-        channel.subscribe(lambda m: None)
+                               rng=np.random.default_rng(7))
+        latencies = collect_latencies(channel)
         for _ in range(20):
             channel.send("a", "t", 0)
         sim.run()
         assert channel.delivered == 20
-        # Deliveries happen in delivery-time order, so the retained history
-        # is the sorted rng draws.
-        assert channel.latencies == pytest.approx(expected)
+        # Deliveries happen in delivery-time order, so the subscriber sees
+        # the sorted rng draws.
+        assert latencies == pytest.approx(expected)
         assert channel.mean_latency == pytest.approx(sum(expected) / 20)
         assert channel.max_latency == pytest.approx(max(expected))
 

@@ -144,38 +144,36 @@ class TestChannelRetention:
             channel.send("a", "t", i)
         simulator.run()
         assert channel.delivered == 10_000
-        # The leak fix: no O(events) histories by default.
-        assert channel.latencies == []
-        assert channel.delivered_messages == []
+        # The leak fix: no container on the channel grows with the traffic.
+        sizes = {name: len(value) for name, value in vars(channel).items()
+                 if isinstance(value, (list, dict, tuple))}
+        assert max(sizes.values()) < 10, sizes
 
-    def test_streaming_stats_match_retained_reference(self):
-        rng_a, rng_b = np.random.default_rng(3), np.random.default_rng(3)
+    def test_streaming_stats_match_subscriber_latencies(self):
         config = ChannelConfig(latency_s=0.05, jitter_s=0.02)
-        sim_a, sim_b = Simulator(), Simulator()
-        lean = Channel(sim_a, "lean", config, rng=rng_a)
-        fat = Channel(sim_b, "fat", config, rng=rng_b, retain_messages=True)
-        for channel, simulator in ((lean, sim_a), (fat, sim_b)):
-            channel.subscribe(lambda m: None)
-            for i in range(200):
-                channel.send("a", "t", i)
-            simulator.run()
-        # Identical rng draws, so the streaming stats must equal the values
-        # the retained history would have produced (same floats, same order).
-        assert fat.latencies and lean.latencies == []
-        assert lean.mean_latency == sum(fat.latencies) / len(fat.latencies)
-        assert lean.max_latency == max(fat.latencies)
-        assert lean.stats() == fat.stats()
-
-    def test_opt_in_retention_preserves_history(self):
         simulator = Simulator()
-        channel = Channel(simulator, "retained", ChannelConfig(latency_s=0.25),
-                          retain_messages=True)
-        channel.subscribe(lambda m: None)
+        channel = Channel(simulator, "jittery", config, rng=np.random.default_rng(3))
+        latencies = []
+        channel.subscribe(lambda m: latencies.append(m.delivered_at - m.sent_at))
+        for i in range(200):
+            channel.send("a", "t", i)
+        simulator.run()
+        # The streaming stats must equal the values the per-message
+        # latencies produce (same floats, summed in the same order).
+        assert len(latencies) == channel.delivered == 200
+        assert channel.mean_latency == sum(latencies) / len(latencies)
+        assert channel.max_latency == max(latencies)
+
+    def test_subscriber_sees_each_message_latency(self):
+        simulator = Simulator()
+        channel = Channel(simulator, "single", ChannelConfig(latency_s=0.25))
+        delivered = []
+        channel.subscribe(delivered.append)
         channel.send("a", "t", "x")
         simulator.run()
-        assert channel.latencies == [pytest.approx(0.25)]
-        assert len(channel.delivered_messages) == 1
-        assert channel.delivered_messages[0].payload == "x"
+        assert [m.delivered_at - m.sent_at for m in delivered] == [pytest.approx(0.25)]
+        assert len(delivered) == 1
+        assert delivered[0].payload == "x"
 
 
 class TestCommandPathIsolation:

@@ -395,3 +395,52 @@ class TestSupervisorHost:
         assert host.qos.contract("tick") is not None
         simulator.run(until=3.0)
         assert not host.qos.is_stale("tick")
+
+    def test_qos_latency_of_untimed_payload_spans_both_hops(self):
+        # Payloads with no time of their own (a dict without "time", a bare
+        # value) are measured from the publish instant, so the QoS latency
+        # covers uplink + bus processing + downlink, as a Reading's does.
+        simulator = Simulator()
+        bus = DeviceBus(simulator, BusConfig())
+        device = _StatusDevice()
+        bus.attach_device(device)
+        simulator.register(device)
+        host = SupervisorHost(bus)
+        host.attach_app(_StatusApp())
+        simulator.register(host)
+        simulator.run(until=5.5)
+        end_to_end = 0.02 + 0.005 + 0.02
+        for topic in ("status", "count", "tick"):
+            assert host.qos.stats(topic).deliveries == 5
+            assert host.qos.mean_latency(topic) == pytest.approx(end_to_end)
+            assert host.qos.max_latency(topic) == pytest.approx(end_to_end)
+
+
+class _StatusDevice(MedicalDevice):
+    """Publishes an untimed dict, a bare number and a Reading every second."""
+
+    def __init__(self):
+        super().__init__(DeviceDescriptor(
+            device_id="status-1", device_type="status",
+            published_topics=("status", "count", "tick"),
+        ))
+
+    def start(self):
+        self.transition(DeviceState.RUNNING)
+        self.every(1.0, self._publish)
+
+    def _publish(self):
+        self.publish("status", {"device_id": "status-1"})
+        self.publish("count", 7)
+        self.publish("tick", Reading(self.now, True, self.now))
+
+
+class _StatusApp(SupervisorApp):
+    subscriptions = ("status", "count", "tick")
+    step_period_s = 10.0
+
+    def __init__(self):
+        super().__init__("status-app")
+
+    def on_data(self, topic, payload, message):
+        pass

@@ -1,8 +1,8 @@
 """Unit tests for the ``repro.obs`` observability package.
 
-Covers the metric types and registry, deterministic span tracing, the
-sampling profiler, NDJSON export ordering, the shard-merge semantics, and
-the structured logging facade.  Integration with the simulation layers
+Covers the metric types and registry, deterministic span tracing, event
+owner attribution and the dispatch hook, NDJSON export ordering, the
+shard-merge semantics, and the structured logging facade.  Integration with the simulation layers
 (golden-digest invariance, CLI, campaign export) lives in
 ``test_obs_integration.py``.
 """
@@ -23,7 +23,7 @@ from repro.obs.export import (
 )
 from repro.obs.logging import StructLogger
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.profiler import SamplingProfiler, owner_of
+from repro.obs.profiler import owner_of
 from repro.obs.spans import SpanTracer, derive_id
 from repro.sim.kernel import Simulator
 
@@ -198,36 +198,24 @@ class TestProfiler:
         assert owner_of("pump-1:_tick") == "pump-1"
         assert owner_of("plain") == "plain"
 
-    def test_samples_every_nth_event(self):
-        profiler = SamplingProfiler(every=3)
-        sim = Simulator()
-        sim.attach_profiler(profiler)
-        for i in range(9):
-            sim.schedule(0.1 * (i + 1), lambda: None, name="worker:tick")
-        sim.run()
-        assert profiler.events_seen == 9
-        report = profiler.report()
-        assert report["worker"]["samples"] == 3.0
-        assert report["worker"]["est_total_wall_s"] == pytest.approx(
-            report["worker"]["sampled_wall_s"] * 3)
-        lines = profiler.lines()
-        assert lines[0]["type"] == "profile"
-        assert lines[0]["owner"] == "worker"
+    def test_attached_dispatcher_runs_every_event(self):
+        class Counting:
+            def __init__(self):
+                self.owners = []
 
-    def test_every_one_samples_everything(self):
-        profiler = SamplingProfiler(every=1)
-        sim = Simulator()
-        sim.attach_profiler(profiler)
-        sim.schedule(1.0, lambda: None, name="a:x")
-        sim.schedule(2.0, lambda: None, name="b:y")
-        sim.run()
-        report = profiler.report()
-        assert report["a"]["samples"] == 1.0
-        assert report["b"]["samples"] == 1.0
+            def dispatch(self, event):
+                self.owners.append(owner_of(event.name))
+                event.callback()
 
-    def test_rejects_bad_interval(self):
-        with pytest.raises(ValueError):
-            SamplingProfiler(every=0)
+        fired = []
+        dispatcher = Counting()
+        sim = Simulator()
+        sim.attach_profiler(dispatcher)
+        sim.schedule(1.0, lambda: fired.append("a"), name="a:x")
+        sim.schedule(2.0, lambda: fired.append("b"), name="b:y")
+        sim.run()
+        assert dispatcher.owners == ["a", "b"]
+        assert fired == ["a", "b"]
 
 
 class TestExport:
@@ -239,16 +227,9 @@ class TestExport:
         tracer = SpanTracer()
         with tracer.trace("s").span("phase"):
             pass
-        profiler = SamplingProfiler(every=1)
-        sim = Simulator()
-        sim.attach_profiler(profiler)
-        sim.schedule(1.0, lambda: None, name="o:t")
-        sim.run()
-        lines = snapshot_lines(registry=reg, tracer=tracer,
-                               profilers=[profiler])
+        lines = snapshot_lines(registry=reg, tracer=tracer)
         kinds = [line["type"] for line in lines]
-        assert kinds == ["meta", "counter", "gauge", "histogram", "span",
-                        "profile"]
+        assert kinds == ["meta", "counter", "gauge", "histogram", "span"]
 
     def test_dump_is_sorted_compact_ndjson(self):
         text = dump_lines([{"b": 1, "a": 2, "type": "meta"}])
@@ -301,19 +282,18 @@ class TestMerge:
             merge_lines([[dict(hist, bounds=[1.0])],
                          [dict(hist, bounds=[2.0])]])
 
-    def test_spans_concatenate_and_profiles_sum(self):
+    def test_spans_concatenate(self):
         span = {"type": "span", "trace_id": "t", "span_id": "s1",
                 "parent_id": "", "name": "p", "clock": "sim",
                 "start": 0.0, "end": 1.0}
-        profile = {"type": "profile", "owner": "o", "samples": 2,
-                   "sampled_wall_s": 0.5, "every": 64}
-        merged = merge_lines([[span, profile],
-                              [dict(span, span_id="s2"), dict(profile)]])
+        merged = merge_lines([[span], [dict(span, span_id="s2")]])
         spans = [line for line in merged if line["type"] == "span"]
-        profiles = [line for line in merged if line["type"] == "profile"]
         assert {s["span_id"] for s in spans} == {"s1", "s2"}
-        assert profiles[0]["samples"] == 4
-        assert profiles[0]["sampled_wall_s"] == pytest.approx(1.0)
+
+    def test_unknown_line_type_rejected(self):
+        line = {"type": "profile", "owner": "o", "samples": 2}
+        with pytest.raises(ValueError, match="unknown line type 'profile'"):
+            merge_lines([[line], [dict(line)]])
 
     def test_merge_snapshot_files_in_sorted_order(self, tmp_path):
         for name, value in (("b.ndjson", 2.0), ("a.ndjson", 1.0)):

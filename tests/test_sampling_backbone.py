@@ -5,13 +5,17 @@ writers are *byte-identical* to unbatched recording, and readers never see a
 stale trace no matter when batches were last flushed (the read barrier).
 """
 
+import json
+
 import numpy as np
 import pytest
 
+from repro.core.loop import ClosedLoopPCASystem, PCASystemConfig
+from repro.devices.base import DeviceDescriptor, MedicalDevice
 from repro.devices.pulse_oximeter import PulseOximeter, PulseOximeterConfig, _RollingMean
 from repro.patient.model import PatientModel
 from repro.sim.kernel import Simulator
-from repro.sim.sampler import BatchedTraceWriter, PeriodicSampler
+from repro.sim.sampler import BatchedTraceWriter
 from repro.sim.trace import TraceRecorder
 
 
@@ -74,58 +78,33 @@ class TestBatchedTraceWriter:
         assert a.samples("y:s") == [(1.0, "early")]
 
 
-class TestPeriodicSampler:
-    def test_matches_periodic_task_schedule(self):
-        # The sampler must tick at the same simulated times, and produce the
-        # same kernel event count, as the call_every loop it replaces.
-        task_sim, sampler_sim = Simulator(), Simulator()
-        task_times, sampler_times = [], []
+class TestSamplingLoop:
+    def test_device_loop_matches_call_every_schedule(self):
+        # A device's sampling loop ticks at the same simulated times, with
+        # the same kernel event count, as a bare call_every loop.
+        task_sim, device_sim = Simulator(), Simulator()
+        task_times, device_times = [], []
         task_sim.call_every(0.5, lambda: task_times.append(task_sim.now))
-        PeriodicSampler(sampler_sim, 0.5,
-                        lambda: sampler_times.append(sampler_sim.now)).start()
+        device = MedicalDevice(DeviceDescriptor(device_id="dev-1", device_type="probe"))
+        device_sim.register(device)
+        task = device.sample_every(0.5, lambda: device_times.append(device_sim.now))
+        assert task.name == "device:dev-1:sampler"
+        device_sim.run(until=10.0)
         task_sim.run(until=10.0)
-        sampler_sim.run(until=10.0)
-        assert sampler_times == task_times
-        assert sampler_sim.event_count == task_sim.event_count
+        assert device_times == task_times
+        assert device_sim.event_count == task_sim.event_count
 
-    def test_flushes_every_n_ticks(self):
+    def test_samples_reach_recorder_only_at_read_barrier(self):
         simulator = Simulator()
         trace = TraceRecorder()
-        writer = BatchedTraceWriter(trace, prefix="dev")
-        batch = writer.declare("v")
-
-        def tick():
-            batch.append(simulator.now, 1.0)
-
-        PeriodicSampler(simulator, 1.0, tick, writer=writer, flush_every=4).start()
-        simulator.run(until=10.0)
-        # 10 ticks, flushes after ticks 4 and 8; inspect internals directly
-        # (a query would drain via the read barrier and hide the batching).
-        assert len(trace._signals["dev:v"].times) == 8
-        assert len(batch.times) == 2
-        assert len(trace.values("dev:v")) == 10  # barrier completes the view
-
-    def test_cancel_stops_loop_and_flushes(self):
-        simulator = Simulator()
-        trace = TraceRecorder()
-        writer = BatchedTraceWriter(trace, prefix="dev")
-        batch = writer.declare("v")
-        sampler = PeriodicSampler(
-            simulator, 1.0, lambda: batch.append(simulator.now, 0.0),
-            writer=writer, flush_every=1000)
-        sampler.start()
-        simulator.schedule(3.5, sampler.cancel)
-        simulator.run(until=10.0)
-        assert sampler.cancelled
-        assert sampler.run_count == 3
-        assert len(trace._signals["dev:v"].times) == 3  # cancel flushed
-
-    def test_invalid_parameters_rejected(self):
-        simulator = Simulator()
-        with pytest.raises(Exception):
-            PeriodicSampler(simulator, 0.0, lambda: None)
-        with pytest.raises(Exception):
-            PeriodicSampler(simulator, 1.0, lambda: None, flush_every=0)
+        patient = PatientModel(trace=trace)
+        simulator.register(patient)
+        simulator.run(until=600.0)  # 120 sampling ticks
+        # Nothing flushes during the run; the first read drains everything.
+        assert trace._signals == {}
+        assert patient._writer.pending > 0
+        assert len(trace.values(f"{patient.parameters.patient_id}:spo2")) > 0
+        assert patient._writer.pending == 0
 
 
 class TestRollingMean:
@@ -203,10 +182,10 @@ class TestDeviceIntegration:
         prefix = patient.parameters.patient_id
         assert len(trace.times(f"{prefix}:spo2")) == 2
 
-    def test_trace_attached_after_start_flushes_periodically(self):
-        # A trace attached while the sampling loop is already running must be
-        # flushed by the loop itself (re-pointed writer), not only by the
-        # read barrier on the first query.
+    def test_trace_attached_after_start_records_later_samples(self):
+        # A trace attached while the sampling loop is already running gets
+        # every later sample: the loop appends through the device's current
+        # writer, which the new recorder drains at its read barrier.
         simulator = Simulator()
         patient = PatientModel()
         oximeter = PulseOximeter("ox-1", patient,
@@ -216,9 +195,10 @@ class TestDeviceIntegration:
         simulator.run(until=10.0)
         trace = TraceRecorder()
         oximeter.trace = trace
-        simulator.run(until=10.0 + 2.0 * 70)  # past the 64-tick flush point
-        flushed = trace._signals["ox-1:spo2_reading"].times  # no query: raw buffer
-        assert len(flushed) >= 64
+        simulator.run(until=10.0 + 2.0 * 70)
+        times = trace.times("ox-1:spo2_reading")
+        assert len(times) == 70
+        assert list(times[[0, -1]]) == [12.0, 150.0]
 
     def test_trace_reassignment_detaches_old_writer(self):
         simulator = Simulator()
@@ -251,3 +231,33 @@ class TestDeviceIntegration:
         for signal in ("plasma_mg_per_l", "effect_site_mg_per_l", "spo2",
                        "heart_rate", "respiratory_rate", "pain", "true_map"):
             assert len(trace.times(f"{prefix}:{signal}")) == 12
+
+
+class TestReadBarrierDuringRun:
+    """The read barrier is the one flush point: reading mid-run changes nothing."""
+
+    @staticmethod
+    def _canonical(payload):
+        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+    def test_closed_loop_run_read_mid_run_matches_run_read_at_end(self):
+        config = PCASystemConfig(mode="closed_loop", duration_s=1800.0, seed=424242)
+        reference = ClosedLoopPCASystem(config)
+        expected_record = reference.run().as_record()
+
+        system = ClosedLoopPCASystem(config).build()
+        trace = system.trace
+        spo2 = f"{config.patient.patient_id}:spo2"
+        counts = []
+        for instant in (1.0, 97.5, 600.0, 1234.5):
+            system.simulator.run(until=instant)
+            for signal in trace.signals():
+                last = trace.last(signal)
+                assert last is not None and last[0] <= instant
+            counts.append(len(trace.values(spo2)))
+        result = system.run()
+
+        assert counts == sorted(counts) and counts[0] < counts[-1]
+        assert system.simulator.event_count == reference.simulator.event_count
+        assert self._canonical(trace.to_dict()) == self._canonical(reference.trace.to_dict())
+        assert self._canonical(result.as_record()) == self._canonical(expected_record)

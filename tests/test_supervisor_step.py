@@ -12,6 +12,7 @@ the bits of the scalar ``rng.normal(0.0, sd)`` it replaces.
 
 import math
 import struct
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from repro.core.loop import ClosedLoopPCASystem, PCASystemConfig
 from repro.core.pca import PCASafetySupervisor
 from repro.middleware.bus import BusConfig, DeviceBus
 from repro.middleware.supervisor_host import SupervisorApp, SupervisorHost
-from repro.obs import SamplingProfiler
+from repro.obs.profiler import owner_of
 from repro.sim.kernel import SimulationError, Simulator
 from repro.sim.random import NOISE_BLOCK, GaussianNoise
 
@@ -176,13 +177,24 @@ class TestClosedLoopEventCount:
 
         monkeypatch.setattr(PCASafetySupervisor, "step", counted)
         system = ClosedLoopPCASystem(PCASystemConfig(mode="closed_loop", duration_s=600.0, seed=7)).build()
-        profiler = SamplingProfiler(every=1)
-        system.simulator.attach_profiler(profiler)
+        dispatcher = _OwnerCounter()
+        system.simulator.attach_profiler(dispatcher)
         system.run()
         # Ticks at 2, 4, ..., 600 s; the step after the last tick (600.1 s)
         # falls past the end of the run.
         assert len(steps) == 299
-        assert profiler.report()[system.host.name]["samples"] == len(steps)
+        assert dispatcher.events[system.host.name] == len(steps)
+
+
+class _OwnerCounter:
+    """Dispatch hook counting kernel events per callback owner."""
+
+    def __init__(self):
+        self.events = Counter()
+
+    def dispatch(self, event):
+        self.events[owner_of(event.name)] += 1
+        event.callback()
 
 
 class TestGaussianNoiseBits:
