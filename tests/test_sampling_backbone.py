@@ -14,7 +14,7 @@ from repro.core.loop import ClosedLoopPCASystem, PCASystemConfig
 from repro.devices.base import DeviceDescriptor, MedicalDevice
 from repro.devices.pulse_oximeter import PulseOximeter, PulseOximeterConfig, _RollingMean
 from repro.patient.model import PatientModel
-from repro.sim.kernel import Simulator
+from repro.sim.kernel import SimulationError, Simulator
 from repro.sim.sampler import BatchedTraceWriter
 from repro.sim.trace import TraceRecorder
 
@@ -105,6 +105,29 @@ class TestSamplingLoop:
         assert patient._writer.pending > 0
         assert len(trace.values(f"{patient.parameters.patient_id}:spo2")) > 0
         assert patient._writer.pending == 0
+
+    def test_crash_stops_loop_and_keeps_earlier_samples(self):
+        simulator = Simulator()
+        trace = TraceRecorder()
+        device = MedicalDevice(DeviceDescriptor(device_id="dev-1", device_type="probe"),
+                               trace=trace)
+        simulator.register(device)
+        task = device.sample_every(1.0, lambda: device._writer.record(device.now, "v", 0.0))
+        simulator.schedule(3.5, device.crash)
+        simulator.run(until=10.0)
+        assert task.cancelled
+        assert task.run_count == 3
+        # Samples taken before the crash still reach the recorder at the barrier.
+        assert trace.times("dev-1:v").tolist() == [1.0, 2.0, 3.0]
+
+    def test_non_positive_period_rejected(self):
+        simulator = Simulator()
+        device = MedicalDevice(DeviceDescriptor(device_id="dev-1", device_type="probe"))
+        simulator.register(device)
+        with pytest.raises(SimulationError):
+            device.sample_every(0.0, lambda: None)
+        with pytest.raises(SimulationError):
+            device.sample_every(-1.0, lambda: None)
 
 
 class TestRollingMean:
