@@ -17,6 +17,7 @@ Section II(c) of the paper:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -52,6 +53,11 @@ class PCAPrescription:
     concentration_mg_per_ml: float = 1.0
 
     def validate(self) -> None:
+        for name in ("bolus_dose_mg", "lockout_interval_s", "hourly_limit_mg",
+                     "basal_rate_mg_per_hr", "concentration_mg_per_ml"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.bolus_dose_mg < 0:
             raise ValueError("bolus_dose_mg must be non-negative")
         if self.lockout_interval_s < 0:

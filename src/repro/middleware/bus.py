@@ -101,6 +101,8 @@ class DeviceBus:
         # (and hence downlink sequence numbers and kernel tiebreaks) must not
         # depend on PYTHONHASHSEED.
         self._routes: Dict[str, Tuple[Channel, ...]] = {}
+        # topic -> its "bus:publish:<topic>" trace event name, built once.
+        self._publish_events: Dict[str, str] = {}
         # Forwards to downlinks that are not deterministic, coalesced as
         # Channel coalesces deliveries: forward instant -> (order, sender,
         # topic, envelope, downlinks) in arrival order, sharing one kernel
@@ -192,8 +194,12 @@ class DeviceBus:
         obs = self._obs
         if obs is not None:
             obs.published.value += 1
-        if self.trace is not None:
-            self.trace.event(self.simulator.now, f"bus:publish:{topic}", payload, source=device_id)
+        trace = self.trace
+        if trace is not None:
+            name = self._publish_events.get(topic)
+            if name is None:
+                name = self._publish_events[topic] = f"bus:publish:{topic}"
+            trace.event(self.simulator.now, name, payload, device_id)
         arrival_at = uplink.fate()
         if arrival_at is None:
             return

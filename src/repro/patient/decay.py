@@ -1,0 +1,50 @@
+"""Shared pieces of the patient model's step functions.
+
+Every physiology step multiplies state by ``np.exp(-rate * dt_min)``-style
+factors, and the step length is the same for a whole run, so each factor
+sees one exponent almost every time.  :class:`ExpMemo` keeps the last
+exponent and its result; it holds one entry, so it needs no size cap.
+:func:`require_finite_non_negative` is the input check every step and dose
+entry point applies.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+
+class ExpMemo:
+    """``np.exp`` of a scalar, remembered for the last exponent.
+
+    The key is the exponent itself (value and type), not ``dt_min``, so a
+    rate constant changed between steps misses the memo rather than reusing
+    a stale factor.  A hit returns the very ``np.float64`` object that
+    ``np.exp`` returned, never a ``float``: arithmetic downstream (the
+    ``**`` in :func:`~repro.patient.pharmacodynamics.hill`) picks its
+    implementation by operand type, so the type is part of every later bit.
+    """
+
+    __slots__ = ("_exponent", "_value")
+
+    def __init__(self) -> None:
+        self._exponent: object = None
+        self._value = None
+
+    def __call__(self, exponent: float):  # repro-lint: hot
+        if exponent == self._exponent and type(exponent) is type(self._exponent):
+            return self._value
+        value = self._value = np.exp(exponent)
+        self._exponent = exponent
+        return value
+
+
+def require_finite_non_negative(name: str, value: float) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``0 <= value < inf``.
+
+    NaN fails the comparison, so a NaN dose or step is rejected here instead
+    of vanishing later (``max(0.0, nan)`` is ``0.0``).
+    """
+    if not 0 <= value < math.inf:
+        raise ValueError(f"{name} must be finite and non-negative, got {value!r}")

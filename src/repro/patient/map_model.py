@@ -16,6 +16,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.patient.decay import ExpMemo, require_finite_non_negative
 from repro.sim.random import GaussianNoise
 
 # Hydrostatic pressure of a 1 cm blood column, in mmHg.  Raising the
@@ -54,6 +55,7 @@ class ArterialPressureModel:
         self._true_map = self.parameters.baseline_map_mmhg
         self._target_map = self.parameters.baseline_map_mmhg
         self._bed_height_offset_cm = 0.0
+        self._decay = ExpMemo()
 
     # ----------------------------------------------------------------- state
     @property
@@ -87,9 +89,8 @@ class ArterialPressureModel:
 
     def advance(self, dt_min: float) -> float:
         """Advance the true-MAP drift by ``dt_min`` minutes; returns true MAP."""
-        if dt_min < 0:
-            raise ValueError("dt_min must be non-negative")
-        decay = np.exp(-dt_min / self.parameters.drift_time_constant_min)
+        require_finite_non_negative("dt_min", dt_min)
+        decay = self._decay(-dt_min / self.parameters.drift_time_constant_min)
         self._true_map = float(self._target_map + (self._true_map - self._target_map) * decay)
         return self._true_map
 

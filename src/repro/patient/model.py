@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.patient.decay import require_finite_non_negative
 from repro.patient.map_model import ArterialPressureModel
 from repro.patient.pharmacodynamics import PDParameters, RespiratoryDepressionPD
 from repro.patient.pharmacokinetics import PKParameters, TwoCompartmentPK
@@ -146,8 +147,7 @@ class PatientModel(Process):
 
     def set_infusion_rate(self, rate_mg_per_min: float) -> None:
         """Set the continuous (basal) infusion rate."""
-        if rate_mg_per_min < 0:
-            raise ValueError("infusion rate must be non-negative")
+        require_finite_non_negative("rate_mg_per_min", rate_mg_per_min)
         self._infusion_rate_mg_per_min = rate_mg_per_min
 
     @property

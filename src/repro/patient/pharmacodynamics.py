@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
+from repro.patient.decay import ExpMemo, require_finite_non_negative
 
 
 @dataclass
@@ -92,6 +92,7 @@ class RespiratoryDepressionPD:
         parameters.validate()
         self.parameters = parameters
         self._effect_site_mg_per_l = 0.0
+        self._decay = ExpMemo()
 
     @property
     def effect_site_concentration_mg_per_l(self) -> float:
@@ -107,13 +108,11 @@ class RespiratoryDepressionPD:
         plasma concentration held constant over the step, and returns the new
         effect-site concentration.
         """
-        if dt_min < 0:
-            raise ValueError("dt_min must be non-negative")
-        if plasma_concentration_mg_per_l < 0:
-            raise ValueError("plasma concentration must be non-negative")
+        require_finite_non_negative("dt_min", dt_min)
+        require_finite_non_negative("plasma_concentration_mg_per_l", plasma_concentration_mg_per_l)
         if dt_min == 0:
             return self._effect_site_mg_per_l
-        decay = np.exp(-self.parameters.ke0_per_min * dt_min)
+        decay = self._decay(-self.parameters.ke0_per_min * dt_min)
         self._effect_site_mg_per_l = (
             plasma_concentration_mg_per_l
             + (self._effect_site_mg_per_l - plasma_concentration_mg_per_l) * decay

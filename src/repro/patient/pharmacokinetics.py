@@ -20,6 +20,8 @@ from typing import Dict, Tuple
 
 import numpy as np
 
+from repro.patient.decay import require_finite_non_negative
+
 
 @dataclass
 class PKParameters:
@@ -132,8 +134,7 @@ class TwoCompartmentPK:
     # ------------------------------------------------------------ integration
     def add_bolus(self, dose_mg: float) -> None:
         """Instantaneously inject ``dose_mg`` into the central compartment."""
-        if dose_mg < 0:
-            raise ValueError("bolus dose must be non-negative")
+        require_finite_non_negative("dose_mg", dose_mg)
         self._central_mg += dose_mg
 
     def advance(self, dt_min: float, infusion_rate_mg_per_min: float = 0.0) -> float:
@@ -141,10 +142,8 @@ class TwoCompartmentPK:
 
         Returns the plasma concentration (mg/L) at the end of the step.
         """
-        if dt_min < 0:
-            raise ValueError("dt_min must be non-negative")
-        if infusion_rate_mg_per_min < 0:
-            raise ValueError("infusion rate must be non-negative")
+        require_finite_non_negative("dt_min", dt_min)
+        require_finite_non_negative("infusion_rate_mg_per_min", infusion_rate_mg_per_min)
         if dt_min == 0:
             return self.plasma_concentration_mg_per_l
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
+from repro.patient.decay import ExpMemo, require_finite_non_negative
 
 
 @dataclass(frozen=True)
@@ -84,26 +84,36 @@ class VitalSignsModel:
     def __init__(self, parameters: Optional[VitalSignsParameters] = None) -> None:
         self.parameters = parameters or VitalSignsParameters()
         self.parameters.validate()
-        self._spo2 = self.parameters.baseline_spo2
-        self._pain = self.parameters.initial_pain_level
-        self._respiratory_rate = self.parameters.baseline_respiratory_rate_bpm
-        self._heart_rate = self.parameters.baseline_heart_rate_bpm
+        self._spo2_decay = ExpMemo()
+        self._pain_decay = ExpMemo()
+        self.reset()
 
     # ----------------------------------------------------------------- state
     @property
     def state(self) -> VitalSigns:
-        return VitalSigns(
-            respiratory_rate_bpm=self._respiratory_rate,
-            spo2_percent=self._spo2,
-            heart_rate_bpm=self._heart_rate,
-            pain_level=self._pain,
-        )
+        """The current vital signs, as one shared immutable snapshot.
+
+        Sensors read the state many times per physiology step, so the
+        snapshot is built on the first read after a change and handed to
+        every reader until the next :meth:`advance`, :meth:`reset` or
+        :meth:`add_pain_stimulus`, each of which drops it.
+        """
+        snapshot = self._snapshot
+        if snapshot is None:
+            snapshot = self._snapshot = VitalSigns(
+                respiratory_rate_bpm=self._respiratory_rate,
+                spo2_percent=self._spo2,
+                heart_rate_bpm=self._heart_rate,
+                pain_level=self._pain,
+            )
+        return snapshot
 
     def reset(self) -> None:
         self._spo2 = self.parameters.baseline_spo2
         self._pain = self.parameters.initial_pain_level
         self._respiratory_rate = self.parameters.baseline_respiratory_rate_bpm
         self._heart_rate = self.parameters.baseline_heart_rate_bpm
+        self._snapshot: Optional[VitalSigns] = None
 
     # ------------------------------------------------------------- dynamics
     def advance(self, dt_min: float, respiratory_drive: float, analgesia: float) -> VitalSigns:
@@ -114,8 +124,7 @@ class VitalSignsModel:
         analgesia:
             Fraction of pain relieved in [0, 1).
         """
-        if dt_min < 0:
-            raise ValueError("dt_min must be non-negative")
+        require_finite_non_negative("dt_min", dt_min)
         if not 0 <= respiratory_drive <= 1.0001:
             raise ValueError(f"respiratory_drive must be in [0, 1], got {respiratory_drive!r}")
         if not 0 <= analgesia <= 1.0001:
@@ -124,6 +133,7 @@ class VitalSignsModel:
             return self.state
 
         p = self.parameters
+        self._snapshot = None
         # Respiratory rate tracks drive directly (fast dynamics relative to dt).
         self._respiratory_rate = p.baseline_respiratory_rate_bpm * respiratory_drive
 
@@ -136,12 +146,12 @@ class VitalSignsModel:
         else:
             deficit = (p.hypoventilation_threshold - ventilation_fraction) / p.hypoventilation_threshold
             spo2_target = p.baseline_spo2 - deficit * (p.baseline_spo2 - p.min_spo2)
-        decay = np.exp(-dt_min / p.spo2_time_constant_min)
+        decay = self._spo2_decay(-dt_min / p.spo2_time_constant_min)
         self._spo2 = float(spo2_target + (self._spo2 - spo2_target) * decay)
         self._spo2 = float(min(max(self._spo2, p.min_spo2), 100.0))
 
         # Pain decays naturally and is relieved by analgesia.
-        natural_pain = self._pain * np.exp(-p.pain_decay_per_min * dt_min)
+        natural_pain = self._pain * self._pain_decay(-p.pain_decay_per_min * dt_min)
         self._pain = float(min(max(natural_pain * (1.0 - analgesia), 0.0), 10.0))
 
         # Heart rate: baseline + pain contribution + hypoxia compensation.
@@ -163,3 +173,4 @@ class VitalSignsModel:
         if magnitude < 0:
             raise ValueError("pain stimulus must be non-negative")
         self._pain = float(min(max(self._pain + magnitude, 0.0), 10.0))
+        self._snapshot = None

@@ -9,6 +9,7 @@ experiment E1.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Dict, List, Optional
 
 from repro.campaign.registry import CampaignError, campaign_scenario
@@ -249,8 +250,20 @@ def pca_fault_campaign(
 
 
 # --------------------------------------------------------------- campaigns
+#: Campaign parameters that program the pump (:class:`PCAPrescription`).
+_PRESCRIPTION_PARAMS = ("bolus_dose_mg", "lockout_interval_s", "hourly_limit_mg",
+                        "basal_rate_mg_per_hr")
+
+
 def _validate_pca_campaign(spec) -> None:
     """Reject spec shapes that would silently mislead (caught before any run)."""
+    for key in _PRESCRIPTION_PARAMS:
+        value = spec.parameters.get(key)
+        for candidate in value if isinstance(value, list) else (value,):
+            if isinstance(candidate, float) and not math.isfinite(candidate):
+                raise CampaignError(
+                    f"prescription parameter {key!r} must be finite, got {candidate!r}"
+                )
     if spec.cohort_size > 0:
         return
     shaped = [key for key in ("sensitive_fraction", "athlete_fraction")

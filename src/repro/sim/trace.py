@@ -11,6 +11,12 @@ two list appends.  The numpy conversions behind :meth:`times` /
 code calls them repeatedly per run, and rebuilding the arrays each call
 dominated metric collection on large traces.
 
+Discrete events are a plain list of ``(time, signal, value, source)``
+tuples, so :meth:`TraceRecorder.event` is one tuple append; the bus logs
+every published sample there.  :meth:`TraceRecorder.events` builds the
+:class:`TracePoint` read type only when it is asked for, and the counting
+and serialising queries read the tuples directly.
+
 Batched producers (the :mod:`repro.sim.sampler` backbone) register a flush
 hook via :meth:`TraceRecorder.register_pending` and hold their samples until
 a read: every signal query drains those hooks first (the read barrier), so
@@ -21,6 +27,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -77,7 +84,8 @@ class TraceRecorder:
 
     def __init__(self) -> None:
         self._signals: Dict[str, _SignalBuffer] = {}
-        self._events: List[TracePoint] = []
+        # One (time, signal, value, source) tuple per event.
+        self._events: List[Tuple[float, str, Any, str]] = []
         self._pending_flushes: List[Callable[[], None]] = []
 
     # --------------------------------------------------------- batched writers
@@ -139,9 +147,9 @@ class TraceRecorder:
         buffer.values.extend(values)
         buffer.invalidate()
 
-    def event(self, time: float, signal: str, value: Any = None, source: str = "") -> None:
+    def event(self, time: float, signal: str, value: Any = None, source: str = "") -> None:  # repro-lint: hot
         """Record a discrete event (alarm raised, pump stopped, ...)."""
-        self._events.append(TracePoint(time=float(time), signal=signal, value=value, source=source))
+        self._events.append((float(time), signal, value, source))
 
     # ---------------------------------------------------------------- queries
     def signals(self) -> List[str]:
@@ -197,16 +205,16 @@ class TraceRecorder:
 
     def events(self, signal: Optional[str] = None) -> List[TracePoint]:
         if signal is None:
-            return list(self._events)
-        return [e for e in self._events if e.signal == signal]
+            return [TracePoint(*e) for e in self._events]
+        return [TracePoint(*e) for e in self._events if e[1] == signal]
 
     def count_events(self, signal: str) -> int:
-        return sum(1 for e in self._events if e.signal == signal)
+        return sum(1 for e in self._events if e[1] == signal)
 
     def first_event_time(self, signal: str) -> Optional[float]:
         for e in self._events:
-            if e.signal == signal:
-                return e.time
+            if e[1] == signal:
+                return e[0]
         return None
 
     # -------------------------------------------------------------- summaries
@@ -263,15 +271,15 @@ class TraceRecorder:
             },
             "events": [
                 {
-                    "time": e.time,
-                    "signal": e.signal,
+                    "time": time,
+                    "signal": signal,
                     # Readings serialise as their legacy dict payload form, so
                     # trace snapshots stay plain-JSON (and byte-identical to
                     # the dict-payload era for unchanged runs).
-                    "value": e.value.as_dict() if type(e.value) is Reading else e.value,
-                    "source": e.source,
+                    "value": value.as_dict() if type(value) is Reading else value,
+                    "source": source,
                 }
-                for e in self._events
+                for time, signal, value, source in self._events
             ],
         }
 
@@ -290,7 +298,7 @@ class TraceRecorder:
             buffer.values = [v for _, v in combined]
             buffer.invalidate()
         self._events.extend(other._events)
-        self._events.sort(key=lambda e: e.time)
+        self._events.sort(key=itemgetter(0))
 
     def __len__(self) -> int:
         self._drain()

@@ -118,6 +118,20 @@ class TestSelfClean:
         result = run_lint([SRC], config, root=REPO)
         assert result.hot_functions >= 12
 
+    def test_trace_event_log_allocation_is_guarded(self, tmp_path):
+        # TraceRecorder.event is hot-marked: logging a TracePoint per event
+        # again (it has no __slots__) must fail the lint, not pass silently.
+        trace_py = (SRC / "repro" / "sim" / "trace.py").read_text()
+        append = "self._events.append((float(time), signal, value, source))"
+        assert append in trace_py
+        pkg = tmp_path / "pkg"
+        pkg.mkdir()
+        (pkg / "__init__.py").write_text("")
+        (pkg / "trace.py").write_text(trace_py.replace(
+            append, "self._events.append(TracePoint(float(time), signal, value, source))"))
+        result = run_lint([pkg], load_config(REPO), root=tmp_path)
+        assert [(v.rule, v.symbol) for v in result.failing] == [("HOT01", "event")]
+
     def test_cli_json_on_src_is_clean(self):
         proc = subprocess.run(
             [sys.executable, "-m", "repro.lint", "src", "--format", "json"],

@@ -1,0 +1,93 @@
+"""A non-finite dose, rate or step is refused where it enters.
+
+A NaN bolus used to pass every ``< 0`` check and then vanish in the PK
+model (``max(0.0, nan)`` is ``0.0``): the run reported no harm and no
+drug, with ``total_drug_delivered_mg`` NaN.  Each entry point now rejects
+NaN and infinity with an error that names the offending argument, and a
+PCA campaign spec is refused before any run starts.
+"""
+
+from __future__ import annotations
+
+import math
+
+import pytest
+
+from repro.campaign import CampaignSpec
+from repro.campaign.registry import CampaignError
+from repro.devices.pca_pump import PCAPrescription
+from repro.patient.map_model import ArterialPressureModel
+from repro.patient.model import PatientModel
+from repro.patient.pharmacodynamics import PDParameters, RespiratoryDepressionPD
+from repro.patient.pharmacokinetics import PKParameters, TwoCompartmentPK
+from repro.patient.vitals import VitalSignsModel
+
+NON_FINITE = (math.nan, math.inf, -math.inf)
+PRESCRIPTION_FIELDS = ("bolus_dose_mg", "lockout_interval_s", "hourly_limit_mg",
+                       "basal_rate_mg_per_hr", "concentration_mg_per_ml")
+CAMPAIGN_PRESCRIPTION_PARAMS = ("bolus_dose_mg", "lockout_interval_s", "hourly_limit_mg",
+                                "basal_rate_mg_per_hr")
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+@pytest.mark.parametrize("name", PRESCRIPTION_FIELDS)
+def test_prescription_requires_finite_fields(name, bad):
+    with pytest.raises(ValueError, match=name):
+        PCAPrescription(**{name: bad}).validate()
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_pk_rejects_non_finite_bolus_and_leaves_the_state(bad):
+    pk = TwoCompartmentPK(PKParameters())
+    pk.add_bolus(1.0)
+    with pytest.raises(ValueError, match="dose_mg"):
+        pk.add_bolus(bad)
+    assert pk.central_amount_mg == 1.0
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_pk_advance_rejects_non_finite_step_and_rate(bad):
+    pk = TwoCompartmentPK(PKParameters())
+    with pytest.raises(ValueError, match="dt_min"):
+        pk.advance(bad)
+    with pytest.raises(ValueError, match="infusion_rate_mg_per_min"):
+        pk.advance(1.0, bad)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_pd_vitals_and_map_reject_non_finite_step(bad):
+    with pytest.raises(ValueError, match="dt_min"):
+        RespiratoryDepressionPD(PDParameters()).advance(bad, 0.01)
+    with pytest.raises(ValueError, match="plasma_concentration_mg_per_l"):
+        RespiratoryDepressionPD(PDParameters()).advance(1.0, bad)
+    with pytest.raises(ValueError, match="dt_min"):
+        VitalSignsModel().advance(bad, 1.0, 0.0)
+    with pytest.raises(ValueError, match="dt_min"):
+        ArterialPressureModel().advance(bad)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_patient_rejects_non_finite_bolus_and_rate(bad):
+    patient = PatientModel()
+    with pytest.raises(ValueError, match="dose_mg"):
+        patient.infuse_bolus(bad)
+    with pytest.raises(ValueError, match="rate_mg_per_min"):
+        patient.set_infusion_rate(bad)
+    assert patient.total_drug_delivered_mg == 0.0
+    assert patient.infusion_rate_mg_per_min == 0.0
+
+
+@pytest.mark.parametrize("cohort_size", (0, 4))
+@pytest.mark.parametrize("name", CAMPAIGN_PRESCRIPTION_PARAMS)
+def test_pca_campaign_rejects_non_finite_prescription(name, cohort_size):
+    for value in (math.nan, math.inf, [1.0, math.nan]):
+        spec = CampaignSpec(name="nan-dose", scenario="pca",
+                            parameters={name: value}, cohort_size=cohort_size)
+        with pytest.raises(CampaignError, match=name):
+            spec.validate()
+
+
+def test_pca_campaign_accepts_finite_prescription_sweeps():
+    CampaignSpec(name="doses", scenario="pca",
+                 parameters={"bolus_dose_mg": [0.5, 1, 2.0], "basal_rate_mg_per_hr": 0},
+                 cohort_size=2).validate()
