@@ -11,6 +11,7 @@ ever crosses the process boundary.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
@@ -80,7 +81,11 @@ class ScenarioSpec:
                 and prefix[len(cls.FAULT_AXIS_PREFIX):].isdigit())
 
     def validate_params(self, params: Mapping[str, Any]) -> None:
-        """Reject parameters the scenario does not recognise."""
+        """Reject parameters the scenario does not recognise.
+
+        A ``duration_s``, fixed or swept, must also be a finite positive
+        number: a NaN or infinite horizon would never end the run.
+        """
         allowed = set(self.defaults) | set(self.AUTO_PARAMS)
         if self.supports_faults:
             allowed.add(self.FAULT_PARAM)
@@ -93,6 +98,15 @@ class ScenarioSpec:
                 f"scenario {self.name!r} does not accept parameters {unknown}; "
                 f"known parameters: {sorted(self.defaults)}"
             )
+        if "duration_s" in self.defaults and "duration_s" in params:
+            durations = params["duration_s"]
+            for duration in (durations if isinstance(durations, list) else [durations]):
+                if (isinstance(duration, bool) or not isinstance(duration, (int, float))
+                        or not (math.isfinite(duration) and duration > 0)):
+                    raise CampaignError(
+                        f"scenario {self.name!r} parameter 'duration_s' must be a finite "
+                        f"positive number, got {duration!r}"
+                    )
 
     def resolved_params(self, params: Mapping[str, Any]) -> Dict[str, Any]:
         """Defaults overlaid with ``params`` (auto params passed through).

@@ -20,6 +20,7 @@ statistics.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional
 
@@ -68,8 +69,8 @@ class PCASystemConfig:
     def validate(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.duration_s <= 0:
-            raise ValueError("duration_s must be positive")
+        if not (math.isfinite(self.duration_s) and self.duration_s > 0):
+            raise ValueError(f"duration_s must be finite and positive, got {self.duration_s!r}")
         if self.button_press_period_s <= 0:
             raise ValueError("button_press_period_s must be positive")
         self.prescription.validate()

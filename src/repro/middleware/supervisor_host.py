@@ -19,7 +19,7 @@ from repro.middleware.bus import DeviceBus
 from repro.middleware.qos import QoSMonitor, TopicQoS
 from repro.readings import Reading
 from repro.sim.channel import Message
-from repro.sim.kernel import PeriodicTask, Process, SimulationError, Simulator
+from repro.sim.kernel import PeriodicTask, Process, Simulator
 from repro.sim.trace import TraceRecorder
 
 
@@ -101,10 +101,8 @@ class _StepTask(PeriodicTask):
         *,
         name: str,
     ) -> None:
-        if period <= 0:
-            raise SimulationError(f"period must be positive, got {period!r}")
-        # The base class's zero-argument callback slot is unused: the step
-        # is called with its decision instant.
+        # The base class checks the period.  Its zero-argument callback slot
+        # is unused: the step is called with its decision instant.
         super().__init__(simulator, period, lambda: None, name=name)
         self.delay = delay
         self._step = step

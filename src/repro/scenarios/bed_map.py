@@ -10,6 +10,7 @@ genuine hypotension episodes injected into the same run.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -45,8 +46,8 @@ class BedMapConfig:
     patient: PatientParameters = field(default_factory=lambda: DEFAULT_PATIENT)
 
     def validate(self) -> None:
-        if self.duration_s <= 0:
-            raise ValueError("duration_s must be positive")
+        if not (math.isfinite(self.duration_s) and self.duration_s > 0):
+            raise ValueError(f"duration_s must be finite and positive, got {self.duration_s!r}")
         if self.bed_moves < 0 or self.true_hypotension_episodes < 0:
             raise ValueError("event counts must be non-negative")
         if self.hypotension_duration_s <= 0:

@@ -23,6 +23,7 @@ the fraction of episodes detected within a clinically useful window.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -64,8 +65,10 @@ class HomeMonitoringConfig:
     def validate(self) -> None:
         if self.mode not in ("store_and_forward", "real_time"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.duration_s <= 0 or self.sample_period_s <= 0:
-            raise ValueError("durations must be positive")
+        if not (math.isfinite(self.duration_s) and self.duration_s > 0):
+            raise ValueError(f"duration_s must be finite and positive, got {self.duration_s!r}")
+        if self.sample_period_s <= 0:
+            raise ValueError("sample_period_s must be positive")
         if self.upload_period_s <= 0 or self.review_delay_s < 0:
             raise ValueError("upload_period_s must be positive and review_delay_s non-negative")
         if self.spo2_noise_sd < 0 or self.heart_rate_noise_sd < 0:

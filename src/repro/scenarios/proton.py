@@ -11,6 +11,7 @@ latency of the two safety paths.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional
 
@@ -40,8 +41,8 @@ class ProtonSchedulingConfig:
             raise ValueError("rooms must be positive")
         if self.fractions_per_room < 0 or self.motion_events_per_room < 0:
             raise ValueError("event counts must be non-negative")
-        if self.duration_s <= 0:
-            raise ValueError("duration_s must be positive")
+        if not (math.isfinite(self.duration_s) and self.duration_s > 0):
+            raise ValueError(f"duration_s must be finite and positive, got {self.duration_s!r}")
 
 
 @dataclass

@@ -14,6 +14,7 @@ shard/merge/streaming-aggregation pipeline, with generated fault schedules
 
 from __future__ import annotations
 
+import math
 from typing import Any, Dict
 
 from repro.campaign.registry import CampaignError, campaign_scenario
@@ -132,8 +133,8 @@ def run_ward_campaign(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
     except TopologyError as error:
         raise ValueError(f"invalid ward topology: {error}") from None
     duration_s = float(params["duration_s"])
-    if duration_s <= 0:
-        raise ValueError("duration_s must be positive")
+    if not (math.isfinite(duration_s) and duration_s > 0):
+        raise ValueError(f"duration_s must be finite and positive, got {duration_s!r}")
     posture = params["security_posture"]
     if posture not in SECURITY_POSTURES:
         raise ValueError(

@@ -4,12 +4,18 @@ The kernel is intentionally small and deterministic: events scheduled at the
 same simulated time are executed in FIFO order of their scheduling sequence
 number, so a simulation run is a pure function of its inputs and seeds.
 
-Hot-path layout: the heap holds plain ``(time, priority, sequence, event)``
-tuples so every heap comparison is a C-level tuple comparison, and
-:class:`Event` is a ``__slots__`` class carrying only per-event state.  The
-simulator tracks the live (queued, not cancelled) event count incrementally,
-which keeps :meth:`Simulator.pending` O(1) and lets :meth:`Simulator.peek`
-lazily discard cancelled heads instead of scanning the queue.
+Hot-path layout: the heap holds plain ``(time, priority, sequence, item)``
+tuples so every heap comparison is a C-level tuple comparison.  An item is
+either a one-shot :class:`Event` (a ``__slots__`` class carrying only
+per-event state) or an :class:`_Instant`: the one entry shared by every
+periodic task (:meth:`Simulator.call_every`) due at that time, keyed on the
+sequence number of its next task.  A sampling instant therefore costs one
+heap push and one pop however many tasks fire at it, while every task keeps
+its own sequence number and fires exactly where its own event would have.
+The simulator tracks the live (queued, not cancelled) event and task count
+incrementally, which keeps :meth:`Simulator.pending` O(1) and lets
+:meth:`Simulator.peek` lazily discard cancelled heads instead of scanning
+the queue.
 """
 
 from __future__ import annotations
@@ -72,8 +78,33 @@ class Event:
                 f"seq={self.sequence} {self.name!r}{state}>")
 
 
-#: Heap entry layout: comparisons never reach the (incomparable) Event.
-_QueueEntry = Tuple[float, int, int, Event]
+class _Instant:
+    """The periodic tasks due at one time, in sequence order.
+
+    The heap holds one entry per instant, ``(time, 0, sequence, instant)``,
+    keyed on the sequence number of the task at ``head`` (or of an earlier,
+    since cancelled one).  Tasks before ``head`` have fired.
+    """
+
+    __slots__ = ("time", "tasks", "head")
+
+    def __init__(self, time: float, task: "PeriodicTask") -> None:
+        self.time = time
+        self.tasks = [task]
+        self.head = 0
+
+    def first_live(self) -> int:
+        """Index of the first unfired task not cancelled; ``len(tasks)`` if none."""
+        tasks = self.tasks
+        index = self.head
+        while index < len(tasks) and tasks[index]._event.cancelled:
+            index += 1
+        return index
+
+
+#: Heap entry layout: sequence numbers are unique, so comparisons never
+#: reach the (incomparable) Event or _Instant.
+_QueueEntry = Tuple[float, int, int, Any]
 
 
 class Simulator:
@@ -95,6 +126,10 @@ class Simulator:
         self._processes: List["Process"] = []
         self._event_count = 0
         self._live = 0  # queued and not cancelled; kept exact incrementally
+        # The instant of every time some periodic task is queued at, and the
+        # one whose tasks run() is firing (popped, so not in the heap).
+        self._instants: Dict[float, _Instant] = {}
+        self._firing: Optional[_Instant] = None
         # Observability: None unless repro.obs is enabled at construction
         # time, so the disabled hot path pays one attribute check at most.
         self._metrics = kernel_instruments()
@@ -181,13 +216,59 @@ class Simulator:
         start: Optional[float] = None,
         name: str = "",
     ) -> "PeriodicTask":
-        """Run ``callback`` every ``period`` seconds until cancelled."""
-        if period <= 0:
-            raise SimulationError(f"period must be positive, got {period!r}")
+        """Run ``callback`` every ``period`` seconds until cancelled.
+
+        The first call is at ``start`` (default: one period from now).  The
+        kernel calls ``callback`` itself and then requeues the task at
+        ``now + period``, taking its next sequence number at that moment, so
+        each firing orders exactly like an event scheduled by the callback
+        as its last act.  Every firing counts as one event.
+        """
         task = PeriodicTask(self, period, callback, name=name)
         first = self._now + period if start is None else start
-        task.start(first)
+        if not math.isfinite(first):
+            raise SimulationError(f"cannot schedule event at non-finite time {first!r}")
+        if first < self._now:
+            raise SimulationError(
+                f"cannot schedule event in the past (now={self._now}, requested={first})"
+            )
+        self._enqueue(task, float(first))
         return task
+
+    def _enqueue(self, task: "PeriodicTask", time: float) -> None:
+        """Queue ``task`` at ``time`` with a fresh sequence number.
+
+        It joins the instant already due then, or opens one.
+        """
+        event = task._event
+        sequence = next(self._sequence)
+        event.time = time
+        event.sequence = sequence
+        event._in_queue = True
+        self._live += 1
+        instant = self._instants.get(time)
+        if instant is None:
+            instant = self._instants[time] = _Instant(time, task)
+            self._push_instant(instant, sequence)
+        else:
+            instant.tasks.append(task)
+
+    def _push_instant(self, instant: _Instant, sequence: int) -> None:
+        """Put ``instant`` on the heap keyed on ``sequence``; track heap_peak."""
+        queue = self._queue
+        heappush(queue, (instant.time, 0, sequence, instant))
+        metrics = self._metrics
+        if metrics is not None and len(queue) > metrics.heap_peak:
+            metrics.heap_peak = len(queue)
+
+    def _park(self, instant: _Instant) -> None:
+        """Requeue ``instant`` keyed on its next live task, or retire it."""
+        index = instant.first_live()
+        instant.head = index
+        if index == len(instant.tasks):
+            del self._instants[instant.time]
+        else:
+            self._push_instant(instant, instant.tasks[index]._event.sequence)
 
     # --------------------------------------------------------------- running
     # repro-lint: hot
@@ -198,10 +279,14 @@ class Simulator:
         """
         if self._running:
             raise SimulationError("simulator is already running")
+        if until is not None and math.isnan(until):
+            raise SimulationError("cannot run until a NaN time")
         self._running = True
         self._stopped = False
         queue = self._queue
         pop = heappop
+        sequences = self._sequence
+        instants = self._instants
         # Sentinel bounds keep the per-event checks to two comparisons.
         time_bound = math.inf if until is None else until
         count_bound = math.inf if max_events is None else max_events
@@ -226,22 +311,73 @@ class Simulator:
                     self._now = until
                     break
                 pop(queue)
-                event = entry[3]
-                event._in_queue = False
-                if event.cancelled:
+                item = entry[3]
+                if type(item) is not _Instant:
+                    item._in_queue = False
+                    if item.cancelled:
+                        continue
+                    self._live -= 1
+                    self._now = time
+                    self._event_count += 1
+                    if profiler is None:
+                        item.callback()
+                    else:
+                        profiler.dispatch(item)
                     continue
-                self._live -= 1
+                # A periodic instant: fire its tasks in sequence order,
+                # yielding (the instant goes back on the heap, keyed on the
+                # next task) to stop(), max_events, or any entry that sorts
+                # before that task, e.g. an event a callback scheduled now.
                 self._now = time
-                self._event_count += 1
-                if profiler is None:
-                    event.callback()
-                else:
-                    profiler.dispatch(event)
+                self._firing = item
+                tasks = item.tasks
+                index = item.head
+                while index < len(tasks):
+                    task = tasks[index]
+                    event = task._event
+                    if event.cancelled:
+                        index += 1
+                        continue
+                    if (self._stopped or self._event_count >= count_bound
+                            or (queue and queue[0] < (time, 0, event.sequence))):
+                        break
+                    index += 1
+                    item.head = index
+                    event._in_queue = False
+                    self._live -= 1
+                    self._event_count += 1
+                    task.run_count += 1
+                    if profiler is None:
+                        event.callback()
+                    else:
+                        profiler.dispatch(event)
+                    if not event.cancelled:
+                        # _enqueue(task, time + task.period), inlined: this
+                        # is the requeue of every periodic tick.
+                        next_time = time + task.period
+                        sequence = next(sequences)
+                        event.time = next_time
+                        event.sequence = sequence
+                        event._in_queue = True
+                        self._live += 1
+                        instant = instants.get(next_time)
+                        if instant is None:
+                            instant = instants[next_time] = _Instant(next_time, task)
+                            self._push_instant(instant, sequence)
+                        else:
+                            instant.tasks.append(task)
+                self._firing = None
+                self._park(item)
             else:
                 if until is not None and self._now < until:
                     self._now = until
         finally:
             self._running = False
+            firing = self._firing
+            if firing is not None:
+                # A callback raised: the instant's unfired tasks stay queued.
+                self._firing = None
+                self._park(firing)
             if metrics is not None:
                 metrics.flush_run(self._event_count - fired_before,
                                   self._now - sim_before,
@@ -249,18 +385,41 @@ class Simulator:
         return self._now
 
     def step(self) -> bool:
-        """Execute exactly one pending event.  Returns False if none remain."""
+        """Execute exactly one pending event.  Returns False if none remain.
+
+        At a periodic instant that is one task; the rest stay queued.
+        """
         queue = self._queue
         while queue:
             entry = heappop(queue)
-            event = entry[3]
-            event._in_queue = False
-            if event.cancelled:
+            item = entry[3]
+            if type(item) is _Instant:
+                # Re-key the instant on its next live task; it fires only if
+                # it is still the head, and leaves its other tasks queued.
+                self._park(item)
+                if not queue or queue[0][3] is not item:
+                    continue
+                heappop(queue)
+                task = item.tasks[item.head]
+                item.head += 1
+                self._park(item)
+                event = task._event
+                event._in_queue = False
+                self._live -= 1
+                self._now = entry[0]
+                self._event_count += 1
+                task.run_count += 1
+                event.callback()
+                if not event.cancelled:
+                    self._enqueue(task, self._now + task.period)
+                return True
+            item._in_queue = False
+            if item.cancelled:
                 continue
             self._live -= 1
             self._now = entry[0]
             self._event_count += 1
-            event.callback()
+            item.callback()
             return True
         return False
 
@@ -275,16 +434,27 @@ class Simulator:
     def peek(self) -> Optional[float]:
         """Time of the next pending event, or None if the queue is empty.
 
-        Cancelled events sitting at the head are discarded lazily, so a
-        scenario polling ``peek`` in a loop stays O(log n) amortised instead
-        of sorting the queue on every call.
+        Cancelled events and instants whose tasks were all cancelled are
+        discarded lazily at the head, so a scenario polling ``peek`` in a
+        loop stays O(log n) amortised instead of sorting the queue on every
+        call.
         """
+        firing = self._firing
+        if firing is not None and firing.first_live() < len(firing.tasks):
+            return firing.time
         queue = self._queue
         while queue:
             entry = queue[0]
-            if entry[3].cancelled:
+            item = entry[3]
+            if type(item) is _Instant:
+                if item.first_live() < len(item.tasks):
+                    return entry[0]
                 heappop(queue)
-                entry[3]._in_queue = False
+                del self._instants[item.time]
+                continue
+            if item.cancelled:
+                heappop(queue)
+                item._in_queue = False
                 continue
             return entry[0]
         return None
@@ -314,7 +484,15 @@ class Simulator:
 
 
 class PeriodicTask:
-    """A recurring callback managed by :meth:`Simulator.call_every`."""
+    """A recurring callback managed by :meth:`Simulator.call_every`.
+
+    The kernel owns the loop: at each due instant it calls the callback and
+    requeues the task ``period`` seconds later, unless the task was cancelled
+    meanwhile.  The task keeps one :class:`Event` for its whole life; it
+    carries the task's name, callback and current queue position, and is
+    what a profiler's ``dispatch`` receives.  ``run_count`` is the number of
+    times the callback has been called.
+    """
 
     def __init__(
         self,
@@ -323,27 +501,22 @@ class PeriodicTask:
         callback: Callable[[], None],
         name: str = "",
     ) -> None:
+        if not (math.isfinite(period) and period > 0):
+            raise SimulationError(
+                f"period must be positive and finite, got {period!r} for task {name!r}")
         self._simulator = simulator
         self.period = period
-        self._callback = callback
         self.name = name
-        self._event: Optional[Event] = None
+        self._event: Optional[Event] = Event(math.nan, 0, -1, callback, name)
+        self._event._sim = simulator
         self._cancelled = False
         self.run_count = 0
 
-    def start(self, first_time: float) -> None:
-        self._event = self._simulator.schedule_at(first_time, self._tick, name=self.name)
-
-    def _tick(self) -> None:
-        if self._cancelled:
-            return
-        self.run_count += 1
-        self._callback()
-        if not self._cancelled:
-            self._event = self._simulator.schedule(self.period, self._tick, name=self.name)
-
     def cancel(self) -> None:
-        """Stop future executions; an in-flight callback is not interrupted."""
+        """Stop future calls: a queued firing is dropped and none is requeued.
+
+        A callback already running is not interrupted.
+        """
         self._cancelled = True
         if self._event is not None:
             self._event.cancel()

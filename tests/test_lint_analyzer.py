@@ -132,6 +132,19 @@ class TestSelfClean:
         result = run_lint([pkg], load_config(REPO), root=tmp_path)
         assert [(v.rule, v.symbol) for v in result.failing] == [("HOT01", "event")]
 
+    def test_periodic_instant_allocation_is_guarded(self, tmp_path):
+        # Simulator.run is hot-marked and opens an _Instant per new sampling
+        # instant: dropping its __slots__ must fail the lint.
+        kernel_py = (SRC / "repro" / "sim" / "kernel.py").read_text()
+        slots = '    __slots__ = ("time", "tasks", "head")\n'
+        assert kernel_py.count(slots) == 1
+        pkg = tmp_path / "pkg"
+        pkg.mkdir()
+        (pkg / "__init__.py").write_text("")
+        (pkg / "kernel.py").write_text(kernel_py.replace(slots, ""))
+        result = run_lint([pkg], load_config(REPO), root=tmp_path)
+        assert [(v.rule, v.symbol) for v in result.failing] == [("HOT01", "run")]
+
     def test_cli_json_on_src_is_clean(self):
         proc = subprocess.run(
             [sys.executable, "-m", "repro.lint", "src", "--format", "json"],

@@ -14,13 +14,17 @@ import math
 import pytest
 
 from repro.campaign import CampaignSpec
-from repro.campaign.registry import CampaignError
+from repro.campaign.registry import CampaignError, get_scenario
+from repro.core.loop import PCASystemConfig
 from repro.devices.pca_pump import PCAPrescription
 from repro.patient.map_model import ArterialPressureModel
 from repro.patient.model import PatientModel
 from repro.patient.pharmacodynamics import PDParameters, RespiratoryDepressionPD
 from repro.patient.pharmacokinetics import PKParameters, TwoCompartmentPK
 from repro.patient.vitals import VitalSignsModel
+from repro.scenarios.bed_map import BedMapConfig
+from repro.scenarios.home import HomeMonitoringConfig
+from repro.scenarios.proton import ProtonSchedulingConfig
 
 NON_FINITE = (math.nan, math.inf, -math.inf)
 PRESCRIPTION_FIELDS = ("bolus_dose_mg", "lockout_interval_s", "hourly_limit_mg",
@@ -91,3 +95,39 @@ def test_pca_campaign_accepts_finite_prescription_sweeps():
     CampaignSpec(name="doses", scenario="pca",
                  parameters={"bolus_dose_mg": [0.5, 1, 2.0], "basal_rate_mg_per_hr": 0},
                  cohort_size=2).validate()
+
+
+DURATION_SCENARIOS = ("pca", "ward", "bed_map", "proton", "home")
+
+
+@pytest.mark.parametrize("scenario", DURATION_SCENARIOS)
+def test_campaign_rejects_non_finite_duration(scenario):
+    # A NaN horizon passed every `<= 0` check and then hung the run: the
+    # kernel's `time > until` is never true for until=NaN.
+    for value in (math.nan, math.inf, [600.0, math.nan], 0.0, "600"):
+        spec = CampaignSpec(name="nan-duration", scenario=scenario, parameters={"duration_s": value})
+        with pytest.raises(CampaignError, match="duration_s"):
+            spec.validate()
+
+
+@pytest.mark.parametrize("scenario", DURATION_SCENARIOS)
+def test_campaign_accepts_finite_duration_sweeps(scenario):
+    CampaignSpec(name="durations", scenario=scenario,
+                 parameters={"duration_s": [600.0, 1200]}).validate()
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_scenario_configs_reject_non_finite_duration(bad):
+    for config in (PCASystemConfig(duration_s=bad), BedMapConfig(duration_s=bad),
+                   ProtonSchedulingConfig(duration_s=bad), HomeMonitoringConfig(duration_s=bad)):
+        with pytest.raises(ValueError, match="duration_s must be finite and positive"):
+            config.validate()
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_ward_runner_rejects_non_finite_duration(bad):
+    scenario = get_scenario("ward")
+    params = scenario.resolved_params({})
+    params["duration_s"] = bad
+    with pytest.raises(ValueError, match="^duration_s must be finite and positive"):
+        scenario.runner(params, 1)

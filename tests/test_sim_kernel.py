@@ -1,6 +1,7 @@
 """Tests for the discrete-event simulation kernel."""
 
 import json
+import math
 
 import pytest
 
@@ -236,6 +237,26 @@ class TestPeriodicTasks:
     def test_zero_period_rejected(self, simulator):
         with pytest.raises(SimulationError):
             simulator.call_every(0.0, lambda: None)
+
+    @pytest.mark.parametrize("period", (math.nan, math.inf, -math.inf, -1.0))
+    def test_non_finite_or_negative_period_rejected_at_creation(self, simulator, period):
+        # A NaN period used to be accepted: the first tick ran, then the
+        # reschedule died mid-run.  The kernel requeues tasks itself now, so
+        # the period is checked once, when the task is created.
+        with pytest.raises(SimulationError, match="for task 'sampler'"):
+            simulator.call_every(period, lambda: None, start=0.0, name="sampler")
+        assert simulator.pending() == 0
+
+    def test_run_until_nan_rejected(self, simulator):
+        # `time > nan` is always False, so a NaN bound never ended the run.
+        simulator.call_every(1.0, lambda: None)
+        with pytest.raises(SimulationError, match="NaN"):
+            simulator.run(until=math.nan, max_events=10)
+        assert simulator.event_count == 0
+
+    def test_run_until_inf_is_unbounded(self, simulator):
+        simulator.call_every(1.0, lambda: None)
+        assert simulator.run(until=math.inf, max_events=10) == 10.0
 
 
 class _CountingProcess(Process):

@@ -165,6 +165,15 @@ class TestStepHostSemantics:
         with pytest.raises(SimulationError, match="period must be positive"):
             host.attach_app(_StepRecorder("app", 0.0))
 
+    @pytest.mark.parametrize("period", (math.nan, math.inf))
+    def test_non_finite_period_rejected(self, period):
+        simulator = Simulator()
+        host = SupervisorHost(DeviceBus(simulator, BusConfig()))
+        simulator.register(host)
+        with pytest.raises(SimulationError, match="period must be positive and finite"):
+            host.attach_app(_StepRecorder("app", period))
+        assert simulator.pending() == 0
+
 
 class TestClosedLoopEventCount:
     def test_one_supervisor_event_per_step(self, monkeypatch):
