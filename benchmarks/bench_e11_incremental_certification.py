@@ -66,7 +66,7 @@ UPGRADES = [
 ]
 
 
-def test_e11_incremental_certification(benchmark):
+def test_e11_incremental_certification():
     def _plan_all():
         rows = []
         for name, components in UPGRADES:
@@ -77,7 +77,7 @@ def test_e11_incremental_certification(benchmark):
             rows.append((name, plan))
         return rows
 
-    rows = benchmark.pedantic(_plan_all, rounds=3, iterations=1)
+    rows = _plan_all()
 
     table = Table(
         "E11: incremental vs full re-certification cost per upgrade",

@@ -35,8 +35,8 @@ def _all_modes():
     return rows
 
 
-def test_e3_xray_ventilator_coordination(benchmark):
-    rows = benchmark.pedantic(_all_modes, rounds=1, iterations=1)
+def test_e3_xray_ventilator_coordination():
+    rows = _all_modes()
 
     table = Table(
         "E3: X-ray/ventilator coordination modes",

@@ -97,11 +97,9 @@ def _simulate_cohort(design, seed=77):
     }
 
 
-def test_e4_smart_alarms(benchmark):
+def test_e4_smart_alarms():
     designs = ("fixed", "adaptive", "smart")
-    results = benchmark.pedantic(
-        lambda: {design: _simulate_cohort(design) for design in designs}, rounds=1, iterations=1
-    )
+    results = {design: _simulate_cohort(design) for design in designs}
 
     table = Table(
         "E4: false-alarm reduction from adaptive thresholds and multivariate correlation",

@@ -24,8 +24,8 @@ def _sweep():
     return rows
 
 
-def test_e5_bed_map_context(benchmark):
-    rows = benchmark.pedantic(_sweep, rounds=1, iterations=1)
+def test_e5_bed_map_context():
+    rows = _sweep()
 
     table = Table(
         "E5: MAP false alarms vs bed moves, with and without context awareness",

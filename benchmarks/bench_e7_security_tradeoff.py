@@ -64,7 +64,7 @@ def _closed_loop_effectiveness(posture):
     return system._collect(), policy
 
 
-def test_e7_security_tradeoff(benchmark):
+def test_e7_security_tradeoff():
     def _run_all():
         rows = []
         for posture in POSTURES:
@@ -74,7 +74,7 @@ def test_e7_security_tradeoff(benchmark):
             rows.append((posture, campaign, loop_result, surface))
         return rows
 
-    rows = benchmark.pedantic(_run_all, rounds=1, iterations=1)
+    rows = _run_all()
 
     table = Table(
         "E7: security posture vs attack success and closed-loop capability",

@@ -74,7 +74,7 @@ def _seed_defects():
     return variants
 
 
-def test_e9_workflow_analysis(benchmark):
+def test_e9_workflow_analysis():
     variants = _seed_defects()
 
     def _analyse_all():
@@ -83,7 +83,7 @@ def test_e9_workflow_analysis(benchmark):
             for name, scenario, alphabet, registry, expected in variants
         ]
 
-    analysed = benchmark.pedantic(_analyse_all, rounds=3, iterations=1)
+    analysed = _analyse_all()
 
     table = Table(
         "E9: static workflow analysis on a defect-seeded scenario corpus",

@@ -27,8 +27,8 @@ def _run_control_loop():
     return system, result
 
 
-def test_fig1_control_loop(benchmark):
-    system, result = benchmark.pedantic(_run_control_loop, rounds=1, iterations=1)
+def test_fig1_control_loop():
+    system, result = _run_control_loop()
 
     budget = loop_delay_budget(
         sensor_sample_period_s=system.config.oximeter.sample_period_s,

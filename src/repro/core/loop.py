@@ -71,8 +71,11 @@ class PCASystemConfig:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if not (math.isfinite(self.duration_s) and self.duration_s > 0):
             raise ValueError(f"duration_s must be finite and positive, got {self.duration_s!r}")
-        if self.button_press_period_s <= 0:
-            raise ValueError("button_press_period_s must be positive")
+        if not (math.isfinite(self.button_press_period_s) and self.button_press_period_s > 0):
+            raise ValueError(
+                f"button_press_period_s must be finite and positive, got {self.button_press_period_s!r}")
+        if not math.isfinite(self.alarm_spo2_threshold):
+            raise ValueError(f"alarm_spo2_threshold must be finite, got {self.alarm_spo2_threshold!r}")
         self.prescription.validate()
         self.supervisor.validate()
         self.caregiver.validate()

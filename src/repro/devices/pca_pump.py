@@ -93,8 +93,8 @@ class PCAPump(MedicalDevice):
         super().__init__(descriptor, trace=trace)
         prescription = prescription or PCAPrescription()
         prescription.validate()
-        if command_delay_s < 0:
-            raise ValueError("command_delay_s must be non-negative")
+        if not (math.isfinite(command_delay_s) and command_delay_s >= 0):
+            raise ValueError(f"command_delay_s must be finite and non-negative, got {command_delay_s!r}")
         self.patient = patient
         self.prescription = prescription
         self.programmed_prescription = prescription

@@ -264,6 +264,13 @@ def _validate_pca_campaign(spec) -> None:
                 raise CampaignError(
                     f"prescription parameter {key!r} must be finite, got {candidate!r}"
                 )
+    periods = spec.parameters.get("button_press_period_s", [])
+    for period in periods if isinstance(periods, list) else (periods,):
+        if (isinstance(period, bool) or not isinstance(period, (int, float))
+                or not (math.isfinite(period) and period > 0)):
+            raise CampaignError(
+                f"parameter 'button_press_period_s' must be a finite positive number, got {period!r}"
+            )
     if spec.cohort_size > 0:
         return
     shaped = [key for key in ("sensitive_fraction", "athlete_fraction")

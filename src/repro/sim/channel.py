@@ -178,9 +178,15 @@ class Channel:
 
     # ---------------------------------------------------------------- outages
     def add_outage(self, start: float, end: float) -> None:
-        """Drop every message sent while ``start <= now < end`` (scripted fault)."""
-        if end <= start:
-            raise ValueError("outage end must be after start")
+        """Drop every message sent while ``start <= now < end`` (scripted fault).
+
+        ``start`` must be finite; ``end`` may be infinite (the link never
+        comes back).
+        """
+        if not math.isfinite(start):
+            raise ValueError(f"outage start must be finite, got {start!r}")
+        if not end > start:
+            raise ValueError(f"outage end must be after start, got start={start!r}, end={end!r}")
         self._outages.append((start, end))
 
     def in_outage(self, time: float) -> bool:

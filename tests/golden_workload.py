@@ -6,8 +6,15 @@ golden_traces.json``) and every future kernel must reproduce them exactly —
 same ``(time, priority, sequence)`` execution order, same ``pending()`` /
 ``peek()`` observations, same scenario result bytes.
 
-Only public API is used, so the workloads themselves never need to change
-when kernel internals do.
+Each golden campaign also pins its exact work counters (``work_counters``):
+kernel events per owner, the heap peak, channel traffic per hop, bus
+traffic and trace samples.  They are box-independent, so extra work fails
+the goldens even when it changes no result byte and no wall-clock gate
+would notice it.
+
+The workloads use only public API, so they never need to change when
+kernel internals do; the counter capture patches two methods for the
+duration of one run and puts them back.
 """
 
 from __future__ import annotations
@@ -15,8 +22,9 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Dict
+from typing import Any, Dict, Iterator, Tuple
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_traces.json"
 
@@ -271,6 +279,110 @@ def campaign_results_digest(scenario_key: str, directory) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+class _OwnerCounts:
+    """Profiler-protocol dispatcher: counts each kernel event under its owner.
+
+    The owner is ``repro.obs.profiler.owner_of(event.name)``, except that
+    channel owners are grouped by hop (``channel:uplink``), so a counter
+    does not depend on how many devices a scenario wires.
+    """
+
+    def __init__(self) -> None:
+        self.counts: Dict[str, int] = {}
+        self._owners: Dict[str, str] = {}
+
+    @staticmethod
+    def owner(name: str) -> str:
+        from repro.obs.profiler import owner_of
+
+        owner = owner_of(name)
+        if owner.startswith("channel:"):
+            return "channel:" + owner[len("channel:"):].split(":", 1)[0]
+        return owner
+
+    def dispatch(self, event) -> None:
+        owner = self._owners.get(event.name)
+        if owner is None:
+            owner = self._owners[event.name] = self.owner(event.name)
+        self.counts[owner] = self.counts.get(owner, 0) + 1
+        event.callback()
+
+
+@contextmanager
+def counting_work() -> Iterator[Dict[str, Any]]:
+    """Count the work of every simulator run inside the ``with`` block.
+
+    Yields a dict that is filled in when the block exits without raising.
+    For the duration of the block, observability is on and feeds a fresh
+    ``repro.obs`` registry and span tracer, every ``Simulator.run`` attaches
+    an owner-counting dispatcher, and every new ``Channel`` counts its
+    traffic under its hop (the part of its name before the first ``:``).
+    The switch, the default registry and tracer, ``Simulator.run`` and
+    ``Channel.__init__`` are restored on exit, raise or not, so code
+    outside the block runs exactly as uninstrumented as before.
+    """
+    from repro.obs import metrics, spans
+    from repro.sim.channel import Channel
+    from repro.sim.kernel import Simulator
+
+    dispatcher = _OwnerCounts()
+    hops: Dict[str, Any] = {}
+    run = Simulator.__dict__["run"]
+    init = Channel.__dict__["__init__"]
+
+    def run_counted(self, *args, **kwargs):
+        self.attach_profiler(dispatcher)
+        return run(self, *args, **kwargs)
+
+    def init_per_hop(self, simulator, name, *args, **kwargs):
+        init(self, simulator, name, *args, **kwargs)
+        hop = name.split(":", 1)[0]
+        if hop not in hops:
+            hops[hop] = metrics.MetricsRegistry()
+        self._obs = metrics.ChannelInstruments(hops[hop])
+
+    was_enabled = metrics.enabled()
+    saved_registry, saved_tracer = metrics._DEFAULT_REGISTRY, spans._DEFAULT_TRACER
+    registry = metrics._DEFAULT_REGISTRY = metrics.MetricsRegistry()
+    spans._DEFAULT_TRACER = spans.SpanTracer()
+    metrics.enable()
+    Simulator.run = run_counted
+    Channel.__init__ = init_per_hop
+    counters: Dict[str, Any] = {}
+    try:
+        yield counters
+
+        def value(reg, name: str) -> int:
+            metric = reg.get(name)
+            return 0 if metric is None else int(metric.value)
+
+        fired = value(registry, "kernel.events_fired")
+        assert sum(dispatcher.counts.values()) == fired, "an event bypassed the dispatcher"
+        counters.update({
+            "kernel.events": dict(sorted(dispatcher.counts.items())),
+            "kernel.heap_peak": value(registry, "kernel.heap_peak"),
+            "channel": {hop: {field: value(hops[hop], f"channel.{field}")
+                              for field in ("sent", "delivered", "dropped")}
+                        for hop in sorted(hops)},
+            "bus": {field: value(registry, f"bus.{field}")
+                    for field in ("published", "forwarded", "commands")},
+            "sampler.flushed_samples": value(registry, "sampler.flushed_samples"),
+        })
+    finally:
+        Simulator.run = run
+        Channel.__init__ = init
+        metrics._DEFAULT_REGISTRY, spans._DEFAULT_TRACER = saved_registry, saved_tracer
+        if not was_enabled:
+            metrics.disable()
+
+
+def campaign_capture(scenario_key: str, directory) -> Tuple[str, Dict[str, Any]]:
+    """One golden campaign's ``results.jsonl`` digest and work counters, from one run."""
+    with counting_work() as counters:
+        digest = campaign_results_digest(scenario_key, directory)
+    return digest, counters
+
+
 def capture() -> Dict[str, Any]:
     """Compute the full golden payload (used by the capture script)."""
     import tempfile
@@ -280,10 +392,11 @@ def capture() -> Dict[str, Any]:
         "bus_workload": bus_workload(),
         "pca_system": pca_system_probe(),
         "campaigns": {},
+        "work_counters": {},
     }
     for key in SCENARIO_SPECS:
         with tempfile.TemporaryDirectory() as tmp:
-            golden["campaigns"][key] = campaign_results_digest(key, tmp)
+            golden["campaigns"][key], golden["work_counters"][key] = campaign_capture(key, tmp)
     return golden
 
 

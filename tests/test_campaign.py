@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from golden_workload import GOLDEN_PATH, SCENARIO_SPECS
+from golden_workload import GOLDEN_PATH, SCENARIO_SPECS, campaign_capture
 
 from repro.campaign import (
     CampaignEngine,
@@ -347,6 +347,15 @@ class TestGoldenScenarioTraces:
         run_campaign(spec, workers=1, directory=tmp_path)
         digest = hashlib.sha256((tmp_path / "results.jsonl").read_bytes()).hexdigest()
         assert digest == golden[scenario_key]
+
+    @pytest.mark.parametrize("scenario_key", sorted(SCENARIO_SPECS))
+    def test_campaign_work_counters_match_golden(self, scenario_key, golden, tmp_path):
+        # Exact, box-independent work: an extra kernel event or message
+        # copy fails here even when no result byte moves.  The counted run
+        # must also reproduce the result bytes.
+        digest, counters = campaign_capture(scenario_key, tmp_path)
+        assert digest == golden[scenario_key]
+        assert counters == json.loads(GOLDEN_PATH.read_text())["work_counters"][scenario_key]
 
     def test_parallel_buffered_results_match_seed_bytes(self, golden, tmp_path):
         # The perf knobs (pool initializer, buffered flushes) must not leak

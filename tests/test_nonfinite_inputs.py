@@ -15,8 +15,8 @@ import pytest
 
 from repro.campaign import CampaignSpec
 from repro.campaign.registry import CampaignError, get_scenario
-from repro.core.loop import PCASystemConfig
-from repro.devices.pca_pump import PCAPrescription
+from repro.core.loop import ClosedLoopPCASystem, PCASystemConfig
+from repro.devices.pca_pump import PCAPrescription, PCAPump
 from repro.patient.map_model import ArterialPressureModel
 from repro.patient.model import PatientModel
 from repro.patient.pharmacodynamics import PDParameters, RespiratoryDepressionPD
@@ -25,6 +25,8 @@ from repro.patient.vitals import VitalSignsModel
 from repro.scenarios.bed_map import BedMapConfig
 from repro.scenarios.home import HomeMonitoringConfig
 from repro.scenarios.proton import ProtonSchedulingConfig
+from repro.sim.channel import Channel
+from repro.sim.kernel import Simulator
 
 NON_FINITE = (math.nan, math.inf, -math.inf)
 PRESCRIPTION_FIELDS = ("bolus_dose_mg", "lockout_interval_s", "hourly_limit_mg",
@@ -93,7 +95,8 @@ def test_pca_campaign_rejects_non_finite_prescription(name, cohort_size):
 
 def test_pca_campaign_accepts_finite_prescription_sweeps():
     CampaignSpec(name="doses", scenario="pca",
-                 parameters={"bolus_dose_mg": [0.5, 1, 2.0], "basal_rate_mg_per_hr": 0},
+                 parameters={"bolus_dose_mg": [0.5, 1, 2.0], "basal_rate_mg_per_hr": 0,
+                             "button_press_period_s": [300.0, 600]},
                  cohort_size=2).validate()
 
 
@@ -131,3 +134,51 @@ def test_ward_runner_rejects_non_finite_duration(bad):
     params["duration_s"] = bad
     with pytest.raises(ValueError, match="^duration_s must be finite and positive"):
         scenario.runner(params, 1)
+
+
+# A NaN press period became a 30 s one (``max(30.0, normal(nan, ...))`` is
+# 30.0), an infinite one failed every run inside the kernel, and ``true``
+# was taken for 1 s.
+@pytest.mark.parametrize("value", (math.nan, math.inf, True, [420.0, math.nan], [math.inf], [300.0, True]))
+def test_pca_campaign_rejects_bad_button_press_period(value):
+    spec = CampaignSpec(name="press", scenario="pca", parameters={"button_press_period_s": value})
+    with pytest.raises(CampaignError, match="button_press_period_s"):
+        spec.validate()
+
+
+@pytest.mark.parametrize("bad", (math.nan, math.inf))
+def test_pca_config_requires_finite_button_press_period(bad):
+    with pytest.raises(ValueError, match="button_press_period_s must be finite and positive"):
+        PCASystemConfig(button_press_period_s=bad).validate()
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_pca_system_rejects_non_finite_alarm_threshold(bad):
+    # A NaN threshold passed unchecked and the monitored relay never alarmed.
+    with pytest.raises(ValueError, match="alarm_spo2_threshold"):
+        ClosedLoopPCASystem(PCASystemConfig(mode="open_loop_monitored", alarm_spo2_threshold=bad))
+
+
+@pytest.mark.parametrize("bad", (math.nan, math.inf))
+def test_pump_rejects_non_finite_command_delay(bad):
+    # A NaN delay passed `< 0` and the first stop raised inside the kernel.
+    with pytest.raises(ValueError, match="command_delay_s"):
+        PCAPump("pca-pump-1", PatientModel(), command_delay_s=bad)
+
+
+def test_channel_rejects_nan_outage_start():
+    channel = Channel(Simulator(), "uplink:dev-a")
+    with pytest.raises(ValueError, match="outage start"):
+        channel.add_outage(math.nan, 5.0)
+    assert channel.deterministic
+
+
+def test_channel_rejects_nan_outage_end():
+    # Accepted, the outage never applied, and the link still left the
+    # deterministic route.
+    channel = Channel(Simulator(), "uplink:dev-a")
+    with pytest.raises(ValueError, match="outage end"):
+        channel.add_outage(1.0, math.nan)
+    assert channel.deterministic
+    channel.add_outage(1.0, math.inf)
+    assert channel.in_outage(1e9)

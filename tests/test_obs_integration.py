@@ -25,11 +25,15 @@ from repro.campaign.cli import main as campaign_main
 from repro.obs import metrics as obsm
 from repro.obs.export import read_snapshot
 from repro.obs.spans import tracer
+from repro.sim.channel import Channel
+from repro.sim.kernel import Simulator
 
 from golden_workload import (
     GOLDEN_PATH,
     SCENARIO_SPECS,
+    campaign_capture,
     campaign_results_digest,
+    counting_work,
     kernel_workload,
     pca_system_probe,
 )
@@ -94,6 +98,49 @@ class TestGoldenInvariance:
             self, scenario_key, obs_on, tmp_path):
         digest = campaign_results_digest(scenario_key, tmp_path)
         assert digest == golden()["campaigns"][scenario_key]
+
+
+class TestWorkCounterCapture:
+    """The golden work-counter capture instruments only its own block."""
+
+    @staticmethod
+    def _state():
+        return (obsm.enabled(), obsm.registry(), tracer(),
+                Simulator.__dict__["run"], Channel.__dict__["__init__"])
+
+    @staticmethod
+    def _assert_restored(before):
+        after = TestWorkCounterCapture._state()
+        assert after[0] == before[0]
+        assert all(now is then for now, then in zip(after[1:], before[1:]))
+
+    @pytest.mark.parametrize("switch", ["obs_on", "obs_off"])
+    def test_capture_leaves_no_trace(self, switch, request, tmp_path):
+        request.getfixturevalue(switch)
+        before = self._state()
+        snapshot = obsm.registry().snapshot()
+        spans = list(tracer().spans)
+        digest, counters = campaign_capture("pca_faulted", tmp_path / "run")
+        self._assert_restored(before)
+        assert obsm.registry().snapshot() == snapshot
+        assert tracer().spans == spans
+        # The same counters whether or not observability was already on.
+        assert digest == golden()["campaigns"]["pca_faulted"]
+        assert counters == golden()["work_counters"]["pca_faulted"]
+        # What is built afterwards is instrumented only if the switch says so.
+        sim = Simulator()
+        channel = Channel(sim, "uplink:after")
+        sim.schedule(1.0, lambda: None)
+        sim.run()
+        assert sim._profiler is None
+        assert (channel._obs is None) == (switch == "obs_off")
+
+    def test_capture_restores_state_when_the_block_raises(self):
+        before = self._state()
+        with pytest.raises(RuntimeError, match="inside the block"):
+            with counting_work():
+                raise RuntimeError("inside the block")
+        self._assert_restored(before)
 
 
 #: Wall-clock-derived metric names whose *values* legitimately vary run to
