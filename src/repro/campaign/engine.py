@@ -18,10 +18,16 @@ Workers receive the full payload list **once**, through the pool
 initializer, and are handed a bare list index per run -- so per-run IPC is
 a single integer each way plus the outcome, and nothing unpicklable crosses
 the process boundary.
+
+A process executing runs holds one run's object graph at a time: what was
+alive when execution started is frozen out of the collector's reach
+(:func:`gc.freeze`), and :func:`_reclaim_run` frees each finished run's
+reference cycles before the next run starts.
 """
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 import os
 import traceback
@@ -51,6 +57,21 @@ from repro.obs import metrics as obs_metrics
 from repro.obs.spans import tracer as obs_tracer
 
 ProgressCallback = Callable[[int, int, Dict[str, Any]], None]
+
+
+def _reclaim_run() -> None:
+    """Free the reference cycles the run that just finished left behind.
+
+    A finished run's simulator, processes, trace writers and bus closures
+    reference each other, so refcounting cannot free them; left to the
+    collector's own schedule, dead runs pile up until its next full pass.
+    Collecting at every run boundary keeps one run alive at a time.  The
+    objects alive when execution began are frozen, so this walks only what
+    was created since.  No module defines ``__del__`` or a weakref callback
+    (``tests/test_campaign_memory.py`` guards this), so when the collector
+    runs cannot change a result.
+    """
+    gc.collect()
 
 
 def _run_scenario(scenario, manifest: RunManifest) -> Dict[str, Any]:
@@ -162,6 +183,9 @@ def _pool_initializer(
     _resilience._mark_worker()
     if obs_on:
         obs_metrics.enable()
+    # Everything alive now (imports, the payload table) outlives every run:
+    # keep it out of the per-run collections.
+    gc.freeze()
 
 
 def _write_worker_shard() -> None:
@@ -202,6 +226,7 @@ def _worker(index: int) -> Outcome:
                                        on_retry=_note_retry)
     finally:
         _WORKER_HEARTBEAT.finish(index)
+    _reclaim_run()
     _write_worker_shard()
     return outcome
 
@@ -331,8 +356,9 @@ class CampaignEngine:
         errors: List[Dict[str, Any]] = []
         self._dispatch_stats = {}
         wall_before = perf_counter() if self.metrics_out is not None else 0.0
+        outcomes = self._execute(pending)
         try:
-            for kind, record, attempts in self._execute(pending):
+            for kind, record, attempts in outcomes:
                 if kind == OK:
                     completed[record["run_index"]] = record
                     if self.store is not None:
@@ -360,7 +386,10 @@ class CampaignEngine:
                 records = [completed[index] for index in sorted(completed)]
         finally:
             # Deterministic shutdown: buffered appends reach disk even when a
-            # run raises mid-campaign (resume then sees every finished run).
+            # run raises mid-campaign (resume then sees every finished run),
+            # and closing the outcome generator restores the collector state
+            # and tears down the pool before the error propagates.
+            outcomes.close()
             if self.store is not None:
                 self.store.close()
         worker_restarts = self._dispatch_stats.get("worker_restarts", 0)
@@ -393,9 +422,20 @@ class CampaignEngine:
     def _execute(self, pending: List[RunManifest]) -> Iterator[Outcome]:
         """Yield one :data:`Outcome` tuple per pending run."""
         if self.workers == 1 or len(pending) <= 1:
-            for manifest in pending:
-                yield execute_with_capture(manifest, self.resilience.retry,
-                                           on_retry=_note_retry)
+            # Freezing is O(1); a collection here would walk the caller's
+            # whole heap.  A caller that froze its own objects keeps them so.
+            froze = gc.get_freeze_count() == 0
+            if froze:
+                gc.freeze()
+            try:
+                for manifest in pending:
+                    outcome = execute_with_capture(
+                        manifest, self.resilience.retry, on_retry=_note_retry)
+                    _reclaim_run()
+                    yield outcome
+            finally:
+                if froze:
+                    gc.unfreeze()
             return
         # Payloads ship once via the initializer; each dispatch carries a
         # bare index.  Outcomes arrive in completion order; ordering is

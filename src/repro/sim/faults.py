@@ -29,6 +29,11 @@ FAULT_KINDS = (
     "custom",               # arbitrary callable
 )
 
+#: Kinds that last ``duration`` seconds.  A zero extent is rejected: an
+#: outage needs an end after its start, and a stuck sensor with no end
+#: would stay frozen for the rest of the run.
+EXTENT_KINDS = ("channel_outage", "stuck_sensor")
+
 
 @dataclass
 class FaultSpec:
@@ -39,7 +44,8 @@ class FaultSpec:
     start:
         Simulated time at which the fault begins.
     duration:
-        For faults with an extent (outages, stuck sensors); 0 for point faults.
+        For faults with an extent (:data:`EXTENT_KINDS`) it must be
+        positive; 0 for point faults.
     target:
         Name of the channel/device the fault applies to.
     parameters:
@@ -61,6 +67,9 @@ class FaultSpec:
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"fault {name} must be finite and non-negative, got {value!r}")
+        if self.kind in EXTENT_KINDS and self.duration == 0:
+            raise ValueError(
+                f"fault duration must be positive for a {self.kind} fault, got 0")
 
     @property
     def end(self) -> float:
@@ -256,8 +265,7 @@ class FaultInjector:
                 "(missing freeze/unfreeze hooks)"
             )
         freeze()
-        if spec.duration > 0:
-            self.simulator.schedule_at(spec.end, unfreeze, name=f"fault:unfreeze:{spec.target}")
+        self.simulator.schedule_at(spec.end, unfreeze, name=f"fault:unfreeze:{spec.target}")
 
     def _call_device(self, spec: FaultSpec, hook: str, parameters: Optional[Dict[str, Any]] = None) -> None:
         device = self._require_device(spec)

@@ -542,6 +542,17 @@ class TestFaultSweepSpecs:
         with pytest.raises(CampaignError, match=f"faults\\[0\\] does not compile: fault {field}"):
             spec.expand()
 
+    def test_zero_duration_outage_in_a_sweep_is_a_spec_error(self):
+        # Regression: the 0.0 grid point expanded, and its run then failed
+        # at the fault instant instead of the spec failing before any run.
+        spec = self.outage_spec(
+            faults=[{"kind": "channel_outage", "start": 20.0,
+                     "duration": [0.0, 30.0],
+                     "target": "uplink:pulse-ox-1"}])
+        with pytest.raises(CampaignError, match=(
+                r"faults\[0\] does not compile: fault duration .*channel_outage")):
+            spec.expand()
+
     def test_as_dict_roundtrip_carries_faults(self):
         spec = self.outage_spec()
         clone = CampaignSpec.from_dict(json.loads(json.dumps(spec.as_dict())))

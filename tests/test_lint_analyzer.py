@@ -101,10 +101,15 @@ class TestRuleFixtures:
         assert fixture_result.hot_functions == 6
 
 
+@pytest.fixture(scope="module")
+def src_lint():
+    """One analysis of all of ``src``, shared by the self-clean checks."""
+    return run_lint([SRC], load_config(REPO), root=REPO)
+
+
 class TestSelfClean:
-    def test_src_is_clean_with_zero_suppressions_in_core(self):
-        config = load_config(REPO)
-        result = run_lint([SRC], config, root=REPO)
+    def test_src_is_clean_with_zero_suppressions_in_core(self, src_lint):
+        result = src_lint
         assert result.failing == []
         assert result.exit_code == 0
         core = [
@@ -113,10 +118,8 @@ class TestSelfClean:
         ]
         assert core == []  # the simulation core earns a clean pass outright
 
-    def test_hot_paths_are_marked_in_src(self):
-        config = load_config(REPO)
-        result = run_lint([SRC], config, root=REPO)
-        assert result.hot_functions >= 12
+    def test_hot_paths_are_marked_in_src(self, src_lint):
+        assert src_lint.hot_functions >= 12
 
     def test_trace_event_log_allocation_is_guarded(self, tmp_path):
         # TraceRecorder.event is hot-marked: logging a TracePoint per event

@@ -240,6 +240,14 @@ class TestFaultSpec:
         with pytest.raises(ValueError):
             FaultSpec(kind="channel_outage", start=0.0, duration=-1.0)
 
+    @pytest.mark.parametrize("kind", ["channel_outage", "stuck_sensor"])
+    def test_zero_duration_extent_fault_rejected(self, kind):
+        # Regression: a zero-length outage failed at its fault instant
+        # ("outage end must be after start") and a zero-length stuck sensor
+        # stayed frozen for the rest of the run.
+        with pytest.raises(ValueError, match=f"fault duration .*{kind}"):
+            FaultSpec(kind=kind, start=1.0, duration=0.0, target="x")
+
     def test_end_property(self):
         spec = FaultSpec(kind="channel_outage", start=2.0, duration=3.0)
         assert spec.end == 5.0
