@@ -73,9 +73,6 @@ class AlarmFatigueModel:
         probability = self.parameters.base_response_probability * attention
         return max(self.parameters.floor, float(probability))
 
-    def expected_missed_fraction(self, time: float) -> float:
-        return 1.0 - self.response_probability(time)
-
     def simulate_responses(
         self,
         alarm_times: List[Tuple[float, bool]],

@@ -88,10 +88,6 @@ class ThresholdAlarm:
         self._violation_start: Dict[int, Optional[float]] = {i: None for i in range(len(self.rules))}
         self._last_alarm_time: Dict[int, float] = {}
 
-    def add_rule(self, rule: ThresholdRule) -> None:
-        self.rules.append(rule)
-        self._violation_start[len(self.rules) - 1] = None
-
     def observe(self, time: float, vital: str, value: float) -> List[AlarmEvent]:
         """Feed one observation; returns any alarms raised by it."""
         raised: List[AlarmEvent] = []

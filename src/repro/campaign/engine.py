@@ -21,8 +21,9 @@ the process boundary.
 
 A process executing runs holds one run's object graph at a time: what was
 alive when execution started is frozen out of the collector's reach
-(:func:`gc.freeze`), and :func:`_reclaim_run` frees each finished run's
-reference cycles before the next run starts.
+(:func:`gc.freeze`), and each finished run's reference cycles are freed
+before the next run starts (:func:`~repro.campaign.resilience.execute_serially`
+in the parent, :func:`_worker` in a pool worker).
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from repro.campaign.resilience import (
     ResilienceConfig,
     ResilientDispatcher,
     RetryPolicy,
+    execute_serially,
     execute_with_capture,
 )
 from repro.campaign.sharding import ShardSelector
@@ -57,21 +59,6 @@ from repro.obs import metrics as obs_metrics
 from repro.obs.spans import tracer as obs_tracer
 
 ProgressCallback = Callable[[int, int, Dict[str, Any]], None]
-
-
-def _reclaim_run() -> None:
-    """Free the reference cycles the run that just finished left behind.
-
-    A finished run's simulator, processes, trace writers and bus closures
-    reference each other, so refcounting cannot free them; left to the
-    collector's own schedule, dead runs pile up until its next full pass.
-    Collecting at every run boundary keeps one run alive at a time.  The
-    objects alive when execution began are frozen, so this walks only what
-    was created since.  No module defines ``__del__`` or a weakref callback
-    (``tests/test_campaign_memory.py`` guards this), so when the collector
-    runs cannot change a result.
-    """
-    gc.collect()
 
 
 def _run_scenario(scenario, manifest: RunManifest) -> Dict[str, Any]:
@@ -226,7 +213,7 @@ def _worker(index: int) -> Outcome:
                                        on_retry=_note_retry)
     finally:
         _WORKER_HEARTBEAT.finish(index)
-    _reclaim_run()
+    _resilience._reclaim_run()
     _write_worker_shard()
     return outcome
 
@@ -422,20 +409,8 @@ class CampaignEngine:
     def _execute(self, pending: List[RunManifest]) -> Iterator[Outcome]:
         """Yield one :data:`Outcome` tuple per pending run."""
         if self.workers == 1 or len(pending) <= 1:
-            # Freezing is O(1); a collection here would walk the caller's
-            # whole heap.  A caller that froze its own objects keeps them so.
-            froze = gc.get_freeze_count() == 0
-            if froze:
-                gc.freeze()
-            try:
-                for manifest in pending:
-                    outcome = execute_with_capture(
-                        manifest, self.resilience.retry, on_retry=_note_retry)
-                    _reclaim_run()
-                    yield outcome
-            finally:
-                if froze:
-                    gc.unfreeze()
+            yield from execute_serially(pending, self.resilience.retry,
+                                        on_retry=_note_retry)
             return
         # Payloads ship once via the initializer; each dispatch carries a
         # bare index.  Outcomes arrive in completion order; ordering is

@@ -32,6 +32,7 @@ isolating :class:`ResilienceConfig` quarantines it and carries on.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import os
 import queue
@@ -41,7 +42,7 @@ import time
 import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.campaign.registry import CampaignError
 from repro.campaign.spec import RunManifest
@@ -309,6 +310,49 @@ def execute_with_capture(
                     attempts)
 
 
+def _reclaim_run() -> None:
+    """Free the reference cycles the run that just finished left behind.
+
+    A finished run's simulator, processes, trace writers and bus closures
+    reference each other, so refcounting cannot free them; left to the
+    collector's own schedule, dead runs pile up until its next full pass.
+    Collecting at every run boundary keeps one run alive at a time.  The
+    objects alive when execution began are frozen, so this walks only what
+    was created since.  No module defines ``__del__`` or a weakref callback
+    (``tests/test_campaign_memory.py`` guards this), so when the collector
+    runs cannot change a result.
+    """
+    gc.collect()
+
+
+def execute_serially(
+    manifests: Sequence[RunManifest],
+    policy: RetryPolicy,
+    *,
+    on_retry: Optional[Callable[[], None]] = None,
+) -> Iterator[Outcome]:
+    """Run ``manifests`` one after another in this process, one outcome each.
+
+    The one serial run loop: the engine's serial path and the dispatcher's
+    fall-back after too many lost workers both use it.  What is alive when
+    it starts is frozen out of the collector's reach (freezing is O(1); a
+    collection here would walk the caller's whole heap), and each finished
+    run is reclaimed before the next starts.  A caller that froze its own
+    objects keeps them so.
+    """
+    froze = gc.get_freeze_count() == 0
+    if froze:
+        gc.freeze()
+    try:
+        for manifest in manifests:
+            outcome = execute_with_capture(manifest, policy, on_retry=on_retry)
+            _reclaim_run()
+            yield outcome
+    finally:
+        if froze:
+            gc.unfreeze()
+
+
 # ----------------------------------------------------------------- watchdog
 class Heartbeat:
     """Per-run heartbeat files linking a dispatched run to its worker pid.
@@ -562,8 +606,7 @@ class ResilientDispatcher:
         self.pool.terminate()
 
     def _drain_serial(self):
-        for index, _attempt in self._queue:
-            yield execute_with_capture(self.manifests[index],
-                                       self.config.retry,
-                                       on_retry=self.on_retry)
+        manifests = [self.manifests[index] for index, _attempt in self._queue]
         self._queue.clear()
+        yield from execute_serially(manifests, self.config.retry,
+                                    on_retry=self.on_retry)

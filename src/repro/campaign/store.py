@@ -78,36 +78,16 @@ def _dumps(record: Dict[str, Any]) -> str:
                       allow_nan=False)
 
 
-def scan_jsonl(path: Path) -> Tuple[List[Dict[str, Any]], int]:
-    """(intact records, skipped line count) of a possibly damaged JSONL file.
-
-    Any line that fails to parse — a torn tail from an interrupted write or
-    a corrupted interior line — is skipped; every intact line after it is
-    still returned, so one bad sector never discards the rest of a
-    campaign.
-    """
-    if not path.exists():
-        return [], 0
-    records: List[Dict[str, Any]] = []
-    skipped = 0
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError:
-                skipped += 1
-    return records, skipped
+#: What :func:`_parse_lines` yields for a line that does not parse.
+_UNREADABLE = object()
 
 
-def iter_jsonl(path: Path) -> Iterator[Dict[str, Any]]:
-    """Stream the intact records of a JSONL file one line at a time.
+def _parse_lines(path: Path) -> Iterator[Any]:
+    """Each non-blank line of ``path`` decoded, or :data:`_UNREADABLE`.
 
-    Same corruption tolerance as :func:`scan_jsonl` (undecodable lines are
-    skipped) but never materialises the file — this is the read path
-    streaming aggregation uses on 10⁵⁺-run stores.
+    A line that fails to parse is a torn tail from an interrupted write or
+    a corrupted interior line; the lines after it are still decoded.  A
+    missing file has no lines.
     """
     if not path.exists():
         return
@@ -119,7 +99,36 @@ def iter_jsonl(path: Path) -> Iterator[Dict[str, Any]]:
             try:
                 yield json.loads(line)
             except json.JSONDecodeError:
-                continue
+                yield _UNREADABLE
+
+
+def scan_jsonl(path: Path) -> Tuple[List[Dict[str, Any]], int]:
+    """(intact records, skipped line count) of a possibly damaged JSONL file.
+
+    Any line that fails to parse is skipped; every intact line after it is
+    still returned, so one bad sector never discards the rest of a
+    campaign.
+    """
+    records: List[Dict[str, Any]] = []
+    skipped = 0
+    for record in _parse_lines(path):
+        if record is _UNREADABLE:
+            skipped += 1
+        else:
+            records.append(record)
+    return records, skipped
+
+
+def iter_jsonl(path: Path) -> Iterator[Dict[str, Any]]:
+    """Stream the intact records of a JSONL file one line at a time.
+
+    Same corruption tolerance as :func:`scan_jsonl` (undecodable lines are
+    skipped) but never materialises the file — this is the read path
+    streaming aggregation uses on 10⁵⁺-run stores.
+    """
+    for record in _parse_lines(path):
+        if record is not _UNREADABLE:
+            yield record
 
 
 def file_sha256(path: Path) -> str:
@@ -372,8 +381,7 @@ class ResultStore:
         for path in (self.results_path, self.errors_path):
             records, skipped = scan_jsonl(path)
             if path.exists():
-                body = "".join(_dumps(record) + "\n" for record in records)
-                self._atomic_write(path, body)
+                self._write_jsonl(path, records)
             if skipped:
                 self.last_repair_skipped[path.name] = skipped
             if path == self.results_path:
@@ -391,8 +399,7 @@ class ResultStore:
         self._results.close()  # the atomic replace would orphan an open handle
         completed = self.completed()
         ordered = [completed[index] for index in sorted(completed)]
-        body = "".join(_dumps(record) + "\n" for record in ordered)
-        self._atomic_write(self.results_path, body)
+        self._write_jsonl(self.results_path, ordered)
         return ordered
 
     def finalize_errors(self) -> List[Dict[str, Any]]:
@@ -405,11 +412,7 @@ class ResultStore:
         by_index = {record["run_index"]: record
                     for record in self.error_records()}
         ordered = [by_index[index] for index in sorted(by_index)]
-        if ordered:
-            body = "".join(_dumps(record) + "\n" for record in ordered)
-            self._atomic_write(self.errors_path, body)
-        elif self.errors_path.exists():
-            self.errors_path.unlink()
+        self._write_jsonl(self.errors_path, ordered, keep_empty=False)
         return ordered
 
     # ----------------------------------------------------------------- merge
@@ -556,15 +559,9 @@ class ResultStore:
                            _dumps({"spec": spec_dict, "runs": ordered_runs}))
         self.close()  # the atomic replaces below would orphan open handles
         ordered = [merged_records[i] for i in sorted(merged_records)]
-        self._atomic_write(self.results_path,
-                           "".join(_dumps(record) + "\n" for record in ordered))
+        self._write_jsonl(self.results_path, ordered)
         error_list = [merged_errors[i] for i in sorted(merged_errors)]
-        if error_list:
-            self._atomic_write(
-                self.errors_path,
-                "".join(_dumps(record) + "\n" for record in error_list))
-        elif self.errors_path.exists():
-            self.errors_path.unlink()
+        self._write_jsonl(self.errors_path, error_list, keep_empty=False)
 
         merged_sha = file_sha256(self.results_path)
         index_path = self.directory / SHARD_INDEX_FILE
@@ -596,6 +593,18 @@ class ResultStore:
         )
 
     # --------------------------------------------------------------- helpers
+    def _write_jsonl(self, path: Path, records: Sequence[Dict[str, Any]], *,
+                     keep_empty: bool = True) -> None:
+        """Atomically replace ``path`` with one canonical line per record.
+
+        With ``keep_empty=False`` no records means no file: an existing one
+        is removed.
+        """
+        if records or keep_empty:
+            self._atomic_write(path, "".join(_dumps(record) + "\n" for record in records))
+        elif path.exists():
+            path.unlink()
+
     def _atomic_write(self, path: Path, content: str) -> None:
         temporary = path.with_suffix(path.suffix + ".tmp")
         with open(temporary, "w", encoding="utf-8") as handle:

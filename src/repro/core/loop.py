@@ -370,10 +370,3 @@ class ClosedLoopPCASystem:
                 "button_presses": self.button.presses if self.button else 0,
             },
         )
-
-
-def run_population(
-    configs: List[PCASystemConfig],
-) -> List[PCARunResult]:
-    """Run a list of scenario configurations and return their results."""
-    return [ClosedLoopPCASystem(config).run() for config in configs]

@@ -32,7 +32,7 @@ from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro.middleware.qos import TopicQoS
 from repro.middleware.supervisor_host import SupervisorApp
-from repro.readings import Reading, coerce_reading
+from repro.readings import Reading
 from repro.sim.channel import Message
 
 POLICIES = ("threshold", "trend", "fused")
@@ -143,15 +143,9 @@ class PCASafetySupervisor(SupervisorApp):
 
     # ----------------------------------------------------------------- data
     def on_data(self, topic: str, payload: Any, message: Message) -> None:
-        # Native Reading fast path: three slot loads instead of three
-        # string-keyed dict lookups per sample, on every subscribed topic.
-        if type(payload) is Reading:
-            time, value, valid = payload.time, float(payload.value), payload.valid
-        else:
-            reading = coerce_reading(payload, default_time=message.sent_at)
-            if reading is None:
-                return
-            time, value, valid = reading.time, float(reading.value), reading.valid
+        if type(payload) is not Reading:
+            return
+        time, value, valid = payload.time, float(payload.value), payload.valid
         self._latest[topic] = (time, value, valid)
         if topic == "spo2" and valid:
             self._spo2_history.append((time, value))

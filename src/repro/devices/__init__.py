@@ -26,7 +26,7 @@ in :mod:`repro.middleware`:
 """
 
 from repro.devices.base import DeviceState, DeviceDescriptor, MedicalDevice
-from repro.readings import Reading, coerce_reading
+from repro.readings import Reading
 from repro.devices.pca_pump import PCAPump, PCAPrescription
 from repro.devices.pulse_oximeter import PulseOximeter, PulseOximeterConfig
 from repro.devices.capnograph import Capnograph, CapnographConfig
@@ -42,7 +42,6 @@ __all__ = [
     "DeviceDescriptor",
     "MedicalDevice",
     "Reading",
-    "coerce_reading",
     "PCAPump",
     "PCAPrescription",
     "PulseOximeter",

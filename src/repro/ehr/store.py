@@ -95,10 +95,6 @@ class EHRStore:
     def __len__(self) -> int:
         return len(self._records)
 
-    @property
-    def patient_ids(self) -> List[str]:
-        return sorted(self._records)
-
     # --------------------------------------------------------------- history
     def record_observation(self, patient_id: str, time: float, vital: str, value: float) -> None:
         """Append a vital-sign observation used to learn per-patient baselines."""

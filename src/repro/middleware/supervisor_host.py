@@ -17,7 +17,6 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.middleware.bus import DeviceBus
 from repro.middleware.qos import QoSMonitor, TopicQoS
-from repro.readings import Reading
 from repro.sim.channel import Message
 from repro.sim.kernel import PeriodicTask, Process, Simulator
 from repro.sim.trace import TraceRecorder
@@ -174,18 +173,11 @@ class SupervisorHost(Process):
 
     def _make_handler(self, app: SupervisorApp):
         def _handler(topic: str, payload: Any, message: Message) -> None:
-            # Fast path: Readings carry their publish time in a slot.  Legacy
-            # dict payloads fall back to the old string-keyed lookup.  A
-            # payload with no time of its own takes the publish instant from
-            # the bus envelope: `message.sent_at` is the bus forward instant,
-            # so it would leave the uplink hop out of the latency.
-            if type(payload) is Reading:
-                published_at = payload.time
-            elif isinstance(payload, dict):
-                published_at = payload.get("time", message.payload.published_at)
-            else:
-                published_at = message.payload.published_at
-            self.qos.record_delivery(topic, published_at=float(published_at), delivered_at=message.delivered_at)
+            # The publish instant comes from the bus envelope, whatever the
+            # payload: `message.sent_at` is the bus forward instant, so it
+            # would leave the uplink hop out of the latency.
+            self.qos.record_delivery(topic, published_at=message.payload.published_at,
+                                     delivered_at=message.delivered_at)
             app.on_data(topic, payload, message)
         return _handler
 

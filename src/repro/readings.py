@@ -10,15 +10,16 @@ and :class:`repro.middleware.bus.Envelope` envelopes, and consumed natively
 (attribute access, no string-keyed lookups) by the supervisor, workflow,
 EHR, and alarm layers.
 
-A ``Reading`` is not a mapping: read its fields as attributes.  Handlers
-that may also see a dict payload from outside (a legacy ``{"value": ...}``
-sample, a bare number) view it through :func:`coerce_reading`, and
-:meth:`Reading.as_dict` renders the legacy dict form for serialisation.
+A ``Reading`` is not a mapping: read its fields as attributes.  It is the
+only sample shape a consumer understands: a handler ignores any payload
+whose type is not ``Reading`` (status dicts such as ``pump_status`` are
+states, not samples), and :meth:`Reading.as_dict` renders the dict form
+for serialisation.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any
 
 _FIELDS = ("value", "valid", "time")
 _set = object.__setattr__
@@ -73,28 +74,3 @@ class Reading:
     def __repr__(self) -> str:
         return f"Reading(value={self.value!r}, valid={self.valid!r}, time={self.time!r})"
 
-
-def coerce_reading(payload: Any, default_time: float = 0.0) -> Optional[Reading]:
-    """View an arbitrary topic payload as a :class:`Reading`, if it is one.
-
-    Accepts the three shapes a data topic has ever carried — a ``Reading``,
-    a legacy ``{"value": ...}`` dict (``valid``/``time`` optional), or a bare
-    number — and returns ``None`` for anything else (command parameters,
-    status dicts like ``bed_height``/``pump_status``, strings).  Consumers
-    that track latest values should route every payload through this
-    instead of ``isinstance(payload, dict)`` checks, which silently drop
-    Readings and bare numbers.
-    """
-    if type(payload) is Reading:
-        return payload
-    if isinstance(payload, dict):
-        if "value" not in payload:
-            return None
-        return Reading(
-            payload["value"],
-            bool(payload.get("valid", True)),
-            float(payload.get("time", default_time)),
-        )
-    if isinstance(payload, (int, float)) and not isinstance(payload, bool):
-        return Reading(float(payload), True, default_time)
-    return None

@@ -213,15 +213,9 @@ class WardSafetyApp(SupervisorApp):
         pump_id = self._pump_by_sensor.get(message.sender)
         if pump_id is None or self._stopped[pump_id]:
             return
-        if type(payload) is Reading:
-            if not payload.valid:
-                return
-            value = payload.value
-        elif isinstance(payload, dict):
-            value = payload.get("value")
-        else:
+        if type(payload) is not Reading or not payload.valid:
             return
-        if value is not None and value < self.stop_threshold:
+        if payload.value < self.stop_threshold:
             self._stopped[pump_id] = True
             if self.send_command(pump_id, "stop"):
                 self.stop_commands += 1
@@ -340,17 +334,9 @@ def _wire_ward_monitor(runtime: HospitalRuntime, ward_runtime: WardRuntime) -> N
         bed = bed_by_device.get(message.sender)
         if bed is None:
             return
-        if type(payload) is Reading:
-            if not payload.valid:
-                return
-            value = payload.value
-        elif isinstance(payload, dict):
-            value = payload.get("value")
-        else:
+        if type(payload) is not Reading or not payload.valid:
             return
-        if value is None:
-            return
-        raised = bed.alarm.observe(simulator.now, topic, float(value))
+        raised = bed.alarm.observe(simulator.now, topic, float(payload.value))
         for event in raised:
             bed.alarms_raised += 1
             # Athlete bradycardia alarms are physiological, not clinical:

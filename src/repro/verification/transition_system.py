@@ -26,13 +26,6 @@ def state_to_dict(state: State) -> Dict[str, object]:
     return dict(state)
 
 
-def state_value(state: State, variable: str) -> object:
-    for name, value in state:
-        if name == variable:
-            return value
-    raise KeyError(f"variable {variable!r} not in state")
-
-
 @dataclass(frozen=True)
 class Rule:
     """A guarded transition rule.
@@ -123,9 +116,6 @@ class TransitionSystem:
         return [s for s, _ in self.successors(state)]
 
     # ------------------------------------------------------------ evaluation
-    def holds_in(self, predicate: Callable[[Dict[str, object]], bool], state: State) -> bool:
-        return bool(predicate(dict(state)))
-
     def random_run(self, length: int, rng, predicate=None) -> List[State]:
         """A random run of ``length`` steps (used by simulation-based testing)."""
         state = self.initial_states[rng.integers(0, len(self.initial_states))]

@@ -22,7 +22,7 @@ from typing import Any, Dict, List, Optional
 from repro.middleware.qos import TopicQoS
 from repro.middleware.registry import DeviceRequirement
 from repro.middleware.supervisor_host import SupervisorApp
-from repro.readings import coerce_reading
+from repro.readings import Reading
 from repro.sim.channel import Message
 from repro.workflow.spec import ClinicalScenario, DecisionRule
 
@@ -82,13 +82,9 @@ class CompiledScenarioApp(SupervisorApp):
 
     # ------------------------------------------------------------------ data
     def on_data(self, topic: str, payload: Any, message: Message) -> None:
-        # Route every payload through the Reading shim: slotted Readings,
-        # legacy {"value": ...} dicts, and bare numbers all update the latest
-        # observation; command parameters and status dicts (no value field)
-        # are not observations and are ignored.
-        reading = coerce_reading(payload, default_time=message.sent_at)
-        if reading is not None and reading.valid:
-            self._latest[topic] = float(reading.value)
+        if type(payload) is not Reading or not payload.valid:
+            return
+        self._latest[topic] = float(payload.value)
 
     @property
     def observations(self) -> Dict[str, float]:

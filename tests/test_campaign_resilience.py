@@ -8,6 +8,7 @@ the surviving runs' ``results.jsonl`` stays byte-identical to a clean
 execution of the same spec.
 """
 
+import gc
 import json
 import time
 from multiprocessing.pool import ThreadPool
@@ -304,6 +305,41 @@ class TestParallelResilience:
             outcomes = list(dispatcher.outcomes())
         assert time.monotonic() - started < 5.0
         assert sorted(record["index"] for _, record, _ in outcomes) == [0, 1, 2, 3]
+
+    def test_pool_degrades_to_serial_after_repeated_worker_loss(self, tmp_path):
+        # Two scripted kills, each lost on both of its dispatches, take the
+        # pool past _MAX_WORKER_RESTARTS; the campaign still finishes and
+        # every survivor matches a serial run.
+        spec = chaos_spec(kill_at="1,4", repeats=10)
+        report = run_campaign(spec, workers=2, directory=tmp_path / "degraded",
+                              resilience=ResilienceConfig())
+        assert report.worker_restarts > resilience._MAX_WORKER_RESTARTS
+        assert (report.ok, report.quarantined) == (8, 2)
+        assert [error["run_index"] for error in load_errors(tmp_path / "degraded")] == [1, 4]
+        run_campaign(spec, directory=tmp_path / "serial",
+                     resilience=ResilienceConfig())
+        assert load_results(tmp_path / "degraded") == load_results(tmp_path / "serial")
+
+    def test_degraded_dispatcher_runs_the_serial_loop(self, tmp_path, monkeypatch):
+        # Survivors of a given-up pool run through execute_serially: each
+        # run is reclaimed with the caller's heap frozen, and the freeze is
+        # lifted afterwards.
+        frozen_at_reclaim = []
+        monkeypatch.setattr(resilience, "_reclaim_run",
+                            lambda: frozen_at_reclaim.append(gc.get_freeze_count() > 0))
+        manifests = chaos_spec(repeats=3).expand()
+        freeze_count = gc.get_freeze_count()
+        with ThreadPool(2) as pool:
+            dispatcher = ResilientDispatcher(
+                pool, manifests, ResilienceConfig(),
+                Heartbeat(str(tmp_path / "hb")),
+                lambda index: (OK, {"index": index}, 1), processes=2)
+            dispatcher._degrade()
+            outcomes = list(dispatcher.outcomes())
+        assert [status for status, _record, _attempts in outcomes] == [OK, OK, OK]
+        assert outcomes == [execute_with_capture(m, RetryPolicy()) for m in manifests]
+        assert frozen_at_reclaim == [True, True, True]
+        assert gc.get_freeze_count() == freeze_count
 
 
 # ------------------------------------------------------- interrupt and resume

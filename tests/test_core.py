@@ -17,6 +17,7 @@ from repro.core.loop import ClosedLoopPCASystem, PCASystemConfig
 from repro.core.pca import PCASafetySupervisor, SupervisorConfig, SupervisorDecision
 from repro.devices.pca_pump import PCAPrescription
 from repro.patient.population import PatientPopulation
+from repro.readings import Reading
 from repro.sim.faults import FaultSpec
 from repro.sim.kernel import Simulator
 
@@ -73,12 +74,11 @@ def feed(supervisor, time, spo2=None, heart_rate=None, respiratory_rate=None):
         delivered_at = time
 
     if spo2 is not None:
-        supervisor.on_data("spo2", {"value": spo2, "valid": True, "time": time}, _Message())
+        supervisor.on_data("spo2", Reading(spo2, True, time), _Message())
     if heart_rate is not None:
-        supervisor.on_data("heart_rate", {"value": heart_rate, "valid": True, "time": time}, _Message())
+        supervisor.on_data("heart_rate", Reading(heart_rate, True, time), _Message())
     if respiratory_rate is not None:
-        supervisor.on_data("respiratory_rate", {"value": respiratory_rate, "valid": True, "time": time},
-                           _Message())
+        supervisor.on_data("respiratory_rate", Reading(respiratory_rate, True, time), _Message())
 
 
 class TestPCASafetySupervisorLogic:
@@ -164,10 +164,27 @@ class TestPCASafetySupervisorLogic:
             sent_at = 50.0
             delivered_at = 50.0
 
-        supervisor.on_data("spo2", {"value": 0.0, "valid": False, "time": 50.0}, _Message())
+        supervisor.on_data("spo2", Reading(0.0, False, 50.0), _Message())
         feed(supervisor, 50.0, heart_rate=75.0, respiratory_rate=14.0)
         supervisor.step(50.0)
         assert supervisor.pump_stopped
+
+    def test_only_readings_are_samples(self):
+        # Legacy value-dicts and bare numbers are not samples: a low SpO2
+        # in either shape never reaches the supervisor's state.
+        supervisor, host = make_supervisor()
+
+        class _Message:
+            sent_at = 10.0
+            delivered_at = 10.0
+
+        supervisor.on_data("spo2", {"value": 80.0, "valid": True, "time": 10.0}, _Message())
+        supervisor.on_data("spo2", 80.0, _Message())
+        supervisor.on_data("heart_rate", 75, _Message())
+        assert supervisor.latest("spo2") is None
+        assert supervisor.latest("heart_rate") is None
+        supervisor.on_data("spo2", Reading(80.0, True, 10.0), _Message())
+        assert supervisor.latest("spo2") == (10.0, 80.0, True)
 
     def test_resume_after_recovery_and_hold_time(self):
         supervisor, host = make_supervisor(resume_hold_time_s=100.0)

@@ -5,7 +5,7 @@ from collections.abc import Mapping
 
 import pytest
 
-from repro.readings import Reading, coerce_reading
+from repro.readings import Reading
 
 
 class TestReadingBasics:
@@ -68,36 +68,9 @@ class TestReadingBasics:
         legacy = {"value": 97.0, "valid": True, "time": 8.0}
         assert json.dumps(Reading(97.0, True, 8.0).as_dict()) == json.dumps(legacy)
 
-
-class TestCoerceReading:
-    def test_reading_passthrough_identity(self):
-        reading = Reading(1.0)
-        assert coerce_reading(reading) is reading
-
-    def test_legacy_dict_full(self):
-        reading = coerce_reading({"value": 2.0, "valid": False, "time": 9.0})
-        assert reading == Reading(2.0, False, 9.0)
-
     def test_round_trip_through_as_dict(self):
         reading = Reading(96.5, False, 30.0)
         assert Reading(**reading.as_dict()) == reading
-        assert coerce_reading(reading.as_dict()) == reading
-
-    def test_legacy_dict_partial_uses_defaults(self):
-        reading = coerce_reading({"value": 2.0}, default_time=7.0)
-        assert reading == Reading(2.0, True, 7.0)
-
-    def test_bare_numbers(self):
-        assert coerce_reading(42, default_time=1.0) == Reading(42.0, True, 1.0)
-        assert coerce_reading(3.5) == Reading(3.5, True, 0.0)
-
-    def test_non_reading_payloads_rejected(self):
-        assert coerce_reading({"height_cm": 30.0, "time": 5.0}) is None  # status dict
-        assert coerce_reading({"attached": False}) is None
-        assert coerce_reading("stop") is None
-        assert coerce_reading(None) is None
-        assert coerce_reading(True) is None  # bools are not measurements
-        assert coerce_reading([1.0]) is None
 
 
 class TestDeviceProducesReadings:
@@ -139,3 +112,57 @@ class TestDeviceProducesReadings:
         samples = trace.samples("bp-1:map_reading")
         assert len(samples) == monitor.readings_published
         assert samples, "publish_reading(record=...) recorded nothing"
+
+
+class TestPublishTimeInvariant:
+    """A sample's own time is the instant its bus envelope was published.
+
+    The supervisor host stamps QoS deliveries from the envelope alone; that
+    is only the same as the sample's own time because every producer stamps
+    both with ``simulator.now`` at publish.  A recorder subscribed to every
+    topic a device publishes checks it on each delivery.
+    """
+
+    @staticmethod
+    def record_every_topic(bus, devices):
+        checked = {"reading": 0, "dict": 0}
+
+        def _record(topic, payload, message):
+            if type(payload) is Reading:
+                own, kind = payload.time, "reading"
+            elif isinstance(payload, dict) and "time" in payload:
+                own, kind = payload["time"], "dict"
+            else:
+                return
+            assert own == message.payload.published_at, (topic, payload)
+            checked[kind] += 1
+
+        for device in devices:
+            for topic in device.descriptor.published_topics:
+                bus.subscribe("recorder", topic, _record)
+        return checked
+
+    def test_closed_loop_pca_system(self):
+        from repro.core.loop import ClosedLoopPCASystem, PCASystemConfig
+
+        system = ClosedLoopPCASystem(PCASystemConfig(seed=3, button_press_period_s=60.0))
+        system.build()
+        checked = self.record_every_topic(
+            system.bus, [system.pump, system.oximeter, system.capnograph])
+        system.simulator.run(until=900.0)
+        assert checked["reading"] > 0
+        assert checked["dict"] > 0  # dose_delivered carries its own time
+
+    def test_small_hospital_ward(self):
+        from repro.topology import build_hospital, standard_hospital
+
+        spec = standard_hospital(
+            "publish-time", wards=1, beds_per_ward=3,
+            device_mix={"pulse_oximeter": 1.0, "capnograph": 1.0,
+                        "bp_monitor": 1.0, "bed": 1.0, "pca_pump": 1.0})
+        runtime = build_hospital(spec, 5)
+        (ward,) = runtime.wards
+        checked = self.record_every_topic(
+            ward.bus, [device for bed in ward.beds for device in bed.devices.values()])
+        runtime.simulator.run(until=600.0)
+        assert checked["reading"] > 0

@@ -353,6 +353,33 @@ class TestHospitalEndToEnd:
         assert runtime.bus_stats()["published"] > 0
         assert len(runtime.beds()) == 8
 
+    def test_ward_safety_app_stops_only_on_readings(self):
+        from repro.readings import Reading
+        from repro.topology.expand import WardSafetyApp
+
+        class _Host:
+            def __init__(self):
+                self.commands = []
+
+            def send_command(self, app, device_id, command, parameters=None):
+                self.commands.append((device_id, command))
+                return True
+
+        class _Message:
+            sender = "ox-1"
+
+        app = WardSafetyApp("ward-safety")
+        app.host = _Host()
+        app.watch("ox-1", "pump-1")
+        # Legacy value-dicts and bare numbers are not samples.
+        app.on_data("spo2", {"value": 70.0, "valid": True, "time": 1.0}, _Message())
+        app.on_data("spo2", 70.0, _Message())
+        app.on_data("spo2", Reading(70.0, False, 1.0), _Message())  # invalid
+        assert app.host.commands == []
+        app.on_data("spo2", Reading(70.0, True, 2.0), _Message())
+        assert app.host.commands == [("pump-1", "stop")]
+        assert app.stop_commands == 1
+
     def test_campaign_spec_validator_rejects_bad_topology(self):
         spec = CampaignSpec(
             name="bad", scenario="ward",

@@ -6,6 +6,7 @@ from repro.devices.base import DeviceDescriptor
 from repro.middleware.bus import BusConfig, DeviceBus
 from repro.middleware.registry import DeviceRegistry
 from repro.middleware.supervisor_host import SupervisorHost
+from repro.readings import Reading
 from repro.scenarios.pca_scenario import PCA_OUTCOME_ALPHABET, build_pca_scenario_spec
 from repro.sim.kernel import Simulator
 from repro.workflow.analysis import analyse_scenario, errors
@@ -259,17 +260,14 @@ class TestCompiler:
             sent_at = 0.0
             delivered_at = 0.1
 
-        app.on_data("spo2", {"value": 97.0, "valid": True}, _Message())
-        app.on_data("spo2", {"value": 50.0, "valid": False}, _Message())
+        app.on_data("spo2", Reading(97.0, True, 0.0), _Message())
+        app.on_data("spo2", Reading(50.0, False, 0.0), _Message())
         assert app.observations == {"spo2": 97.0}
 
-    def test_compiled_app_payload_routing_through_reading_shim(self, pca_spec):
-        # The latest-value tracker must accept every observation shape a
-        # topic has ever carried (slotted Readings, legacy dicts, bare
-        # numbers) and ignore command parameters and status payloads — the
-        # old isinstance(payload, dict) check silently dropped Readings.
-        from repro.readings import Reading
-
+    def test_compiled_app_tracks_only_readings(self, pca_spec):
+        # A Reading is the only sample shape: legacy value-dicts and bare
+        # numbers are not observations, and neither are command parameters
+        # or status payloads.
         app = compile_scenario(pca_spec, {
             "analgesia_pump": "p", "spo2_source": "o", "respiration_source": "c",
         })
@@ -283,12 +281,15 @@ class TestCompiler:
         assert app.observations == {"spo2": 96.0}
         app.on_data("spo2", Reading(40.0, False, 2.0), message)  # invalid: kept out
         assert app.observations == {"spo2": 96.0}
-        app.on_data("respiratory_rate", 11, message)  # bare number is tracked
-        assert app.observations["respiratory_rate"] == 11.0
+        app.on_data("spo2", {"value": 40.0, "valid": True, "time": 3.0}, message)
+        app.on_data("respiratory_rate", {"value": 11.0}, message)
+        app.on_data("respiratory_rate", 11, message)
+        app.on_data("respiratory_rate", 11.0, message)
+        assert app.observations == {"spo2": 96.0}
 
         # Command/status topics carry non-reading payloads: never tracked.
         app.on_data("pump_status", {"device_id": "p", "stopped": False}, message)
         app.on_data("bed_height", {"height_cm": 30.0, "time": 5.0}, message)
         app.on_data("__command__:p:stop", {"reason": "test"}, message)
         app.on_data("probe_status", {"attached": True}, message)
-        assert set(app.observations) == {"spo2", "respiratory_rate"}
+        assert app.observations == {"spo2": 96.0}
