@@ -104,7 +104,6 @@ class PCARunResult:
     caregiver_interventions: int
     caregiver_alarms_missed: int
     harmed: bool
-    details: Dict[str, Any] = field(default_factory=dict)
 
     def as_record(self) -> Dict[str, Any]:
         """Flat, JSON-serialisable record of the run (campaign result schema)."""
@@ -364,9 +363,4 @@ class ClosedLoopPCASystem:
             caregiver_interventions=len(self.caregiver.interventions),
             caregiver_alarms_missed=self.caregiver.alarms_missed,
             harmed=harmed,
-            details={
-                "bus_stats": self.bus.stats() if self.bus else {},
-                "proxy_requests": self.pump.proxy_requests,
-                "button_presses": self.button.presses if self.button else 0,
-            },
         )

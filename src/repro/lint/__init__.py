@@ -17,31 +17,25 @@ The package is deliberately standalone: it imports nothing from the rest
 of ``repro``, and nothing in ``repro`` imports it, so it adds zero runtime
 cost to simulation and can analyze a broken tree.
 
-Use ``python -m repro.lint [paths] [--format human|json] [--baseline F]``;
-suppress a finding inline with ``# repro-lint: disable=RULE -- reason``
+Use ``python -m repro.lint [paths] [--format human|json]``; there is
+nothing to configure, because each rule's scope is a table of sub-packages
+(:data:`repro.lint.rules.base.SCOPE`) rooted at the analysed package.
+Suppress a finding inline with ``# repro-lint: disable=RULE -- reason``
 (the reason is mandatory) and mark hot functions with ``# repro-lint:
 hot`` on or directly above the ``def`` line.
 """
 
 from __future__ import annotations
 
-from repro.lint.baseline import apply_baseline, load_baseline, write_baseline
-from repro.lint.config import LintConfig, config_from_mapping, load_config
 from repro.lint.engine import LintResult, collect_files, run_lint
 from repro.lint.rules import all_rules, rule_catalog
 from repro.lint.violations import Violation
 
 __all__ = [
-    "LintConfig",
     "LintResult",
     "Violation",
     "all_rules",
-    "apply_baseline",
     "collect_files",
-    "config_from_mapping",
-    "load_baseline",
-    "load_config",
     "rule_catalog",
     "run_lint",
-    "write_baseline",
 ]

@@ -2,11 +2,12 @@
 
 Exit codes are stable and scriptable:
 
-* ``0`` — clean (baselined violations and reasoned suppressions are fine),
+* ``0`` — clean (reasoned suppressions are fine),
 * ``1`` — failing violations,
-* ``2`` — usage error (argparse),
-* ``3`` — stale baseline entries (the baselined code was fixed or deleted;
-  regenerate with ``--write-baseline`` to shrink the file).
+* ``2`` — usage error (argparse).
+
+There is nothing to configure: each rule's scope is the table in
+:mod:`repro.lint.rules.base`, rooted at the analysed package.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Sequence, TextIO
 
-from repro.lint.baseline import write_baseline
-from repro.lint.config import LintConfig, load_config, load_config_file
 from repro.lint.engine import LintResult, run_lint
 from repro.lint.rules import rule_catalog
 
@@ -34,33 +33,14 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "paths",
         nargs="*",
-        help="files or directories to analyze (default: [tool.repro-lint] "
-        "paths, falling back to 'src')",
+        default=["src"],
+        help="files or directories to analyze (default: src)",
     )
     parser.add_argument(
         "--format",
         choices=("human", "json"),
         default="human",
         help="output format (default: human)",
-    )
-    parser.add_argument(
-        "--baseline",
-        type=Path,
-        default=None,
-        metavar="FILE",
-        help="JSON baseline of accepted violations; stale entries fail",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="write the current violations to --baseline and exit 0",
-    )
-    parser.add_argument(
-        "--config",
-        type=Path,
-        default=None,
-        metavar="PYPROJECT",
-        help="explicit pyproject.toml to read [tool.repro-lint] from",
     )
     parser.add_argument(
         "--list-rules",
@@ -74,15 +54,9 @@ def _render_human(result: LintResult, stream: TextIO) -> None:
     write = stream.write
     for violation in result.failing:
         write(violation.render() + "\n")
-    for fingerprint in result.stale_baseline:
-        write(
-            f"stale baseline entry {fingerprint}: the accepted violation "
-            "no longer exists; regenerate the baseline\n"
-        )
     summary = (
         f"{len(result.failing)} violation(s) in {result.files_checked} "
-        f"file(s); {len(result.baselined)} baselined, "
-        f"{len(result.suppressed)} suppressed, "
+        f"file(s); {len(result.suppressed)} suppressed, "
         f"{result.hot_functions} hot-marked function(s)"
     )
     write(summary + "\n")
@@ -90,15 +64,12 @@ def _render_human(result: LintResult, stream: TextIO) -> None:
 
 def _render_json(result: LintResult, stream: TextIO) -> None:
     payload = {
-        "version": 1,
+        "version": 2,
         "violations": [violation.as_dict() for violation in result.failing],
-        "baselined": [violation.as_dict() for violation in result.baselined],
         "suppressed": [violation.as_dict() for violation in result.suppressed],
-        "stale_baseline": list(result.stale_baseline),
         "summary": {
             "files": result.files_checked,
             "failing": len(result.failing),
-            "baselined": len(result.baselined),
             "suppressed": len(result.suppressed),
             "hot_functions": result.hot_functions,
             "exit_code": result.exit_code,
@@ -116,35 +87,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             sys.stdout.write(f"{rule_id}  {summary}\n")
         return 0
 
-    config: LintConfig
-    if args.config is not None:
-        config = load_config_file(args.config)
-    else:
-        config = load_config(Path.cwd())
-
-    paths: List[Path] = [Path(p) for p in (args.paths or config.paths)]
+    paths: List[Path] = [Path(p) for p in args.paths]
     missing = [str(p) for p in paths if not p.exists()]
     if missing:
         parser.error(f"path(s) do not exist: {', '.join(missing)}")
 
-    if args.write_baseline and args.baseline is None:
-        parser.error("--write-baseline requires --baseline FILE")
-
-    result = run_lint(
-        paths,
-        config,
-        root=Path.cwd(),
-        baseline_path=args.baseline,
-    )
-
-    if args.write_baseline:
-        assert args.baseline is not None
-        count = write_baseline(args.baseline, result.all_violations())
-        sys.stdout.write(
-            f"wrote {count} accepted violation(s) to {args.baseline}\n"
-        )
-        return 0
-
+    result = run_lint(paths, root=Path.cwd())
     stream = sys.stdout
     if args.format == "json":
         _render_json(result, stream)

@@ -1,26 +1,21 @@
-"""The lint runner: collect files, run rules, fold suppressions + baseline.
+"""The lint runner: collect files, run rules, fold suppressions.
 
 Pipeline per invocation:
 
-1. collect ``.py`` files under the requested paths (skipping caches and any
-   configured exclude globs),
+1. collect ``.py`` files under the requested paths (skipping caches),
 2. parse each into a :class:`~repro.lint.source.SourceFile` (syntax errors
    become LINT02 violations rather than crashes),
 3. build the import graph and class index once,
-4. run every enabled rule,
-5. drop violations covered by a reasoned inline suppression,
-6. fold in the baseline: matched violations inform, stale entries fail.
+4. run every rule,
+5. drop violations covered by a reasoned inline suppression.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fnmatch import fnmatch
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.lint.baseline import apply_baseline, load_baseline
-from repro.lint.config import LintConfig
 from repro.lint.graph import ImportGraph
 from repro.lint.rules import ProjectContext, all_rules, build_class_index
 from repro.lint.source import SourceFile, parse_source
@@ -37,31 +32,16 @@ class LintResult:
 
     failing: List[Violation] = field(default_factory=list)
     suppressed: List[Violation] = field(default_factory=list)
-    baselined: List[Violation] = field(default_factory=list)
-    stale_baseline: List[str] = field(default_factory=list)
     files_checked: int = 0
     hot_functions: int = 0
 
     @property
     def exit_code(self) -> int:
-        """0 clean; 1 failing violations; 3 stale baseline entries."""
-        if self.failing:
-            return 1
-        if self.stale_baseline:
-            return 3
-        return 0
-
-    def all_violations(self) -> List[Violation]:
-        """Failing + baselined (what ``--write-baseline`` should record)."""
-        return sorted(
-            self.failing + self.baselined,
-            key=lambda v: (v.path, v.line, v.rule),
-        )
+        """0 clean; 1 failing violations."""
+        return 1 if self.failing else 0
 
 
-def collect_files(
-    paths: Sequence[Path], exclude: Sequence[str] = ()
-) -> List[Path]:
+def collect_files(paths: Sequence[Path]) -> List[Path]:
     """All ``.py`` files under ``paths``, deterministic order, no caches."""
     found: List[Path] = []
     seen: Dict[Path, None] = {}
@@ -78,12 +58,6 @@ def collect_files(
                 continue
             seen[resolved] = None
             found.append(candidate)
-    if exclude:
-        found = [
-            path
-            for path in found
-            if not any(fnmatch(path.as_posix(), pattern) for pattern in exclude)
-        ]
     return found
 
 
@@ -111,7 +85,6 @@ def _parse_all(
                     line=exc.lineno or 1,
                     col=(exc.offset or 1) - 1,
                     message=f"file does not parse: {exc.msg}",
-                    source_line=(exc.text or "").rstrip("\n"),
                 )
             )
     return sources, errors
@@ -136,47 +109,28 @@ def _apply_suppressions(
     return kept, suppressed
 
 
-def run_lint(
-    paths: Sequence[Path],
-    config: Optional[LintConfig] = None,
-    *,
-    root: Optional[Path] = None,
-    baseline_path: Optional[Path] = None,
-) -> LintResult:
-    """Lint ``paths`` and return the folded result."""
-    config = config or LintConfig()
+def run_lint(paths: Sequence[Path], *, root: Optional[Path] = None) -> LintResult:
+    """Lint ``paths``; violation paths are reported relative to ``root``."""
     root = root or Path.cwd()
-    files = collect_files(paths, exclude=config.exclude)
+    files = collect_files(paths)
     sources, violations = _parse_all(files, root)
 
-    graph = ImportGraph(sources)
     ctx = ProjectContext(
-        config=config,
         sources=sources,
-        graph=graph,
+        graph=ImportGraph(sources),
         classes=build_class_index(sources),
     )
     for rule in all_rules():
-        if not config.rule_enabled(rule.id):
-            continue
         for src in sources:
             violations.extend(rule.check_file(src, ctx))
         violations.extend(rule.check_project(ctx))
 
     by_rel = {src.rel: src for src in sources}
-    violations, suppressed = _apply_suppressions(violations, by_rel)
-    violations.sort(key=lambda v: (v.path, v.line, v.col, v.rule))
-
-    result = LintResult(
+    failing, suppressed = _apply_suppressions(violations, by_rel)
+    failing.sort(key=lambda v: (v.path, v.line, v.col, v.rule))
+    return LintResult(
+        failing=failing,
         suppressed=suppressed,
         files_checked=len(files),
         hot_functions=sum(len(src.hot_functions) for src in sources),
     )
-    if baseline_path is not None and baseline_path.is_file():
-        match = apply_baseline(violations, load_baseline(baseline_path))
-        result.failing = match.failing
-        result.baselined = match.baselined
-        result.stale_baseline = match.stale
-    else:
-        result.failing = violations
-    return result

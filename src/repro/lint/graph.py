@@ -14,7 +14,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from repro.lint.source import SourceFile
 
 
-def _module_prefix_match(module: str, prefixes: Iterable[str]) -> Optional[str]:
+def prefix_match(module: str, prefixes: Iterable[str]) -> Optional[str]:
     """The first prefix that ``module`` equals or sits inside, if any."""
     for prefix in prefixes:
         if module == prefix or module.startswith(prefix + "."):
@@ -50,10 +50,6 @@ class ImportGraph:
     def source(self, module: str) -> SourceFile:
         return self._sources[module]
 
-    def direct_imports(self, module: str) -> Dict[str, int]:
-        """``imported module -> first import line`` for one module."""
-        return dict(self._edges.get(module, {}))
-
     def find_path_to(
         self, start: str, forbidden: Tuple[str, ...]
     ) -> Optional[List[str]]:
@@ -68,7 +64,7 @@ class ImportGraph:
         while queue:
             module = queue.popleft()
             for target in sorted(self._edges.get(module, {})):
-                if _module_prefix_match(target, forbidden) is not None:
+                if prefix_match(target, forbidden) is not None:
                     chain = [target, module]
                     parent = parents[module]
                     while parent is not None:
@@ -82,7 +78,3 @@ class ImportGraph:
                 queue.append(target)
         return None
 
-
-def prefix_match(module: str, prefixes: Iterable[str]) -> Optional[str]:
-    """Public alias for the prefix containment test used by the layer rules."""
-    return _module_prefix_match(module, prefixes)

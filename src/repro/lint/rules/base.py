@@ -1,4 +1,4 @@
-"""Rule protocol, project context, and the class index shared by rules."""
+"""Rule protocol, the contract's scope table, and the shared class index."""
 
 from __future__ import annotations
 
@@ -6,10 +6,41 @@ import ast
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.lint.config import LintConfig
-from repro.lint.graph import ImportGraph
+from repro.lint.graph import ImportGraph, prefix_match
 from repro.lint.source import SourceFile
 from repro.lint.violations import Violation
+
+#: Where each contract applies, as sub-packages of the analysed package.
+#: :func:`in_scope` roots them at the top-level package of the module under
+#: check, so ``src`` is checked as ``repro.sim``, ``repro.obs``, ... and a
+#: copy of the tree under another package name is checked the same way.
+SCOPE: Dict[str, Tuple[str, ...]] = {
+    # DET01/DET04: packages whose ordering is part of the golden contract.
+    "det": ("sim", "middleware", "campaign"),
+    # DET03: modules allowed to read the wall clock (observability and the
+    # watchdog/heartbeat machinery genuinely measure real time).
+    "wallclock": ("obs", "campaign.resilience"),
+    # LAYER01: the simulation core must never depend on its drivers.
+    "sim": ("sim",),
+    "sim_forbidden": ("campaign", "scenarios"),
+    # LAYER02: observability must stay an import leaf.
+    "leaf": ("obs",),
+    # LAYER03: read-only consumers vs the behavior-producing core.
+    "consumers": ("certification", "analysis"),
+    "core": ("sim", "middleware", "devices", "patient", "core"),
+}
+
+
+def rooted(module: str, key: str) -> Tuple[str, ...]:
+    """``SCOPE[key]`` as dotted prefixes under ``module``'s top package."""
+    top = module.split(".")[0]
+    return tuple(f"{top}.{suffix}" for suffix in SCOPE[key])
+
+
+def in_scope(module: str, key: str) -> bool:
+    """True when ``module`` sits inside one of ``SCOPE[key]``'s packages."""
+    return prefix_match(module, rooted(module, key)) is not None
+
 
 #: Base-class names that mark a class as outside the hot-path slots contract:
 #: exceptions are raised, not shipped per-event, and these stdlib shapes
@@ -106,7 +137,6 @@ def build_class_index(sources: List[SourceFile]) -> Dict[Tuple[str, str], ClassI
 class ProjectContext:
     """Everything rules may consult beyond the single file under check."""
 
-    config: LintConfig
     sources: List[SourceFile]
     graph: ImportGraph
     classes: Dict[Tuple[str, str], ClassInfo] = field(default_factory=dict)
@@ -159,7 +189,6 @@ class Rule:
             col=col,
             message=message,
             symbol=symbol,
-            source_line=src.line_text(lineno),
         )
 
 
@@ -185,5 +214,4 @@ class SuppressionReasonRule(Rule):
                         + " has no reason; write "
                         "'# repro-lint: disable=RULE -- why this is safe'"
                     ),
-                    source_line=src.line_text(suppression.line),
                 )

@@ -11,10 +11,9 @@ logic, and CPython object identity leaking into orderings.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set
 
-from repro.lint.graph import prefix_match
-from repro.lint.rules.base import ProjectContext, Rule
+from repro.lint.rules.base import ProjectContext, Rule, in_scope
 from repro.lint.source import SourceFile
 from repro.lint.violations import Violation
 
@@ -76,10 +75,6 @@ def _enclosing_symbols(tree: ast.Module) -> Dict[int, str]:
     return symbols
 
 
-def _in_scope(src: SourceFile, prefixes: Tuple[str, ...]) -> bool:
-    return prefix_match(src.module, prefixes) is not None
-
-
 # ------------------------------------------------------------- DET01: set iter
 
 
@@ -116,7 +111,7 @@ class SetIterationRule(Rule):
     def check_file(
         self, src: SourceFile, ctx: ProjectContext
     ) -> Iterator[Violation]:
-        if not _in_scope(src, ctx.config.det_scope):
+        if not in_scope(src.module, "det"):
             return
         symbols = _enclosing_symbols(src.tree)
         set_locals = self._set_typed_names(src.tree)
@@ -282,14 +277,14 @@ class WallClockRule(Rule):
 
     id = "DET03"
     summary = (
-        "no time.time()/datetime.now() outside the configured allowlist "
+        "no time.time()/datetime.now() outside the wall-clock allowlist "
         "(observability and watchdog modules)"
     )
 
     def check_file(
         self, src: SourceFile, ctx: ProjectContext
     ) -> Iterator[Violation]:
-        if prefix_match(src.module, ctx.config.wallclock_allowlist) is not None:
+        if in_scope(src.module, "wallclock"):
             return
         symbols = _enclosing_symbols(src.tree)
         for node in ast.walk(src.tree):
@@ -339,7 +334,7 @@ class IdentityOrderingRule(Rule):
     def check_file(
         self, src: SourceFile, ctx: ProjectContext
     ) -> Iterator[Violation]:
-        if not _in_scope(src, ctx.config.det_scope):
+        if not in_scope(src.module, "det"):
             return
         symbols = _enclosing_symbols(src.tree)
         for node in ast.walk(src.tree):

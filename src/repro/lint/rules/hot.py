@@ -11,7 +11,7 @@ comprehension/generator machinery).
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List, Set, Tuple
+from typing import Iterator, List, Tuple
 
 from repro.lint.rules.base import ProjectContext, Rule
 from repro.lint.source import SourceFile
@@ -145,11 +145,3 @@ class HotClosureRule(Rule):
                         symbol=fn.name,
                     )
 
-
-def hot_marker_count(sources: List[SourceFile]) -> int:
-    """Total hot-marked functions (used by the CLI summary)."""
-    seen: Set[Tuple[str, int]] = set()
-    for src in sources:
-        for fn in src.hot_functions:
-            seen.add((src.module, fn.lineno))
-    return len(seen)

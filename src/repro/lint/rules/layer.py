@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from repro.lint.graph import prefix_match
-from repro.lint.rules.base import ProjectContext, Rule
+from repro.lint.rules.base import ProjectContext, Rule, in_scope, rooted
 from repro.lint.source import SourceFile
 from repro.lint.violations import Violation
 
@@ -32,7 +32,6 @@ def _import_violation(
         col=0,
         message=message,
         symbol=src.module,
-        source_line=src.line_text(lineno),
     )
 
 
@@ -57,11 +56,10 @@ class SimPurityRule(Rule):
     )
 
     def check_project(self, ctx: ProjectContext) -> Iterator[Violation]:
-        forbidden = ctx.config.layer_sim_forbidden
         for module in ctx.graph.modules:
-            if prefix_match(module, ctx.config.layer_sim) is None:
+            if not in_scope(module, "sim"):
                 continue
-            path = ctx.graph.find_path_to(module, forbidden)
+            path = ctx.graph.find_path_to(module, rooted(module, "sim_forbidden"))
             if path is None:
                 continue
             src = ctx.graph.source(module)
@@ -87,14 +85,14 @@ class ObsLeafRule(Rule):
     def check_project(self, ctx: ProjectContext) -> Iterator[Violation]:
         analyzed = set(ctx.graph.modules)
         for module in ctx.graph.modules:
-            leaf = prefix_match(module, ctx.config.layer_leaf)
-            if leaf is None:
+            leaf = rooted(module, "leaf")
+            if prefix_match(module, leaf) is None:
                 continue
-            top = leaf.split(".")[0]
+            top = module.split(".")[0]
             src = ctx.graph.source(module)
             reported_lines = set()
             for target, lineno in sorted(src.import_edges.items()):
-                if prefix_match(target, ctx.config.layer_leaf) is not None:
+                if prefix_match(target, leaf) is not None:
                     continue
                 in_project = target in analyzed or target.split(".")[0] == top
                 if in_project and lineno not in reported_lines:
@@ -119,10 +117,10 @@ class ConsumerLayeringRule(Rule):
     )
 
     def check_project(self, ctx: ProjectContext) -> Iterator[Violation]:
-        consumers = ctx.config.layer_consumers
-        core = ctx.config.layer_core
         for module in ctx.graph.modules:
             src = ctx.graph.source(module)
+            consumers = rooted(module, "consumers")
+            core = rooted(module, "core")
             if prefix_match(module, core) is not None:
                 path = ctx.graph.find_path_to(module, consumers)
                 if path is not None:

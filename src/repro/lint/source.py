@@ -78,13 +78,6 @@ class SourceFile:
         """True when the suppression comment sits alone on its line."""
         return self.line_text(lineno).lstrip().startswith("#")
 
-    def hot_spans(self) -> List[Tuple[int, int, str]]:
-        """(first_line, last_line, qualname) of every hot-marked function."""
-        return [
-            (fn.lineno, fn.end_lineno or fn.lineno, fn.name)
-            for fn in self.hot_functions
-        ]
-
 
 def module_name_for(path: Path) -> str:
     """Dotted module name inferred from the ``__init__.py`` package chain."""

@@ -1,23 +1,9 @@
-"""Violation records and stable fingerprints.
-
-A violation's *fingerprint* identifies it across unrelated edits: it hashes
-the rule id, the file's repo-relative path, and the normalised source line —
-never the line *number* — so a baseline entry keeps matching when code above
-the violation moves, and goes stale the moment the offending line itself is
-changed or removed.
-"""
+"""Violation records: one rule breach at one source location."""
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Any, Dict
-
-
-def _content_hash(line: str) -> str:
-    """Hash of the violating line with whitespace collapsed."""
-    normalised = " ".join(line.split())
-    return hashlib.sha256(normalised.encode()).hexdigest()[:12]
 
 
 @dataclass(frozen=True)
@@ -25,28 +11,14 @@ class Violation:
     """One rule breach at one source location."""
 
     rule: str
-    path: str  # repo-relative, POSIX separators
+    path: str  # relative to the lint root, POSIX separators
     line: int
     col: int
     message: str
     symbol: str = ""  # enclosing function/class, when known
-    source_line: str = field(default="", compare=False)
-
-    @property
-    def fingerprint(self) -> str:
-        """Line-number-independent identity used by baseline files."""
-        return f"{self.rule}:{self.path}:{_content_hash(self.source_line)}"
 
     def as_dict(self) -> Dict[str, Any]:
-        return {
-            "rule": self.rule,
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "message": self.message,
-            "symbol": self.symbol,
-            "fingerprint": self.fingerprint,
-        }
+        return asdict(self)
 
     def render(self) -> str:
         location = f"{self.path}:{self.line}:{self.col}"

@@ -82,8 +82,11 @@ class _Instant:
     """The periodic tasks due at one time, in sequence order.
 
     The heap holds one entry per instant, ``(time, 0, sequence, instant)``,
-    keyed on the sequence number of the task at ``head`` (or of an earlier,
-    since cancelled one).  Tasks before ``head`` have fired.
+    keyed on the sequence number of the task at ``head``.  Tasks before
+    ``head`` have fired or been passed over.  A cancelled task keeps its place
+    until the kernel passes it, as its own cancelled tick event would, so a
+    run that ``max_events`` or ``stop()`` ends leaves the clock where a kernel
+    with one event per tick would.
     """
 
     __slots__ = ("time", "tasks", "head")
@@ -262,13 +265,11 @@ class Simulator:
             metrics.heap_peak = len(queue)
 
     def _park(self, instant: _Instant) -> None:
-        """Requeue ``instant`` keyed on its next live task, or retire it."""
-        index = instant.first_live()
-        instant.head = index
-        if index == len(instant.tasks):
+        """Requeue ``instant`` keyed on its task at ``head``, or retire it."""
+        if instant.head == len(instant.tasks):
             del self._instants[instant.time]
         else:
-            self._push_instant(instant, instant.tasks[index]._event.sequence)
+            self._push_instant(instant, instant.tasks[instant.head]._event.sequence)
 
     # --------------------------------------------------------------- running
     # repro-lint: hot
@@ -328,6 +329,7 @@ class Simulator:
                 # yielding (the instant goes back on the heap, keyed on the
                 # next task) to stop(), max_events, or any entry that sorts
                 # before that task, e.g. an event a callback scheduled now.
+                # A cancelled task is passed over under the same checks.
                 self._now = time
                 self._firing = item
                 tasks = item.tasks
@@ -335,14 +337,13 @@ class Simulator:
                 while index < len(tasks):
                     task = tasks[index]
                     event = task._event
-                    if event.cancelled:
-                        index += 1
-                        continue
                     if (self._stopped or self._event_count >= count_bound
                             or (queue and queue[0] < (time, 0, event.sequence))):
                         break
                     index += 1
                     item.head = index
+                    if event.cancelled:
+                        continue
                     event._in_queue = False
                     self._live -= 1
                     self._event_count += 1
@@ -387,41 +388,12 @@ class Simulator:
     def step(self) -> bool:
         """Execute exactly one pending event.  Returns False if none remain.
 
-        At a periodic instant that is one task; the rest stay queued.
+        At a periodic instant that is one task; the rest stay queued.  The
+        event is dispatched by :meth:`run`, so profilers and metrics see it.
         """
-        queue = self._queue
-        while queue:
-            entry = heappop(queue)
-            item = entry[3]
-            if type(item) is _Instant:
-                # Re-key the instant on its next live task; it fires only if
-                # it is still the head, and leaves its other tasks queued.
-                self._park(item)
-                if not queue or queue[0][3] is not item:
-                    continue
-                heappop(queue)
-                task = item.tasks[item.head]
-                item.head += 1
-                self._park(item)
-                event = task._event
-                event._in_queue = False
-                self._live -= 1
-                self._now = entry[0]
-                self._event_count += 1
-                task.run_count += 1
-                event.callback()
-                if not event.cancelled:
-                    self._enqueue(task, self._now + task.period)
-                return True
-            item._in_queue = False
-            if item.cancelled:
-                continue
-            self._live -= 1
-            self._now = entry[0]
-            self._event_count += 1
-            item.callback()
-            return True
-        return False
+        fired = self._event_count
+        self.run(max_events=fired + 1)
+        return self._event_count > fired
 
     def stop(self) -> None:
         """Request that :meth:`run` return after the current event."""
@@ -449,8 +421,16 @@ class Simulator:
             if type(item) is _Instant:
                 if item.first_live() < len(item.tasks):
                     return entry[0]
+                # Every task left is cancelled: drop those that lead the
+                # queue and requeue the instant behind the entry that stops it.
                 heappop(queue)
-                del self._instants[item.time]
+                tasks = item.tasks
+                index = item.head
+                while index < len(tasks) and not (
+                        queue and queue[0] < (item.time, 0, tasks[index]._event.sequence)):
+                    index += 1
+                item.head = index
+                self._park(item)
                 continue
             if item.cancelled:
                 heappop(queue)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Any, Dict, Mapping, Tuple, Union
 
@@ -100,7 +100,7 @@ class DeviceMix:
         return getattr(self, device_type)
 
     def as_dict(self) -> Dict[str, Any]:
-        return {device_type: getattr(self, device_type) for device_type in DEVICE_TYPES}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "DeviceMix":
@@ -129,10 +129,7 @@ class CohortMix:
             )
 
     def as_dict(self) -> Dict[str, Any]:
-        return {
-            "sensitive_fraction": self.sensitive_fraction,
-            "athlete_fraction": self.athlete_fraction,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "CohortMix":
@@ -174,11 +171,7 @@ class StaffingSpec:
         return max(1, -(-beds // self.beds_per_caregiver))
 
     def as_dict(self) -> Dict[str, Any]:
-        return {
-            "caregivers": self.caregivers,
-            "beds_per_caregiver": self.beds_per_caregiver,
-            "shift": self.shift,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "StaffingSpec":
@@ -219,14 +212,7 @@ class FaultProfile:
                 or self.misprogramming_rate > 0)
 
     def as_dict(self) -> Dict[str, Any]:
-        return {
-            "channel_outage_rate": self.channel_outage_rate,
-            "channel_outage_duration_s": self.channel_outage_duration_s,
-            "stuck_sensor_rate": self.stuck_sensor_rate,
-            "stuck_sensor_duration_s": self.stuck_sensor_duration_s,
-            "misprogramming_rate": self.misprogramming_rate,
-            "misprogramming_rate_multiplier": self.misprogramming_rate_multiplier,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "FaultProfile":
@@ -257,14 +243,7 @@ class WardSpec:
             raise TopologyError(f"ward {self.name!r} must have at least one bed")
 
     def as_dict(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "beds": self.beds,
-            "device_mix": self.device_mix.as_dict(),
-            "cohort": self.cohort.as_dict(),
-            "staffing": self.staffing.as_dict(),
-            "faults": self.faults.as_dict(),
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "WardSpec":

@@ -9,20 +9,20 @@ Four layers of assurance:
 * the analyzer is self-clean: ``src/`` (including ``repro.lint`` itself)
   produces zero failing violations with zero suppressions in the
   simulation core, and
-* the baseline workflow round-trips: accepted violations pass, fixed
-  ones go stale and fail until the baseline is regenerated.
+* the scope follows the package: the same tree under another package
+  name gives the same findings, with nothing to configure.
 """
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from repro.lint import load_config, run_lint
-from repro.lint.config import load_config_file
+from repro.lint import run_lint
 
 REPO = Path(__file__).resolve().parents[1]
 SRC = REPO / "src"
@@ -31,12 +31,22 @@ FIXTURES = Path(__file__).resolve().parent / "lint_fixtures"
 
 @pytest.fixture(scope="module")
 def fixture_result():
-    config = load_config_file(FIXTURES / "pyproject.toml")
-    return run_lint([FIXTURES / "fix"], config, root=FIXTURES)
+    return run_lint([FIXTURES / "fix"], root=FIXTURES)
 
 
 def rules_at(result, rel_path):
     return {v.rule for v in result.failing if v.path == rel_path}
+
+
+def lint_cli(*argv):
+    """``python -m repro.lint *argv`` from the repo root."""
+    return subprocess.run(
+        [sys.executable, "-m", "repro.lint", *argv],
+        cwd=REPO,
+        env={"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin"},
+        capture_output=True,
+        text=True,
+    )
 
 
 class TestRuleFixtures:
@@ -104,7 +114,7 @@ class TestRuleFixtures:
 @pytest.fixture(scope="module")
 def src_lint():
     """One analysis of all of ``src``, shared by the self-clean checks."""
-    return run_lint([SRC], load_config(REPO), root=REPO)
+    return run_lint([SRC], root=REPO)
 
 
 class TestSelfClean:
@@ -132,7 +142,7 @@ class TestSelfClean:
         (pkg / "__init__.py").write_text("")
         (pkg / "trace.py").write_text(trace_py.replace(
             append, "self._events.append(TracePoint(float(time), signal, value, source))"))
-        result = run_lint([pkg], load_config(REPO), root=tmp_path)
+        result = run_lint([pkg], root=tmp_path)
         assert [(v.rule, v.symbol) for v in result.failing] == [("HOT01", "event")]
 
     def test_periodic_instant_allocation_is_guarded(self, tmp_path):
@@ -145,31 +155,20 @@ class TestSelfClean:
         pkg.mkdir()
         (pkg / "__init__.py").write_text("")
         (pkg / "kernel.py").write_text(kernel_py.replace(slots, ""))
-        result = run_lint([pkg], load_config(REPO), root=tmp_path)
+        result = run_lint([pkg], root=tmp_path)
         assert [(v.rule, v.symbol) for v in result.failing] == [("HOT01", "run")]
 
     def test_cli_json_on_src_is_clean(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro.lint", "src", "--format", "json"],
-            cwd=REPO,
-            env={"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin"},
-            capture_output=True,
-            text=True,
-        )
+        proc = lint_cli("src", "--format", "json")
         assert proc.returncode == 0, proc.stdout + proc.stderr
         payload = json.loads(proc.stdout)
+        assert payload["version"] == 2
         assert payload["violations"] == []
         assert payload["summary"]["failing"] == 0
         assert payload["summary"]["exit_code"] == 0
 
     def test_cli_list_rules_names_every_family(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro.lint", "--list-rules"],
-            cwd=REPO,
-            env={"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin"},
-            capture_output=True,
-            text=True,
-        )
+        proc = lint_cli("--list-rules")
         assert proc.returncode == 0
         listed = {line.split()[0] for line in proc.stdout.splitlines() if line}
         assert listed == {
@@ -181,95 +180,33 @@ class TestSelfClean:
         }
 
 
-VIOLATING = '''\
-"""Mini project module with one deliberate DET02 violation."""
+class TestScopeFollowsPackage:
+    def test_renamed_fixture_package_gives_the_same_findings(
+        self, fixture_result, tmp_path
+    ):
+        # The same tree as package ``ward``: its absolute imports follow.
+        shutil.copytree(FIXTURES / "fix", tmp_path / "ward")
+        for module in (tmp_path / "ward").rglob("*.py"):
+            text = module.read_text()
+            module.write_text(text.replace("from fix.", "from ward."))
+        renamed = run_lint([tmp_path / "ward"], root=tmp_path)
 
-import random
+        def located(result, package):
+            return [
+                (v.rule, v.path.replace(package + "/", "<pkg>/", 1), v.line, v.col)
+                for v in result.failing
+            ]
 
+        assert len(renamed.failing) == 17
+        assert located(renamed, "ward") == located(fixture_result, "fix")
+        assert [v.rule for v in renamed.suppressed] == ["DET03"]
+        assert renamed.hot_functions == 6
 
-def draw():
-    return random.random()
-'''
-
-FIXED = '''\
-"""Mini project module after the violation was fixed."""
-
-import random
-
-
-def draw():
-    return random.Random(7).random()
-'''
-
-MINI_PYPROJECT = """\
-[tool.repro-lint]
-paths = ["pkg"]
-det-scope = ["pkg"]
-"""
-
-
-class TestBaselineRoundTrip:
-    def _cli(self, tmp_path, *argv):
-        return subprocess.run(
-            [sys.executable, "-m", "repro.lint", "pkg",
-             "--config", "pyproject.toml", *argv],
-            cwd=tmp_path,
-            env={"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin"},
-            capture_output=True,
-            text=True,
-        )
-
-    def test_baseline_accepts_then_goes_stale(self, tmp_path):
-        (tmp_path / "pyproject.toml").write_text(MINI_PYPROJECT)
-        pkg = tmp_path / "pkg"
-        pkg.mkdir()
-        (pkg / "__init__.py").write_text("")
-        (pkg / "mod.py").write_text(VIOLATING)
-
-        # 1. The violation fails the plain run.
-        plain = self._cli(tmp_path)
-        assert plain.returncode == 1
-        assert "DET02" in plain.stdout
-
-        # 2. Writing a baseline accepts it ...
-        wrote = self._cli(tmp_path, "--baseline", "lint-baseline.json",
-                          "--write-baseline")
-        assert wrote.returncode == 0
-        baseline = json.loads((tmp_path / "lint-baseline.json").read_text())
-        assert len(baseline["fingerprints"]) == 1
-
-        # 3. ... and the baselined run is clean.
-        accepted = self._cli(tmp_path, "--baseline", "lint-baseline.json")
-        assert accepted.returncode == 0, accepted.stdout
-
-        # 4. Fixing the violation strands the baseline entry: stale -> 3.
-        (pkg / "mod.py").write_text(FIXED)
-        stale = self._cli(tmp_path, "--baseline", "lint-baseline.json")
-        assert stale.returncode == 3
-        assert "stale baseline entry" in stale.stdout
-
-        # 5. Regenerating shrinks the baseline back to empty.
-        rewrote = self._cli(tmp_path, "--baseline", "lint-baseline.json",
-                            "--write-baseline")
-        assert rewrote.returncode == 0
-        baseline = json.loads((tmp_path / "lint-baseline.json").read_text())
-        assert baseline["fingerprints"] == {}
-        clean = self._cli(tmp_path, "--baseline", "lint-baseline.json")
-        assert clean.returncode == 0
-
-    def test_baseline_survives_line_moves(self, tmp_path):
-        # Fingerprints hash the line's content, not its number: prepending
-        # code above the accepted violation must not go stale.
-        (tmp_path / "pyproject.toml").write_text(MINI_PYPROJECT)
-        pkg = tmp_path / "pkg"
-        pkg.mkdir()
-        (pkg / "__init__.py").write_text("")
-        (pkg / "mod.py").write_text(VIOLATING)
-        wrote = self._cli(tmp_path, "--baseline", "b.json", "--write-baseline")
-        assert wrote.returncode == 0
-        (pkg / "mod.py").write_text("X = 1\n\n\n" + VIOLATING)
-        moved = self._cli(tmp_path, "--baseline", "b.json")
-        assert moved.returncode == 0, moved.stdout
+    @pytest.mark.parametrize("flag", ["--config", "--baseline"])
+    def test_removed_flags_are_usage_errors(self, flag):
+        proc = lint_cli("src", flag, "x")
+        assert proc.returncode == 2
+        assert "unrecognized arguments" in proc.stderr
 
 
 class TestGoldenRegenerationHygiene:

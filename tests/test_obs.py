@@ -217,6 +217,30 @@ class TestProfiler:
         assert dispatcher.owners == ["a", "b"]
         assert fired == ["a", "b"]
 
+    def test_stepped_events_reach_the_dispatcher_and_fired_counter(self, obs_on):
+        class Counting:
+            def __init__(self):
+                self.calls = 0
+
+            def dispatch(self, event):
+                self.calls += 1
+                event.callback()
+
+        dispatcher = Counting()
+        sim = Simulator()
+        sim.attach_profiler(dispatcher)
+        sim.call_every(1.0, lambda: None, name="tick:a")
+        sim.call_every(1.0, lambda: None, name="tick:b")
+        sim.schedule(1.5, lambda: None, name="one:x")
+        fired = obs_on.counter("kernel.events_fired")
+        before = fired.value
+        steps = 7
+        for _ in range(steps):
+            assert sim.step()
+        assert dispatcher.calls == steps
+        assert fired.value - before == steps
+        assert sim.event_count == steps
+
 
 class TestExport:
     def test_snapshot_line_ordering(self):

@@ -79,6 +79,25 @@ class TestSegmentedRuns:
         assert simulator.step()
         assert log == [(1.0, "event"), (1.0, "b")]
 
+    @pytest.mark.parametrize("peek_first", [False, True])
+    def test_cancelled_task_holds_its_place_when_max_events_ends_a_run(self, peek_first):
+        # The event sorts between two cancelled tasks of one instant.  With
+        # one event per tick, b's cancelled tick is still queued after the
+        # event fires, so max_events ends the run at 1.0 rather than at until.
+        for kernel in (ReferenceSimulator, Simulator):
+            simulator = kernel()
+            log = []
+            a = simulator.call_every(1.0, _recorder(simulator, log, "a"))
+            simulator.schedule_at(1.0, _recorder(simulator, log, "event"))
+            b = simulator.call_every(1.0, _recorder(simulator, log, "b"))
+            a.cancel()
+            b.cancel()
+            if peek_first:
+                assert simulator.peek() == 1.0
+            assert simulator.run(until=5.0, max_events=1) == 1.0, kernel
+            assert log == [(1.0, "event")]
+            assert simulator.peek() is None
+
     def test_peek_skips_an_instant_whose_tasks_were_all_cancelled(self):
         simulator = Simulator()
         doomed = [simulator.call_every(1.0, lambda: None) for _ in range(3)]
