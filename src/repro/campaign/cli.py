@@ -48,8 +48,7 @@ from repro.campaign.aggregate import campaign_table
 from repro.campaign.engine import run_campaign
 from repro.campaign.registry import CampaignError, get_scenario, list_scenarios
 from repro.campaign.resilience import FAIL_FAST, ResilienceConfig, RetryPolicy
-from repro.campaign.sharding import (STRATEGIES, ShardSelector,
-                                     load_spec_or_shard,
+from repro.campaign.sharding import (ShardSelector, load_spec_or_shard,
                                      write_shard_manifests)
 from repro.campaign.spec import CampaignSpec
 from repro.campaign.store import ResultStore
@@ -85,21 +84,12 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="execute only the I-th of K partitions of the "
                           "expanded campaign (1-based, e.g. 2/4); segments "
                           "merge byte-identically via 'merge'")
-    run.add_argument("--shard-strategy", choices=STRATEGIES,
-                     default="contiguous",
-                     help="partition assignment for --shard (default: "
-                          "contiguous blocks; strided balances systematic "
-                          "cost gradients)")
     run.add_argument("--workers", type=int, default=1,
                      help="worker processes (1 = deterministic serial reference)")
     run.add_argument("--out", default=None,
                      help="campaign directory for streamed results and resume")
     run.add_argument("--resume", action="store_true",
                      help="skip runs already completed in --out")
-    run.add_argument("--flush-every", type=int, default=1,
-                     help="flush+fsync results.jsonl every N records "
-                          "(default 1 = per-record durability; larger values "
-                          "risk at most N-1 tail records on a crash)")
     run.add_argument("--group-by", default=None,
                      help="comma-separated fields for the post-run summary table")
     run.add_argument("--metrics", default=None,
@@ -113,10 +103,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--retries", type=int, default=3, metavar="N",
                      help="with --isolate-failures: total attempts per run for "
                           "transient failures (default 3; 1 disables retry)")
-    run.add_argument("--retry-backoff", type=float, default=0.0, metavar="SECONDS",
-                     help="with --isolate-failures: base backoff before a "
-                          "retry, doubled per attempt with seeded jitter "
-                          "(default 0 = retry immediately)")
     run.add_argument("--run-timeout", type=float, default=None, metavar="SECONDS",
                      help="with --isolate-failures and --workers > 1: per-run "
                           "wall-clock budget; a run exceeding it is "
@@ -128,8 +114,6 @@ def _build_parser() -> argparse.ArgumentParser:
     shard.add_argument("spec", help="path to a campaign spec JSON file")
     shard.add_argument("--count", type=int, required=True, metavar="K",
                        help="number of shards to emit")
-    shard.add_argument("--strategy", choices=STRATEGIES, default="contiguous",
-                       help="partition assignment (default: contiguous)")
     shard.add_argument("--out", required=True, metavar="DIR",
                        help="directory for the shard manifest files")
 
@@ -249,7 +233,7 @@ def _cmd_list(log: StructLogger) -> int:
 def _cmd_run(args: argparse.Namespace, log: StructLogger) -> int:
     spec, shard = load_spec_or_shard(args.spec)
     if args.shard is not None:
-        selected = ShardSelector.parse(args.shard, args.shard_strategy)
+        selected = ShardSelector.parse(args.shard)
         if shard is not None and shard != selected:
             raise CampaignError(
                 f"spec file {args.spec} is the manifest for shard "
@@ -275,8 +259,7 @@ def _cmd_run(args: argparse.Namespace, log: StructLogger) -> int:
     resilience = FAIL_FAST
     if args.isolate_failures:
         resilience = ResilienceConfig(
-            retry=RetryPolicy(max_attempts=args.retries,
-                              backoff_base_s=args.retry_backoff),
+            retry=RetryPolicy(max_attempts=args.retries),
             run_timeout_s=args.run_timeout,
         )
     elif args.run_timeout is not None:
@@ -288,7 +271,6 @@ def _cmd_run(args: argparse.Namespace, log: StructLogger) -> int:
         directory=args.out,
         resume=args.resume,
         progress=progress,
-        flush_every=args.flush_every,
         metrics_out=args.metrics_out,
         resilience=resilience,
         shard=shard,
@@ -327,16 +309,16 @@ def _cmd_run(args: argparse.Namespace, log: StructLogger) -> int:
 
 def _cmd_shard(args: argparse.Namespace, log: StructLogger) -> int:
     spec = CampaignSpec.from_file(args.spec)
-    written = write_shard_manifests(spec, args.out, args.count, args.strategy)
+    written = write_shard_manifests(spec, args.out, args.count)
     for path, selector, runs in written:
         log.info(f"  shard {selector.label}: {runs} runs -> {path}",
                  event="shard-written", shard=selector.label, runs=runs,
                  path=str(path))
     total = sum(runs for _, _, runs in written)
     log.info(f"campaign {spec.name!r}: {total} runs partitioned into "
-             f"{args.count} {args.strategy} shard manifest(s) in {args.out}",
+             f"{args.count} shard manifest(s) in {args.out}",
              event="shard-done", campaign=spec.name, runs=total,
-             count=args.count, strategy=args.strategy, directory=args.out)
+             count=args.count, directory=args.out)
     return 0
 
 

@@ -264,8 +264,6 @@ class CampaignEngine:
         *,
         workers: int = 1,
         directory: Optional[Union[str, Path]] = None,
-        mp_context: Optional[str] = None,
-        flush_every: int = 1,
         metrics_out: Optional[Union[str, Path]] = None,
         resilience: ResilienceConfig = FAIL_FAST,
         shard: Optional[ShardSelector] = None,
@@ -277,11 +275,7 @@ class CampaignEngine:
         self.spec = spec
         self.shard = shard
         self.workers = workers
-        self.store = (
-            ResultStore(directory, flush_every=flush_every)
-            if directory is not None else None
-        )
-        self._mp_context = mp_context
+        self.store = ResultStore(directory) if directory is not None else None
         self.resilience = resilience
         self._dispatch_stats: Dict[str, int] = {}
         self.metrics_out = Path(metrics_out) if metrics_out is not None else None
@@ -372,10 +366,9 @@ class CampaignEngine:
             else:
                 records = [completed[index] for index in sorted(completed)]
         finally:
-            # Deterministic shutdown: buffered appends reach disk even when a
-            # run raises mid-campaign (resume then sees every finished run),
-            # and closing the outcome generator restores the collector state
-            # and tears down the pool before the error propagates.
+            # Deterministic shutdown: closing the outcome generator restores
+            # the collector state and tears down the pool, and the store's
+            # handles are released, before an error propagates.
             outcomes.close()
             if self.store is not None:
                 self.store.close()
@@ -426,7 +419,7 @@ class CampaignEngine:
                 stale.unlink()
         heartbeat = Heartbeat()
         try:
-            with multiprocessing.get_context(self._mp_context).Pool(
+            with multiprocessing.Pool(
                 processes=processes,
                 initializer=_pool_initializer,
                 initargs=(
@@ -508,16 +501,13 @@ def run_campaign(
     directory: Optional[Union[str, Path]] = None,
     resume: bool = False,
     progress: Optional[ProgressCallback] = None,
-    mp_context: Optional[str] = None,
-    flush_every: int = 1,
     metrics_out: Optional[Union[str, Path]] = None,
     resilience: ResilienceConfig = FAIL_FAST,
     shard: Optional[ShardSelector] = None,
 ) -> CampaignReport:
     """One-call convenience wrapper around :class:`CampaignEngine`."""
     engine = CampaignEngine(
-        spec, workers=workers, directory=directory, mp_context=mp_context,
-        flush_every=flush_every, metrics_out=metrics_out,
+        spec, workers=workers, directory=directory, metrics_out=metrics_out,
         resilience=resilience, shard=shard,
     )
     return engine.run(resume=resume, progress=progress)

@@ -12,10 +12,10 @@ engine composes:
   — instead of an exception that poisons the worker pool.  Error records
   are quarantined to ``errors.jsonl`` by the store and re-dispatched on
   resume.
-* **Bounded deterministic retry** (:class:`RetryPolicy`): transient
-  failures retry in-worker with seeded-jitter backoff derived from
-  ``derive_seed(manifest.seed, attempt)``, so reruns of a flaky run are
-  reproducible; deterministic failures quarantine immediately.
+* **Bounded retry** (:class:`RetryPolicy`): transient failures (the
+  exception types named in :data:`_TRANSIENT_TYPES`) retry in-worker at
+  once, up to ``max_attempts`` tries; deterministic failures quarantine
+  immediately.
 * **Worker-death and timeout tolerance** (:class:`ResilientDispatcher`):
   a parent-side watchdog dispatches runs with ``apply_async``, wakes as
   each one completes, reads per-run heartbeat files written by the
@@ -46,7 +46,6 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tupl
 
 from repro.campaign.registry import CampaignError
 from repro.campaign.spec import RunManifest
-from repro.sim.random import derive_seed
 
 #: Outcome tuples the engine consumes: ("ok", record, attempts) or
 #: ("error", error_record).  Error records carry their attempt count inside.
@@ -65,6 +64,19 @@ WORKER_LOST = "worker_lost"
 #: watchdog checks (timeouts, dead workers).
 _POLL_S = 0.02
 
+#: Extra wall-clock allowance between dispatch and the worker's heartbeat
+#: appearing, on top of ``run_timeout_s``: a dispatched run may wait in the
+#: pool behind a run that uses its whole budget.
+_PICKUP_GRACE_S = 5.0
+
+#: Exception type *names* classified as transient, matched against the
+#: exception class, its bases, and its ``__cause__`` chain (so a runner
+#: error wrapped in :class:`CampaignError` keeps its classification).
+_TRANSIENT_TYPES = frozenset((
+    "TransientError", "ConnectionError", "BrokenPipeError", "EOFError",
+    "TimeoutError",
+))
+
 #: Dispatches per run when its *worker* dies under it (distinct from
 #: in-worker retries: the run itself never raised).
 _MAX_DISPATCH_ATTEMPTS = 2
@@ -79,8 +91,8 @@ class TransientError(RuntimeError):
     """Marker for failures worth retrying (I/O hiccups, resource races).
 
     Scenario runners raise this (or any type named in
-    :attr:`RetryPolicy.transient_types`) to request an in-worker retry
-    instead of immediate quarantine.
+    :data:`_TRANSIENT_TYPES`) to request an in-worker retry instead of
+    immediate quarantine.
     """
 
 
@@ -115,63 +127,29 @@ def _mark_worker() -> None:
 # -------------------------------------------------------------- retry policy
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Bounded, deterministically jittered retry for transient failures.
+    """Bounded, immediate retry for transient failures.
 
     max_attempts:
         Total tries per run (1 = never retry).
-    backoff_base_s / backoff_factor:
-        Attempt ``n`` (1-based) sleeps ``base * factor**(n-1)`` seconds
-        before retrying, capped at ``backoff_max_s``.
-    backoff_jitter:
-        Fraction of the backoff added as seeded jitter.  The jitter for
-        attempt ``n`` of a run derives from ``derive_seed(run_seed,
-        "retry:n")`` — identical on every rerun of the campaign, so retry
-        timing never introduces nondeterminism.
-    transient_types:
-        Exception type *names* classified as transient (matched against the
-        exception class, its bases, and its ``__cause__`` chain, so a
-        runner error wrapped in :class:`CampaignError` keeps its
-        classification).
     """
 
     max_attempts: int = 3
-    backoff_base_s: float = 0.0
-    backoff_factor: float = 2.0
-    backoff_max_s: float = 30.0
-    backoff_jitter: float = 0.5
-    transient_types: Tuple[str, ...] = (
-        "TransientError", "ConnectionError", "BrokenPipeError", "EOFError",
-        "TimeoutError",
-    )
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise CampaignError("retry max_attempts must be >= 1")
-        if self.backoff_base_s < 0 or self.backoff_max_s < 0:
-            raise CampaignError("retry backoff must be non-negative")
 
     def classify(self, error: BaseException) -> str:
         """``"transient"`` or ``"deterministic"`` for ``error``."""
-        wanted = set(self.transient_types)
         seen = set()
         current: Optional[BaseException] = error
         while current is not None and id(current) not in seen:
             seen.add(id(current))
             for klass in type(current).__mro__:
-                if klass.__name__ in wanted:
+                if klass.__name__ in _TRANSIENT_TYPES:
                     return TRANSIENT
             current = current.__cause__ or current.__context__
         return DETERMINISTIC
-
-    def backoff_s(self, run_seed: int, attempt: int) -> float:
-        """Delay before retry ``attempt`` (1-based count of failures so far)."""
-        base = min(self.backoff_max_s,
-                   self.backoff_base_s * (self.backoff_factor ** (attempt - 1)))
-        if base <= 0.0:
-            return 0.0
-        jitter_seed = derive_seed(run_seed, f"retry:{attempt}")
-        unit = (jitter_seed % 10_000) / 10_000.0  # deterministic U[0, 1)
-        return base * (1.0 + self.backoff_jitter * unit)
 
 
 @dataclass(frozen=True)
@@ -184,10 +162,6 @@ class ResilienceConfig:
         Per-run wall-clock budget.  Only enforceable with ``workers > 1``
         (the parent cannot preempt its own thread); a run that exceeds it
         fails as ``timeout`` and its worker is killed and respawned.
-    heartbeat_grace_s:
-        Extra wall-clock allowance between dispatch and the worker's
-        heartbeat appearing, on top of ``run_timeout_s`` (a dispatched run
-        may wait in the pool behind a run that uses its whole budget).
     isolate:
         True quarantines a failed run to ``errors.jsonl`` and carries on;
         False aborts the campaign with a :class:`CampaignError` carrying
@@ -196,7 +170,6 @@ class ResilienceConfig:
 
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     run_timeout_s: Optional[float] = None
-    heartbeat_grace_s: float = 5.0
     isolate: bool = True
 
     def __post_init__(self) -> None:
@@ -267,10 +240,9 @@ def execute_with_capture(
     policy: RetryPolicy,
     *,
     execute: Optional[Callable[[RunManifest], Dict[str, Any]]] = None,
-    sleep: Callable[[float], None] = time.sleep,
     on_retry: Optional[Callable[[], None]] = None,
 ) -> Outcome:
-    """Run one manifest, retrying transients; never raises for run failures.
+    """Run one manifest, retrying transients at once; never raises for run failures.
 
     Returns ``("ok", record, attempts)`` or ``("error", error_record,
     attempts)``.  ``KeyboardInterrupt`` / ``SystemExit`` still propagate —
@@ -297,9 +269,6 @@ def execute_with_capture(
             if classification == TRANSIENT and attempts < policy.max_attempts:
                 if on_retry is not None:
                     on_retry()
-                delay = policy.backoff_s(manifest.seed, attempts)
-                if delay > 0.0:
-                    sleep(delay)
                 continue
             _CURRENT_ATTEMPT = 1
             return (ERROR,
@@ -505,8 +474,7 @@ class ResilientDispatcher:
         if beat is None:
             # Not picked up yet: it may be queued behind a run that uses the
             # whole budget, so the grace only has to cover the pickup.
-            return now - flight.dispatched_at > (
-                timeout + self.config.heartbeat_grace_s)
+            return now - flight.dispatched_at > timeout + _PICKUP_GRACE_S
         _pid, started_at = beat
         return time.time() - started_at > timeout
 

@@ -328,6 +328,9 @@ class CampaignSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "CampaignSpec":
+        if not isinstance(data, dict):
+            raise CampaignError(
+                f"campaign spec must be a JSON object, got {type(data).__name__}")
         unknown = sorted(set(data) - set(cls.__dataclass_fields__))
         if unknown:
             raise CampaignError(f"unknown campaign spec fields: {unknown}")

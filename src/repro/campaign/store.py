@@ -8,16 +8,19 @@ Layout of a campaign directory::
     <dir>/shard_index.json   # merged stores only: content-hashed segment index
 
 A *shard segment* is a campaign directory whose manifest additionally
-carries a ``shard`` block (index / count / strategy / owned run indices);
+carries a ``shard`` block (index / count / total runs / owned run indices,
+read only through :meth:`~repro.campaign.sharding.ShardSelector.from_block`);
 :meth:`ResultStore.merge` folds any number of sibling segments into one
 merged store whose ``results.jsonl`` is byte-identical to a serial run of
 the whole campaign, recording every segment's content hash in
-``shard_index.json``.
+``shard_index.json``.  A damaged segment manifest fails the merge with a
+:class:`CampaignError` naming the segment and the field.
 
-Results are appended through one persistent handle as runs complete and
-flushed every ``flush_every`` records (default 1), so an interrupted
-campaign loses at most the in-flight runs plus any unflushed tail;
-:meth:`ResultStore.completed` tolerates a torn final line when re-reading.
+Results are appended through one persistent handle as runs complete, and
+every append is flushed and fsynced before it returns, so an interrupted
+campaign loses at most the in-flight runs and a new reader sees each
+record at once; :meth:`ResultStore.completed` tolerates a torn final line
+when re-reading.
 :meth:`ResultStore.finalize` rewrites ``results.jsonl`` in run-index order
 through an atomic replace, which makes the finished file byte-identical
 regardless of whether the campaign ran serially, in parallel, or across
@@ -48,6 +51,7 @@ from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.campaign.registry import CampaignError
+from repro.campaign.sharding import ShardSelector
 from repro.campaign.spec import CampaignSpec, RunManifest
 
 MANIFEST_FILE = "manifest.json"
@@ -141,11 +145,44 @@ def file_sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _shard_label(block: Optional[Dict[str, Any]]) -> str:
-    """Human spelling of a manifest ``shard`` block (``"2/4"`` or ``"none"``)."""
-    if not block:
-        return "none"
-    return f"{block.get('index')}/{block.get('count')}"
+#: A parsed ``shard`` block: ``(selector, total_runs, run_indices)``.
+_ShardClaim = Tuple[ShardSelector, int, Tuple[int, ...]]
+
+
+def _read_manifest(path: Path, where: str) -> Optional[Dict[str, Any]]:
+    """The ``manifest.json`` at ``path`` (None if absent), which must be an object."""
+    if not path.exists():
+        return None
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            manifest = json.load(handle)
+    except json.JSONDecodeError as error:
+        raise CampaignError(f"{where}: {path.name} is not valid JSON: {error}") from None
+    if not isinstance(manifest, dict):
+        raise CampaignError(
+            f"{where}: {path.name} must be a JSON object, got {type(manifest).__name__}")
+    return manifest
+
+
+def _shard_claim(manifest: Dict[str, Any], where: str) -> Optional[_ShardClaim]:
+    """The manifest's parsed ``shard`` block, or None if it has none."""
+    if "shard" not in manifest:
+        return None
+    return ShardSelector.from_block(manifest["shard"], where)
+
+
+def _shard_label(claim: Optional[_ShardClaim]) -> str:
+    """Human spelling of a shard claim (``"2/4"`` or ``"none"``)."""
+    return "none" if claim is None else claim[0].label
+
+
+def _run_index(entry: Any, where: str) -> int:
+    """The integer ``run_index`` of a manifest run or a stored record."""
+    run_index = entry.get("run_index") if isinstance(entry, dict) else None
+    # bool is an int subclass; `true` is never a run index.
+    if isinstance(run_index, bool) or not isinstance(run_index, int):
+        raise CampaignError(f"{where} has no integer 'run_index'")
+    return run_index
 
 
 @dataclass(frozen=True)
@@ -155,7 +192,6 @@ class SegmentInfo:
     directory: Path
     index: int
     count: int
-    strategy: str
     run_indices: Tuple[int, ...]
     records: int
     skipped_lines: int
@@ -193,31 +229,22 @@ class MergeResult:
 
 
 class _AppendFile:
-    """One append-only JSONL file behind a persistent, batched-flush handle."""
+    """One append-only JSONL file behind a persistent handle."""
 
-    def __init__(self, path: Path, flush_every: int) -> None:
+    def __init__(self, path: Path) -> None:
         self.path = path
-        self.flush_every = flush_every
         self._handle = None
-        self._unflushed = 0
 
     def append(self, record: Dict[str, Any]) -> None:
+        """Write one record and fsync it before returning."""
         if self._handle is None:
             self._handle = open(self.path, "a", encoding="utf-8")
         self._handle.write(_dumps(record) + "\n")
-        self._unflushed += 1
-        if self._unflushed >= self.flush_every:
-            self.flush()
-
-    def flush(self) -> None:
-        if self._handle is not None and self._unflushed:
-            self._handle.flush()
-            os.fsync(self._handle.fileno())
-            self._unflushed = 0
+        self._handle.flush()
+        os.fsync(self._handle.fileno())
 
     def close(self) -> None:
         if self._handle is not None:
-            self.flush()
             self._handle.close()
             self._handle = None
 
@@ -226,25 +253,19 @@ class ResultStore:
     """Disk-backed store for one campaign's manifest, results, and errors.
 
     Appends go through one persistent file handle per file instead of an
-    open/write/close cycle per record.  ``flush_every`` batches the
-    flush+fsync behind every N appends: the default of 1 keeps the seed's
-    per-record durability, larger values trade at most N-1 tail records on
-    a crash for much cheaper appends.  Error appends always flush
-    immediately — quarantine records are rare and must survive the crash
-    that often follows them.
+    open/write/close cycle per record, and each one is flushed and fsynced
+    before it returns: a finished run is durable, and visible to any
+    reader, as soon as it is checkpointed.
     """
 
-    def __init__(self, directory: Union[str, Path], *, flush_every: int = 1) -> None:
-        if flush_every < 1:
-            raise CampaignError("flush_every must be >= 1")
+    def __init__(self, directory: Union[str, Path]) -> None:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.manifest_path = self.directory / MANIFEST_FILE
         self.results_path = self.directory / RESULTS_FILE
         self.errors_path = self.directory / ERRORS_FILE
-        self.flush_every = flush_every
-        self._results = _AppendFile(self.results_path, flush_every)
-        self._errors = _AppendFile(self.errors_path, flush_every=1)
+        self._results = _AppendFile(self.results_path)
+        self._errors = _AppendFile(self.errors_path)
         #: Lines dropped by the most recent :meth:`repair` (per file).
         self.last_repair_skipped: Dict[str, int] = {}
 
@@ -261,16 +282,13 @@ class ResultStore:
         }
         if shard is not None:
             # A shard segment records its claimed assignment explicitly so a
-            # merge audits segments against what they owned, not against a
-            # re-derived partition.
+            # merge audits the segment's records against it.
             payload["shard"] = shard
         self._atomic_write(self.manifest_path, _dumps(payload))
 
     def load_manifest(self) -> Optional[Dict[str, Any]]:
-        if not self.manifest_path.exists():
-            return None
-        with open(self.manifest_path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+        return _read_manifest(self.manifest_path,
+                              f"campaign directory {self.directory}")
 
     def check_manifest(
         self,
@@ -296,9 +314,9 @@ class ResultStore:
             )
         # Shard identity first: "wrong shard" is the actionable message when
         # both it and the (consequent) run-list difference apply.
-        existing_shard = existing.get("shard")
+        existing_shard = _shard_claim(existing, f"campaign directory {self.directory}")
         fresh_shard = (None if shard is None
-                       else json.loads(_dumps({"shard": shard}))["shard"])
+                       else ShardSelector.from_block(shard, "this session"))
         if existing_shard != fresh_shard:
             raise CampaignError(
                 f"campaign directory {self.directory} holds shard "
@@ -319,31 +337,24 @@ class ResultStore:
 
     # --------------------------------------------------------------- results
     def append(self, record: Dict[str, Any]) -> None:
-        """Append one completed-run record; durability follows ``flush_every``."""
+        """Append one completed-run record, durably."""
         self._results.append(record)
 
     def append_error(self, record: Dict[str, Any]) -> None:
-        """Quarantine one failed-run record (always flushed immediately)."""
+        """Quarantine one failed-run record, durably."""
         self._errors.append(record)
 
-    def flush(self) -> None:
-        """Flush and fsync any buffered appends (results and errors)."""
-        self._results.flush()
-        self._errors.flush()
-
     def close(self) -> None:
-        """Flush and release the append handles (safe to call repeatedly)."""
+        """Release the append handles (safe to call repeatedly)."""
         self._results.close()
         self._errors.close()
 
     def records(self) -> List[Dict[str, Any]]:
         """All intact result records on disk (torn/corrupt lines skipped)."""
-        self._results.flush()  # make buffered appends visible to the read
         return scan_jsonl(self.results_path)[0]
 
     def error_records(self) -> List[Dict[str, Any]]:
         """All intact quarantine records on disk."""
-        self._errors.flush()
         return scan_jsonl(self.errors_path)[0]
 
     def iter_records(self) -> Iterator[Dict[str, Any]]:
@@ -354,7 +365,6 @@ class ResultStore:
         merged) store file order *is* run-index order; on a live store it is
         completion order, exactly like the file itself.
         """
-        self._results.flush()  # make buffered appends visible to the read
         return iter_jsonl(self.results_path)
 
     def head_records(self, limit: int) -> List[Dict[str, Any]]:
@@ -436,11 +446,13 @@ class ResultStore:
         Missing shards or missing runs raise (naming the culprits) unless
         ``allow_partial`` — a partial merge still writes everything it has,
         plus a ``shard_index.json`` recording each segment's content hash.
+        A damaged segment manifest always raises, naming the segment and
+        the field, before anything is written.
         """
         if not segments:
             raise CampaignError("merge needs at least one shard segment")
         seen_dirs = set()
-        parsed: List[Tuple[Path, Dict[str, Any]]] = []
+        parsed: List[Tuple[Path, Dict[str, Any], _ShardClaim]] = []
         for segment in segments:
             directory = Path(segment)
             resolved = directory.resolve()
@@ -450,88 +462,81 @@ class ResultStore:
             if resolved in seen_dirs:
                 raise CampaignError(f"segment {directory} listed twice")
             seen_dirs.add(resolved)
-            manifest_path = directory / MANIFEST_FILE
-            if not manifest_path.exists():
+            where = f"segment {directory}"
+            manifest = _read_manifest(directory / MANIFEST_FILE, where)
+            if manifest is None:
                 raise CampaignError(
-                    f"segment {directory} has no {MANIFEST_FILE}; "
+                    f"{where} has no {MANIFEST_FILE}; "
                     "was the shard run finalized?")
-            with open(manifest_path, "r", encoding="utf-8") as handle:
-                manifest = json.load(handle)
-            if not isinstance(manifest.get("shard"), dict):
+            claim = _shard_claim(manifest, where)
+            if claim is None:
                 raise CampaignError(
-                    f"segment {directory} is not a shard segment "
+                    f"{where} is not a shard segment "
                     "(manifest has no shard block)")
-            parsed.append((directory, manifest))
+            if not isinstance(manifest.get("spec"), dict):
+                raise CampaignError(f"{where}: manifest field 'spec' must be an object")
+            if not isinstance(manifest.get("runs"), list):
+                raise CampaignError(f"{where}: manifest field 'runs' must be a list")
+            parsed.append((directory, manifest, claim))
 
         spec_dict = parsed[0][1]["spec"]
-        shape = parsed[0][1]["shard"]
-        count = int(shape["count"])
-        strategy = str(shape.get("strategy", "contiguous"))
-        total_runs = int(shape["total_runs"])
+        first_shard, total_runs, _claimed = parsed[0][2]
+        count = first_shard.count
         seen_indices: Dict[int, Path] = {}
-        owned: Dict[int, Path] = {}
         runs_by_index: Dict[int, Dict[str, Any]] = {}
         infos: List[SegmentInfo] = []
         merged_records: Dict[int, Dict[str, Any]] = {}
         merged_errors: Dict[int, Dict[str, Any]] = {}
-        for directory, manifest in parsed:
-            block = manifest["shard"]
+        for directory, manifest, (shard, total, claimed) in parsed:
+            where = f"segment {directory}"
             if manifest["spec"] != spec_dict:
                 raise CampaignError(
-                    f"segment {directory} holds a different campaign spec "
+                    f"{where} holds a different campaign spec "
                     f"than {parsed[0][0]}")
-            if (int(block["count"]), str(block.get("strategy", "contiguous")),
-                    int(block["total_runs"])) != (count, strategy, total_runs):
+            if (shard.count, total) != (count, total_runs):
                 raise CampaignError(
-                    f"segment {directory} has partition shape "
-                    f"{block.get('count')}-way/{block.get('strategy')!r} over "
-                    f"{block.get('total_runs')} runs; expected "
-                    f"{count}-way/{strategy!r} over {total_runs}")
-            index = int(block["index"])
-            if index in seen_indices:
+                    f"{where} has partition shape {shard.count}-way over "
+                    f"{total} runs; expected {count}-way over {total_runs}")
+            if shard.index in seen_indices:
                 raise CampaignError(
-                    f"shard {index}/{count} appears in both "
-                    f"{seen_indices[index]} and {directory}")
-            seen_indices[index] = directory
-            claimed = tuple(int(i) for i in block["run_indices"])
-            for run_index in claimed:
-                if run_index in owned:
-                    raise CampaignError(
-                        f"run index {run_index} claimed by both "
-                        f"{owned[run_index]} and {directory}")
-                owned[run_index] = directory
-            for run in manifest.get("runs", []):
-                runs_by_index[run["run_index"]] = run
+                    f"shard {shard.label} appears in both "
+                    f"{seen_indices[shard.index]} and {directory}")
+            # Same shape and distinct indices make the claims disjoint: the
+            # parser ties each claim to its shard's block of the partition.
+            seen_indices[shard.index] = directory
+            runs = {_run_index(run, f"{where}: manifest runs[{position}]"): run
+                    for position, run in enumerate(manifest["runs"])}
+            if sorted(runs) != list(claimed):
+                raise CampaignError(
+                    f"{where}: manifest field 'runs' does not list the runs "
+                    f"of shard {shard.label}")
+            runs_by_index.update(runs)
             claimed_set = frozenset(claimed)
             records, skipped = scan_jsonl(directory / RESULTS_FILE)
-            segment_count = 0
             for record in records:
-                run_index = record["run_index"]
+                run_index = _run_index(record, f"{where}: a {RESULTS_FILE} record")
                 if run_index not in claimed_set:
                     raise CampaignError(
-                        f"segment {directory} contains run index {run_index} "
-                        f"outside its claimed assignment (shard {index}/{count})")
+                        f"{where} contains run index {run_index} "
+                        f"outside its claimed assignment (shard {shard.label})")
                 merged_records[run_index] = record
-                segment_count += 1
             for error in scan_jsonl(directory / ERRORS_FILE)[0]:
-                merged_errors[error["run_index"]] = error
+                merged_errors[_run_index(error, f"{where}: an {ERRORS_FILE} record")] = error
             infos.append(SegmentInfo(
                 directory=directory,
-                index=index,
+                index=shard.index,
                 count=count,
-                strategy=strategy,
                 run_indices=claimed,
-                records=segment_count,
+                records=len(records),
                 skipped_lines=skipped,
                 sha256=file_sha256(directory / RESULTS_FILE),
             ))
         infos.sort(key=lambda info: info.index)
 
         missing_shards = sorted(set(range(1, count + 1)) - set(seen_indices))
-        missing_runs = sorted(set(owned) - set(merged_records))
-        # Runs owned by no provided segment are missing too (partial fan-in).
-        missing_runs += sorted(set(range(total_runs)) - set(owned))
-        missing_runs = sorted(set(missing_runs))
+        # A run is missing whether its segment lacks the record or was not
+        # passed at all (partial fan-in).
+        missing_runs = sorted(set(range(total_runs)) - set(merged_records))
         if not allow_partial:
             if missing_shards:
                 raise CampaignError(
@@ -570,7 +575,6 @@ class ResultStore:
             "campaign": spec_dict.get("name"),
             "scenario": spec_dict.get("scenario"),
             "shard_count": count,
-            "strategy": strategy,
             "total_runs": total_runs,
             "merged_records": len(ordered),
             "merged_errors": len(error_list),

@@ -132,6 +132,12 @@ class TestExpansion:
         with pytest.raises(CampaignError, match="not valid JSON"):
             CampaignSpec.from_file(bad)
 
+    @pytest.mark.parametrize("data", [None, 3, ["name", "scenario"]])
+    def test_non_object_spec_is_campaign_error(self, data):
+        # Regression: these raised TypeError or ValueError from the parser.
+        with pytest.raises(CampaignError, match="must be a JSON object"):
+            CampaignSpec.from_dict(data)
+
     def test_empty_sweep_list_rejected(self):
         # Regression: an empty sweep used to "succeed" with zero runs.
         spec = tiny_spec(parameters={"mode": [], **SHORT_PCA})
@@ -357,11 +363,12 @@ class TestGoldenScenarioTraces:
         assert digest == golden[scenario_key]
         assert counters == json.loads(GOLDEN_PATH.read_text())["work_counters"][scenario_key]
 
-    def test_parallel_buffered_results_match_seed_bytes(self, golden, tmp_path):
-        # The perf knobs (pool initializer, buffered flushes) must not leak
-        # into the results: same bytes as the seed's serial path.
+    def test_parallel_results_match_seed_bytes(self, golden, tmp_path):
+        # The pool path (payloads shipped once through the initializer,
+        # completion-order appends) must not leak into the results: same
+        # bytes as the seed's serial path.
         spec = CampaignSpec(**SCENARIO_SPECS["pca"])
-        run_campaign(spec, workers=2, directory=tmp_path, flush_every=16)
+        run_campaign(spec, workers=2, directory=tmp_path)
         digest = hashlib.sha256((tmp_path / "results.jsonl").read_bytes()).hexdigest()
         assert digest == golden["pca"]
 
@@ -409,17 +416,21 @@ class TestStore:
         assert store._results._handle is None
         assert len(store.records()) == 2
 
-    def test_flush_every_batches_fsyncs_but_records_flushes_on_read(self, tmp_path):
-        store = ResultStore(tmp_path, flush_every=100)
-        for index in range(5):
+    def test_append_is_visible_to_a_new_reader_at_once(self, tmp_path):
+        # Every append is flushed and fsynced before it returns: a second
+        # store on the same directory (a report, a resume after a crash)
+        # sees each record while the writer still holds its handle open.
+        store = ResultStore(tmp_path)
+        for index in range(3):
             store.append({"run_index": index})
-        # records() must see buffered appends (it flushes before reading).
-        assert len(store.records()) == 5
+            assert [r["run_index"] for r in ResultStore(tmp_path).records()] == list(
+                range(index + 1))
+        store.append_error({"run_index": 9, "error": {}})
+        assert ResultStore(tmp_path).error_records() == [{"run_index": 9, "error": {}}]
         store.close()
-        assert len(load_results(tmp_path)) == 5
 
     def test_close_is_idempotent_and_append_reopens(self, tmp_path):
-        store = ResultStore(tmp_path, flush_every=10)
+        store = ResultStore(tmp_path)
         store.append({"run_index": 0})
         store.close()
         store.close()
@@ -427,12 +438,11 @@ class TestStore:
         store.close()
         assert [r["run_index"] for r in store.records()] == [0, 1]
 
-    def test_repair_with_open_buffered_handle(self, tmp_path):
+    def test_repair_with_open_append_handle(self, tmp_path):
         # repair() atomically replaces the file; a stale open handle would
         # keep appending to the orphaned inode and silently lose records.
-        store = ResultStore(tmp_path, flush_every=10)
+        store = ResultStore(tmp_path)
         store.append({"run_index": 0})
-        store.flush()
         with open(store.results_path, "a", encoding="utf-8") as handle:
             handle.write('{"run_index": 1, "torn')
         assert store.repair() == 1
@@ -440,19 +450,15 @@ class TestStore:
         store.close()
         assert [r["run_index"] for r in store.records()] == [0, 2]
 
-    def test_invalid_flush_every_rejected(self, tmp_path):
-        with pytest.raises(CampaignError):
-            ResultStore(tmp_path, flush_every=0)
 
-
-class TestEngineKnobs:
-    def test_flush_every_survives_a_failing_run(self, tmp_path):
-        # The engine's deterministic close must push buffered records to disk
-        # even when a run raises mid-campaign, so resume skips finished work.
+class TestEngineFailurePath:
+    def test_finished_runs_survive_a_failing_run(self, tmp_path):
+        # Runs that finished before one raised mid-campaign are on disk,
+        # so resume skips finished work.
         spec = tiny_spec(parameters={"mode": ["open_loop", "sideways_loop"],
                                      **SHORT_PCA})
         with pytest.raises(CampaignError):
-            run_campaign(spec, workers=1, directory=tmp_path, flush_every=50)
+            run_campaign(spec, workers=1, directory=tmp_path)
         assert len(load_results(tmp_path)) > 0
 
 
@@ -544,3 +550,19 @@ class TestCLI:
         spec_path = tmp_path / "bad.json"
         spec_path.write_text(json.dumps({"name": "bad", "scenario": "nope"}))
         assert campaign_main(["run", str(spec_path), "--quiet"]) == 2
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("run", "--flush-every", "8"),
+        ("run", "--shard-strategy", "contiguous"),
+        ("run", "--retry-backoff", "0.5"),
+        ("shard", "--strategy", "contiguous"),
+    ])
+    def test_removed_flags_are_usage_errors(self, tmp_path, capsys, command, flag, value):
+        spec_path = self._write_spec(tmp_path)
+        argv = [command, str(spec_path), flag, value]
+        if command == "shard":
+            argv += ["--count", "2", "--out", str(tmp_path / "shards")]
+        with pytest.raises(SystemExit) as exit_info:
+            campaign_main(argv)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

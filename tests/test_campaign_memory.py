@@ -71,8 +71,10 @@ class TestRunBoundaryReclamation:
         assert _alive_flags(report) == [False] * 5
 
     def test_pool_workers_start_without_the_previous_runs_cycle(self, cycle_scenario):
+        # The pool forks its workers (the Linux default start method), so
+        # they inherit the scenario registered in this process.
         spec = CampaignSpec(name="gc", scenario=cycle_scenario, repeats=8)
-        report = run_campaign(spec, workers=2, mp_context="fork")
+        report = run_campaign(spec, workers=2)
         assert report.ok == 8
         assert _alive_flags(report) == [False] * 8
 

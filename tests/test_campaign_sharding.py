@@ -9,6 +9,7 @@ tables equal to ``summarise`` over each group's values.
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -41,6 +42,30 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 SHORT_PCA = {"duration_s": 600.0}
 
 
+#: The value that makes :func:`_damage_json` delete an entry.
+DROP = object()
+
+
+def _damage_json(file, path, value):
+    """Set the entry of JSON ``file`` at key ``path`` to ``value``.
+
+    An empty ``path`` replaces the whole document; ``value`` :data:`DROP`
+    deletes the entry instead.
+    """
+    document = json.loads(file.read_text(encoding="utf-8"))
+    if not path:
+        document = value
+    else:
+        parent = document
+        for key in path[:-1]:
+            parent = parent[key]
+        if value is DROP:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+    file.write_text(json.dumps(document), encoding="utf-8")
+
+
 def tiny_spec(**overrides):
     base = dict(
         name="shard-campaign",
@@ -66,15 +91,10 @@ class TestShardSelector:
         with pytest.raises(CampaignError):
             ShardSelector.parse(text)
 
-    def test_strategy_validated(self):
-        with pytest.raises(CampaignError):
-            ShardSelector(1, 2, "roundrobin").validate()
-
-    @pytest.mark.parametrize("strategy", ["contiguous", "strided"])
     @pytest.mark.parametrize("total,count", [(8, 2), (10, 3), (5, 5), (3, 7)])
-    def test_partition_is_disjoint_and_complete(self, strategy, total, count):
+    def test_partition_is_disjoint_and_complete(self, total, count):
         seen = []
-        for shard in all_shards(count, strategy):
+        for shard in all_shards(count):
             seen.extend(shard.run_indices(total))
         assert sorted(seen) == list(range(total))
         assert len(seen) == total  # no run owned twice
@@ -83,17 +103,20 @@ class TestShardSelector:
         indices = ShardSelector(2, 3).run_indices(10)
         assert indices == list(range(indices[0], indices[0] + len(indices)))
 
-    def test_strided_samples_whole_range(self):
-        assert ShardSelector(2, 4, "strided").run_indices(10) == [1, 5, 9]
-
-    def test_from_dict_rejects_unknown_fields(self):
-        with pytest.raises(CampaignError):
-            ShardSelector.from_dict({"index": 1, "count": 2, "bogus": 3})
+    def test_from_block_rejects_unknown_fields(self):
+        block = {**ShardSelector(1, 2).manifest_block(5), "bogus": 3}
+        with pytest.raises(CampaignError, match=r"here: unknown shard fields: \['bogus'\]"):
+            ShardSelector.from_block(block, "here")
 
     def test_manifest_block_records_explicit_indices(self):
         block = ShardSelector(1, 2).manifest_block(5)
         assert block["run_indices"] == [0, 1, 2]
         assert block["total_runs"] == 5
+
+    def test_from_block_inverts_manifest_block(self):
+        block = json.loads(json.dumps(ShardSelector(2, 3).manifest_block(10)))
+        assert ShardSelector.from_block(block, "here") == (
+            ShardSelector(2, 3), 10, (4, 5, 6))
 
 
 class TestShardManifests:
@@ -114,10 +137,33 @@ class TestShardManifests:
         assert shard is None
         assert spec.grid_size() == tiny_spec().grid_size()
 
+    @pytest.mark.parametrize("field, path, value", [
+        ("shard block", ("shard",), None),
+        ("'count'", ("shard", "count"), float("inf")),
+        ("'index'", ("shard", "index"), 1.5),
+        ("'index'", ("shard", "index"), True),
+        ("'index'", ("shard", "index"), "2"),
+        ("'strategy'", ("shard", "strategy"), "contiguous"),
+        ("'run_indices'", ("shard", "run_indices"), [4, 5]),
+        ("'run_indices'", ("shard", "total_runs"), 10 ** 20),  # no huge range built
+        # Consistent with shard 2/2 of 6 runs, but the spec expands to 8.
+        ("'total_runs'", ("shard",), {"index": 2, "count": 2, "total_runs": 6,
+                                      "run_indices": [3, 4, 5]}),
+    ])
+    def test_damaged_shard_manifest_names_file_and_field(self, tmp_path, field,
+                                                        path, value):
+        spec = tiny_spec()  # 8 runs
+        manifest, _shard, _runs = write_shard_manifests(spec, tmp_path, 2)[1]
+        _damage_json(manifest, path, value)
+        with pytest.raises(CampaignError) as error:
+            load_spec_or_shard(manifest)
+        assert str(error.value).startswith(f"shard manifest {manifest}: ")
+        assert field in str(error.value)
 
-def _run_shards(spec, directory, count, strategy="contiguous", workers=1):
+
+def _run_shards(spec, directory, count, workers=1):
     segments = []
-    for shard in all_shards(count, strategy):
+    for shard in all_shards(count):
         segment = directory / f"seg-{shard.index}"
         run_campaign(spec, directory=segment, shard=shard, workers=workers)
         segments.append(segment)
@@ -125,11 +171,10 @@ def _run_shards(spec, directory, count, strategy="contiguous", workers=1):
 
 
 class TestShardMergeByteEquality:
-    @pytest.mark.parametrize("strategy", ["contiguous", "strided"])
-    def test_merged_identical_to_serial(self, tmp_path, strategy):
+    def test_merged_identical_to_serial(self, tmp_path):
         spec = tiny_spec()
         run_campaign(spec, directory=tmp_path / "serial")
-        segments = _run_shards(spec, tmp_path, 3, strategy)
+        segments = _run_shards(spec, tmp_path, 3)
         result = ResultStore(tmp_path / "merged").merge(segments)
         assert result.complete
         assert result.records == spec.grid_size()
@@ -227,6 +272,75 @@ class TestShardMergeValidation:
         with pytest.raises(CampaignError, match="holds shard 1/2"):
             run_campaign(spec, directory=tmp_path / "seg",
                          shard=ShardSelector(2, 2), resume=True)
+
+    def test_resume_of_a_segment_with_a_strategy_field_rejected(self, tmp_path):
+        spec = tiny_spec()
+        segment = tmp_path / "seg"
+        run_campaign(spec, directory=segment, shard=ShardSelector(1, 2))
+        _damage_json(segment / "manifest.json", ("shard", "strategy"), "contiguous")
+        with pytest.raises(CampaignError, match=(
+                f"campaign directory {segment}: unknown shard fields: "
+                r"\['strategy'\]")):
+            run_campaign(spec, directory=segment, shard=ShardSelector(1, 2),
+                         resume=True)
+
+
+
+
+@pytest.fixture(scope="module")
+def two_segments(tmp_path_factory):
+    """A finished 2-shard campaign, shared read-only by the damage cases."""
+    base = tmp_path_factory.mktemp("two-segments")
+    return _run_shards(tiny_spec(repeats=1), base, 2)
+
+
+class TestDamagedSegmentManifest:
+    """Merge is total: every way a segment manifest can be damaged raises
+    a CampaignError that names the segment and the field."""
+
+    @pytest.fixture
+    def segments(self, two_segments, tmp_path):
+        """A private copy of the shared segments, free to damage."""
+        copies = [tmp_path / segment.name for segment in two_segments]
+        for source, copy in zip(two_segments, copies):
+            shutil.copytree(source, copy)
+        return copies
+
+    @pytest.mark.parametrize("field, path, value", [
+        ("'total_runs'", ("shard", "total_runs"), DROP),
+        ("'run_indices'", ("shard", "run_indices"), DROP),
+        ("'count'", ("shard", "count"), DROP),
+        ("JSON object", (), []),
+        ("'index'", ("shard", "index"), "a"),
+        ("'spec'", ("spec",), DROP),
+        ("'runs'", ("runs",), DROP),
+        ("'run_index'", ("runs", 0, "run_index"), DROP),
+        ("'run_indices'", ("shard", "run_indices"), "01"),
+        ("'run_indices'", ("shard", "run_indices"), [2]),
+        ("'strategy'", ("shard", "strategy"), "contiguous"),
+        ("shard block", ("shard",), None),
+    ])
+    def test_names_segment_and_field(self, segments, tmp_path, field, path, value):
+        _damage_json(segments[1] / "manifest.json", path, value)
+        with pytest.raises(CampaignError) as error:
+            ResultStore(tmp_path / "merged").merge(segments)
+        assert str(error.value).startswith(f"segment {segments[1]}")
+        assert field in str(error.value)
+        assert not (tmp_path / "merged" / "results.jsonl").exists()
+
+    def test_torn_manifest_named(self, segments, tmp_path):
+        (segments[1] / "manifest.json").write_text('{"spec": {', encoding="utf-8")
+        with pytest.raises(CampaignError, match=(
+                f"segment {segments[1]}: manifest.json is not valid JSON")):
+            ResultStore(tmp_path / "merged").merge(segments)
+
+    def test_record_without_run_index_named(self, segments, tmp_path):
+        with open(segments[0] / "results.jsonl", "a", encoding="utf-8") as handle:
+            handle.write('{"result": {}}\n')
+        with pytest.raises(CampaignError, match=(
+                f"segment {segments[0]}: a results.jsonl record has no "
+                "integer 'run_index'")):
+            ResultStore(tmp_path / "merged").merge(segments)
 
 
 class TestShardResumeAndRepair:
