@@ -10,15 +10,17 @@ Carlo campaigns:
 * :mod:`~repro.campaign.spec` -- :class:`~repro.campaign.spec.CampaignSpec`
   parameter-sweep / cohort expansion into stable, individually seeded
   :class:`~repro.campaign.spec.RunManifest` entries.
-* :mod:`~repro.campaign.engine` -- parallel execution via
-  ``multiprocessing`` with a deterministic serial fallback; serial and
+* :mod:`~repro.campaign.engine` -- parallel execution on worker processes
+  the engine owns, with a deterministic serial fallback; serial and
   parallel campaigns produce byte-identical finalized results.
 * :mod:`~repro.campaign.store` -- streaming JSONL result store with
   checkpoint/resume of partially completed campaigns and a quarantine
   file (``errors.jsonl``) for failed runs.
 * :mod:`~repro.campaign.resilience` -- fault-tolerant execution: bounded
   deterministic retry of transient failures, structured error capture,
-  and a parent-side watchdog that survives hung and killed workers.
+  and the parent side of the workers: one pipe each, woken by a
+  completion, a death or a run deadline, surviving hung and killed
+  workers.
 * :mod:`~repro.campaign.sharding` -- K-way partition of an expanded
   campaign into independently executable, independently seeded shards
   whose finalized segments merge byte-identically

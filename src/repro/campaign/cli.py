@@ -326,14 +326,14 @@ def _merge_metrics(args: argparse.Namespace, log: StructLogger,
                    merged_segments: int) -> None:
     """Fold per-segment metrics snapshots + the merge's own counters.
 
-    Reuses the engine's worker-shard merge path: each segment directory may
-    carry a ``metrics.ndjson`` written by ``run --metrics-out``; those fold
-    bucket-wise (per-shard wall histograms) and sum-wise (counters) with a
-    parent snapshot carrying ``campaign.shards_merged``.
+    Each segment directory may carry a ``metrics.ndjson`` written by ``run
+    --metrics-out``; those fold bucket-wise (per-segment wall histograms) and
+    sum-wise (counters) with a parent snapshot that counts the merged
+    segments.
     """
     instruments = obs_metrics.campaign_instruments()
     if instruments is not None:
-        instruments.shards_merged.value += merged_segments
+        instruments.segments_merged.value += merged_segments
     groups = [obs_export.snapshot_lines(meta={"source": "campaign-merge"})]
     for segment in args.segments:
         snapshot = Path(segment) / "metrics.ndjson"

@@ -2,54 +2,49 @@
 
 The engine expands a :class:`~repro.campaign.spec.CampaignSpec` into run
 manifests and executes them either serially (the deterministic reference
-path) or on a ``multiprocessing`` pool.  Because every run is seeded from
+path) or on worker processes.  Because every run is seeded from
 its stable run id (not from execution order), the two paths produce
 identical records; after :meth:`ResultStore.finalize` the on-disk results
 are byte-identical as well.
 
 Every run goes through :func:`~repro.campaign.resilience.execute_with_capture`
--- in the parent when serial, inside a pool worker driven by the
+-- in the parent when serial, inside a worker process driven by the
 :class:`~repro.campaign.resilience.ResilientDispatcher` when parallel -- and
 comes back as an outcome.  The :class:`ResilienceConfig` decides what a
 failed outcome does: the default :data:`FAIL_FAST` aborts the campaign with
 a :class:`CampaignError`, an isolating config quarantines the run.
 
-Workers receive the full payload list **once**, through the pool
-initializer, and are handed a bare list index per run -- so per-run IPC is
-a single integer each way plus the outcome, and nothing unpicklable crosses
-the process boundary.
+Workers receive the manifest list once, when they start, and are sent a
+bare list index per run over their own pipe; each reply carries the run's
+outcome and, with observability on, the worker's cumulative metrics
+snapshot, which :meth:`CampaignEngine.run` merges into ``--metrics-out``.
 
 A process executing runs holds one run's object graph at a time: what was
 alive when execution started is frozen out of the collector's reach
 (:func:`gc.freeze`), and each finished run's reference cycles are freed
-before the next run starts (:func:`~repro.campaign.resilience.execute_serially`
-in the parent, :func:`_worker` in a pool worker).
+before the next run starts
+(:func:`~repro.campaign.resilience.execute_serially` in the parent, the
+worker loop in a worker process).
 """
 
 from __future__ import annotations
 
-import gc
-import multiprocessing
-import os
 import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
 from time import perf_counter
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Iterator, List, Optional, Union
 
-from repro.campaign import resilience as _resilience
 from repro.campaign.registry import CampaignError, get_scenario
 from repro.campaign.resilience import (
     FAIL_FAST,
     OK,
     TIMEOUT,
-    Heartbeat,
     Outcome,
     ResilienceConfig,
     ResilientDispatcher,
-    RetryPolicy,
+    _note_retry,
     execute_serially,
-    execute_with_capture,
 )
 from repro.campaign.sharding import ShardSelector
 from repro.campaign.spec import CampaignSpec, RunManifest
@@ -133,91 +128,6 @@ def execute_manifest(manifest: RunManifest) -> Dict[str, Any]:
     return record
 
 
-#: Per-process payload table, populated once by the pool initializer.
-_WORKER_PAYLOADS: List[Tuple[int, str, str, Dict[str, Any], int]] = []
-
-
-#: Where this worker process writes its cumulative metrics shard (or None).
-_WORKER_SHARD_DIR: Optional[str] = None
-
-#: Installed in each worker process by the pool initializer.
-_WORKER_RETRY_POLICY: RetryPolicy
-_WORKER_HEARTBEAT: Heartbeat
-
-
-def _pool_initializer(
-    payloads: List[Tuple[int, str, str, Dict[str, Any], int]],
-    obs_on: bool,
-    shard_dir: Optional[str],
-    retry_policy: RetryPolicy,
-    heartbeat_dir: str,
-) -> None:
-    """Install the campaign's payload table in a fresh worker process.
-
-    ``obs_on`` carries the parent's observability switch across the process
-    boundary explicitly (a programmatic ``enable()`` in the parent is not
-    visible to spawn-started workers); ``shard_dir`` is where this worker
-    drops its cumulative metrics shard after each run.  The pool respawning
-    a killed worker re-runs this initializer, so replacements come up with
-    the same retry policy and heartbeat directory.
-    """
-    global _WORKER_PAYLOADS, _WORKER_SHARD_DIR
-    global _WORKER_RETRY_POLICY, _WORKER_HEARTBEAT
-    _WORKER_PAYLOADS = payloads
-    _WORKER_SHARD_DIR = shard_dir
-    _WORKER_RETRY_POLICY = retry_policy
-    _WORKER_HEARTBEAT = Heartbeat(heartbeat_dir)
-    _resilience._mark_worker()
-    if obs_on:
-        obs_metrics.enable()
-    # Everything alive now (imports, the payload table) outlives every run:
-    # keep it out of the per-run collections.
-    gc.freeze()
-
-
-def _write_worker_shard() -> None:
-    """Rewrite this worker's cumulative metrics snapshot (if sharding)."""
-    if _WORKER_SHARD_DIR is None:
-        return
-    # Rewrite the full cumulative snapshot after every run: shards stay
-    # valid whenever the pool is torn down, and the final state is what
-    # the parent merge wants anyway.
-    pid = os.getpid()
-    obs_export.write_snapshot(
-        Path(_WORKER_SHARD_DIR) / f"shard-{pid:08d}.ndjson",
-        meta={"shard": f"pid-{pid}"},
-    )
-
-
-def _note_retry() -> None:
-    """Count one in-worker retry in this process's metrics registry."""
-    instruments = obs_metrics.campaign_instruments()
-    if instruments is not None:
-        instruments.runs_retried.value += 1
-
-
-def _worker(index: int) -> Outcome:
-    """Pool entry point: run one payload; never raises for run failures.
-
-    Writes a heartbeat file while the run executes (the parent watchdog
-    reads it to enforce timeouts and detect worker death) and returns an
-    :data:`Outcome` tuple instead of propagating exceptions, so one bad run
-    cannot poison the pool.
-    """
-    run_index, run_id, scenario, params, seed = _WORKER_PAYLOADS[index]
-    manifest = RunManifest(run_index=run_index, run_id=run_id,
-                           scenario=scenario, params=params, seed=seed)
-    _WORKER_HEARTBEAT.start(index)
-    try:
-        outcome = execute_with_capture(manifest, _WORKER_RETRY_POLICY,
-                                       on_retry=_note_retry)
-    finally:
-        _WORKER_HEARTBEAT.finish(index)
-    _resilience._reclaim_run()
-    _write_worker_shard()
-    return outcome
-
-
 @dataclass
 class CampaignReport:
     """What a finished (or resumed-to-completion) campaign hands back.
@@ -277,7 +187,6 @@ class CampaignEngine:
         self.workers = workers
         self.store = ResultStore(directory) if directory is not None else None
         self.resilience = resilience
-        self._dispatch_stats: Dict[str, int] = {}
         self.metrics_out = Path(metrics_out) if metrics_out is not None else None
         if self.metrics_out is not None:
             # Requesting a metrics export IS the opt-in: enable obs before
@@ -335,9 +244,18 @@ class CampaignEngine:
         total = len(manifests)
         ok = retried = quarantined = timed_out = 0
         errors: List[Dict[str, Any]] = []
-        self._dispatch_stats = {}
         wall_before = perf_counter() if self.metrics_out is not None else 0.0
-        outcomes = self._execute(pending)
+        dispatcher: Optional[ResilientDispatcher] = None
+        outcomes: Iterator[Outcome]
+        if self.workers == 1 or len(pending) <= 1:
+            outcomes = execute_serially(pending, self.resilience.retry,
+                                        on_retry=_note_retry)
+        else:
+            # Outcomes arrive in completion order; ordering is restored by
+            # ResultStore.finalize / the report sort.
+            dispatcher = ResilientDispatcher(pending, self.resilience,
+                                             min(self.workers, len(pending)))
+            outcomes = dispatcher.outcomes()
         try:
             for kind, record, attempts in outcomes:
                 if kind == OK:
@@ -367,20 +285,22 @@ class CampaignEngine:
                 records = [completed[index] for index in sorted(completed)]
         finally:
             # Deterministic shutdown: closing the outcome generator restores
-            # the collector state and tears down the pool, and the store's
-            # handles are released, before an error propagates.
+            # the collector state and reaps every worker process, and the
+            # store's handles are released, before an error propagates.
             outcomes.close()
             if self.store is not None:
                 self.store.close()
-        worker_restarts = self._dispatch_stats.get("worker_restarts", 0)
+        worker_restarts = dispatcher.worker_restarts if dispatcher is not None else 0
         instruments = obs_metrics.campaign_instruments()
         if instruments is not None:
             # Parent-side failure counters (in-worker retries are counted in
-            # the worker shards; quarantine decisions happen here).
+            # the worker snapshots; quarantine decisions happen here).
             instruments.runs_quarantined.value += quarantined
             instruments.worker_restarts.value += worker_restarts
         if self.metrics_out is not None:
-            self._write_metrics(perf_counter() - wall_before)
+            snapshots = dispatcher.snapshots if dispatcher is not None else {}
+            self._write_metrics(perf_counter() - wall_before,
+                                [snapshots[pid] for pid in sorted(snapshots)])
         return CampaignReport(
             spec=self.spec,
             records=records,
@@ -398,100 +318,30 @@ class CampaignEngine:
             shard=self.shard,
         )
 
-    # --------------------------------------------------------------- workers
-    def _execute(self, pending: List[RunManifest]) -> Iterator[Outcome]:
-        """Yield one :data:`Outcome` tuple per pending run."""
-        if self.workers == 1 or len(pending) <= 1:
-            yield from execute_serially(pending, self.resilience.retry,
-                                        on_retry=_note_retry)
-            return
-        # Payloads ship once via the initializer; each dispatch carries a
-        # bare index.  Outcomes arrive in completion order; ordering is
-        # restored by ResultStore.finalize / the report sort.
-        payloads = [
-            (m.run_index, m.run_id, m.scenario, m.params, m.seed) for m in pending
-        ]
-        processes = min(self.workers, len(payloads))
-        shard_dir = self._shard_directory()
-        if shard_dir is not None:
-            shard_dir.mkdir(parents=True, exist_ok=True)
-            for stale in shard_dir.glob("shard-*.ndjson"):
-                stale.unlink()
-        heartbeat = Heartbeat()
-        try:
-            with multiprocessing.Pool(
-                processes=processes,
-                initializer=_pool_initializer,
-                initargs=(
-                    payloads,
-                    obs_metrics.enabled(),
-                    str(shard_dir) if shard_dir is not None else None,
-                    self.resilience.retry,
-                    str(heartbeat.directory),
-                ),
-            ) as pool:
-                dispatcher = ResilientDispatcher(
-                    pool, pending, self.resilience, heartbeat,
-                    _worker, processes, on_retry=_note_retry,
-                )
-                try:
-                    yield from dispatcher.outcomes()
-                finally:
-                    self._dispatch_stats = dict(dispatcher.stats)
-        finally:
-            # Only once the pool is terminated: a worker respawned after a
-            # kill re-creates the directory in its initializer.
-            heartbeat.cleanup()
-
     # ----------------------------------------------------------- observability
-    def _shard_directory(self) -> Optional[Path]:
-        """Sibling directory where worker processes drop metric shards."""
-        if self.metrics_out is None:
-            return None
-        return self.metrics_out.parent / (self.metrics_out.name + ".shards")
+    def _write_metrics(self, wall_elapsed: float,
+                       worker_snapshots: List[List[Dict[str, Any]]]) -> None:
+        """Merge this process's and each worker's snapshot into ``metrics_out``.
 
-    def _write_metrics(self, wall_elapsed: float) -> None:
-        """Fold parent + worker-shard snapshots into one NDJSON file.
-
-        Campaign-level aggregates (total wall time, worker count, worker
-        utilisation = busy run-seconds over ``workers * wall``) are recorded
-        in the parent registry first so they ride the normal export path.
+        The campaign-level aggregates (total wall time, worker count, worker
+        utilisation = busy run-seconds over ``workers * wall``) join the
+        parent's snapshot as extra lines; the parent registry is not touched.
         """
-        reg = obs_metrics.registry()
-        shard_dir = self._shard_directory()
-        shard_paths: List[Path] = []
-        shard_groups: List[List[Dict[str, Any]]] = []
-        if shard_dir is not None and shard_dir.is_dir():
-            shard_paths = sorted(shard_dir.glob("shard-*.ndjson"))
-            shard_groups = [obs_export.read_snapshot(path) for path in shard_paths]
-        busy = 0.0
-        parent_hist = reg.get("campaign.run_wall_s")
-        if parent_hist is not None:
-            busy += parent_hist.sum
-        for lines in shard_groups:
-            for line in lines:
-                if (line.get("type") == "histogram"
-                        and line.get("name") == "campaign.run_wall_s"):
-                    busy += float(line.get("sum", 0.0))
-        reg.counter("campaign.wall_seconds_total").value += wall_elapsed
-        reg.gauge("campaign.workers", agg="max").set_max(float(self.workers))
+        parent = obs_export.snapshot_lines(meta={"source": "campaign-engine"})
+        groups = [parent, *worker_snapshots]
+        busy = sum(float(line["sum"]) for group in groups for line in group
+                   if line.get("type") == "histogram"
+                   and line.get("name") == "campaign.run_wall_s")
+        campaign = obs_metrics.MetricsRegistry()
+        campaign.counter("campaign.wall_seconds_total").value = wall_elapsed
+        campaign.gauge("campaign.workers", agg="max").set(float(self.workers))
         if wall_elapsed > 0.0:
-            reg.gauge("campaign.worker_utilisation").set(
-                min(1.0, busy / (self.workers * wall_elapsed))
-            )
-        groups = [obs_export.snapshot_lines(meta={"source": "campaign-engine"})]
-        groups.extend(shard_groups)
-        merged = obs_export.merge_lines(groups)
+            campaign.gauge("campaign.worker_utilisation").set(
+                min(1.0, busy / (self.workers * wall_elapsed)))
+        parent.extend(campaign.snapshot())
         self.metrics_out.parent.mkdir(parents=True, exist_ok=True)
-        self.metrics_out.write_text(obs_export.dump_lines(merged),
-                                    encoding="utf-8")
-        for path in shard_paths:
-            path.unlink()
-        if shard_dir is not None and shard_dir.is_dir():
-            try:
-                shard_dir.rmdir()
-            except OSError:  # pragma: no cover - foreign files left behind
-                pass
+        self.metrics_out.write_text(
+            obs_export.dump_lines(obs_export.merge_lines(groups)), encoding="utf-8")
 
 
 def run_campaign(

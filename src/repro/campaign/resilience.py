@@ -9,7 +9,7 @@ engine composes:
 * **Structured error capture** (:func:`execute_with_capture`): a failing
   run yields an *error record* — exception class, message, traceback
   digest, attempt count, wall time, transient/deterministic classification
-  — instead of an exception that poisons the worker pool.  Error records
+  — instead of an exception that takes its worker down.  Error records
   are quarantined to ``errors.jsonl`` by the store and re-dispatched on
   resume.
 * **Bounded retry** (:class:`RetryPolicy`): transient failures (the
@@ -17,12 +17,11 @@ engine composes:
   once, up to ``max_attempts`` tries; deterministic failures quarantine
   immediately.
 * **Worker-death and timeout tolerance** (:class:`ResilientDispatcher`):
-  a parent-side watchdog dispatches runs with ``apply_async``, wakes as
-  each one completes, reads per-run heartbeat files written by the
-  workers, SIGKILLs wedged workers whose run exceeds its wall-clock budget
-  (``multiprocessing.Pool`` respawns the process), re-dispatches runs
-  whose worker died under them, and degrades gracefully to in-parent
-  serial execution when the pool cannot be kept alive.
+  the parent owns its worker processes, one pipe each, and knows which
+  runs each one holds.  It blocks until a run completes, a worker dies or
+  a run's wall-clock budget expires; it kills the worker of an expired
+  run, re-dispatches a run whose worker died under it, and degrades to
+  in-parent serial execution when workers keep dying.
 
 Every campaign runs through these layers.  What a failure *does* is
 configuration: the default :data:`FAIL_FAST` (no retry, no isolation)
@@ -34,18 +33,24 @@ from __future__ import annotations
 
 import gc
 import hashlib
-import os
-import queue
-import signal
-import tempfile
+import math
+import multiprocessing
 import time
 import traceback
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Deque, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.campaign.registry import CampaignError
 from repro.campaign.spec import RunManifest
+from repro.obs import export as obs_export
+from repro.obs import metrics as obs_metrics
+from repro.obs.spans import tracer as obs_tracer
+
+if TYPE_CHECKING:
+    from multiprocessing.connection import Connection
+    from multiprocessing.process import BaseProcess
 
 #: Outcome tuples the engine consumes: ("ok", record, attempts) or
 #: ("error", error_record).  Error records carry their attempt count inside.
@@ -60,15 +65,6 @@ DETERMINISTIC = "deterministic"
 TIMEOUT = "timeout"
 WORKER_LOST = "worker_lost"
 
-#: Longest the dispatcher waits for a completion before it re-runs the
-#: watchdog checks (timeouts, dead workers).
-_POLL_S = 0.02
-
-#: Extra wall-clock allowance between dispatch and the worker's heartbeat
-#: appearing, on top of ``run_timeout_s``: a dispatched run may wait in the
-#: pool behind a run that uses its whole budget.
-_PICKUP_GRACE_S = 5.0
-
 #: Exception type *names* classified as transient, matched against the
 #: exception class, its bases, and its ``__cause__`` chain (so a runner
 #: error wrapped in :class:`CampaignError` keeps its classification).
@@ -81,7 +77,7 @@ _TRANSIENT_TYPES = frozenset((
 #: in-worker retries: the run itself never raised).
 _MAX_DISPATCH_ATTEMPTS = 2
 
-#: Killed or lost workers after which the dispatcher stops trusting the pool
+#: Killed or lost workers after which the dispatcher stops trusting workers
 #: and runs the survivors serially in the parent (timeouts can then no
 #: longer be enforced, but the campaign completes).
 _MAX_WORKER_RESTARTS = 3
@@ -100,7 +96,7 @@ class TransientError(RuntimeError):
 #: 1-based attempt number of the run currently executing in this process.
 _CURRENT_ATTEMPT = 1
 
-#: True inside a campaign pool worker (set by the worker initializer).
+#: True inside a campaign worker process.
 _IN_WORKER = False
 
 
@@ -115,13 +111,15 @@ def current_attempt() -> int:
 
 
 def in_worker() -> bool:
-    """Whether this process is a campaign pool worker."""
+    """Whether this process is a campaign worker."""
     return _IN_WORKER
 
 
-def _mark_worker() -> None:
-    global _IN_WORKER
-    _IN_WORKER = True
+def _note_retry() -> None:
+    """Count one retry in this process's metrics registry."""
+    instruments = obs_metrics.campaign_instruments()
+    if instruments is not None:
+        instruments.runs_retried.value += 1
 
 
 # -------------------------------------------------------------- retry policy
@@ -161,7 +159,7 @@ class ResilienceConfig:
     run_timeout_s:
         Per-run wall-clock budget.  Only enforceable with ``workers > 1``
         (the parent cannot preempt its own thread); a run that exceeds it
-        fails as ``timeout`` and its worker is killed and respawned.
+        fails as ``timeout`` and its worker is killed and replaced.
     isolate:
         True quarantines a failed run to ``errors.jsonl`` and carries on;
         False aborts the campaign with a :class:`CampaignError` carrying
@@ -322,259 +320,253 @@ def execute_serially(
             gc.unfreeze()
 
 
-# ----------------------------------------------------------------- watchdog
-class Heartbeat:
-    """Per-run heartbeat files linking a dispatched run to its worker pid.
+# ------------------------------------------------------------------ workers
+def _worker_main(conn: Connection, parent_ends: Sequence[Connection],
+                 manifests: Sequence[RunManifest], policy: RetryPolicy,
+                 obs_on: bool) -> None:
+    """A campaign worker process: run each manifest index the parent sends.
 
-    A worker touches ``run-<index>.hb`` (containing ``pid started_at``)
-    when it picks the run up and removes it on completion; the parent
-    watchdog reads it to (a) start the run's wall-clock budget at actual
-    pickup rather than dispatch, (b) tell a *dead* worker (re-dispatch the
-    run) from a *wedged* one (kill it and quarantine the run).
+    Each run is answered with ``(outcome, snapshot)``: the snapshot is this
+    process's cumulative metrics when observability is on, else None.  A
+    ``None`` from the parent ends the loop, and so does the parent's death.
+    ``parent_ends`` are the parent's ends of every worker pipe, which a
+    forked worker inherits: closing them leaves the parent their only
+    holder, so its death reads as end-of-file here.  ``obs_on`` carries the
+    parent's observability switch across the process boundary (a
+    programmatic ``enable()`` in the parent is not visible to a spawned
+    worker).
     """
-
-    def __init__(self, directory: Optional[str] = None) -> None:
-        self.directory = Path(
-            directory if directory is not None
-            else tempfile.mkdtemp(prefix="repro-campaign-hb-"))
-        self.directory.mkdir(parents=True, exist_ok=True)
-
-    def path(self, run_index: int) -> Path:
-        return self.directory / f"run-{run_index:08d}.hb"
-
-    # Worker side -------------------------------------------------------
-    def start(self, run_index: int) -> None:
-        try:
-            self.path(run_index).write_text(
-                f"{os.getpid()} {time.time()}", encoding="utf-8")
-        except OSError:  # pragma: no cover - scratch dir vanished
-            pass
-
-    def finish(self, run_index: int) -> None:
-        try:
-            self.path(run_index).unlink()
-        except OSError:
-            pass
-
-    # Parent side -------------------------------------------------------
-    def read(self, run_index: int) -> Optional[Tuple[int, float]]:
-        """(pid, started_at) if the worker has picked the run up."""
-        try:
-            parts = self.path(run_index).read_text(encoding="utf-8").split()
-            return int(parts[0]), float(parts[1])
-        except (OSError, ValueError, IndexError):
-            return None
-
-    def cleanup(self) -> None:
-        try:
-            for stale in self.directory.glob("run-*.hb"):
-                stale.unlink()
-            self.directory.rmdir()
-        except OSError:  # pragma: no cover - foreign files left behind
-            pass
-
-
-def pid_alive(pid: int) -> bool:
-    """Best-effort liveness probe (POSIX signal 0)."""
+    global _IN_WORKER
+    _IN_WORKER = True
+    for end in parent_ends:
+        end.close()
+    if obs_on:
+        obs_metrics.enable()
+        # A forked worker starts with a copy of the parent's metrics; its
+        # snapshot must count only its own runs.
+        obs_metrics.registry().reset()
+        obs_tracer().reset()
+    # Everything alive now (imports, the manifests) outlives every run:
+    # keep it out of the per-run collections.
+    gc.freeze()
     try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except OSError:  # pragma: no cover - EPERM etc: assume alive
-        return True
-    return True
-
-
-def kill_worker(pid: int) -> bool:
-    """SIGKILL a wedged pool worker; the pool respawns a replacement."""
-    try:
-        os.kill(pid, getattr(signal, "SIGKILL", signal.SIGTERM))
-    except OSError:
-        return False
-    return True
+        for index in iter(conn.recv, None):
+            outcome = execute_with_capture(manifests[index], policy, on_retry=_note_retry)
+            _reclaim_run()
+            conn.send((outcome, obs_export.snapshot_lines() if obs_on else None))
+    except (EOFError, ConnectionError):
+        pass  # the parent is gone
 
 
 @dataclass
-class _InFlight:
-    manifest: RunManifest
-    payload_index: int
-    result: Any  # multiprocessing AsyncResult
-    dispatched_at: float
-    dispatch_attempts: int
+class _Worker:
+    """One worker process, its end of the pipe, and the runs it holds.
+
+    ``held`` lists ``(manifest index, dispatch attempt)`` pairs in the order
+    the worker runs them: the first is running, since ``started_at``
+    (monotonic seconds), and the one after it is queued in the pipe.
+    """
+
+    process: BaseProcess
+    conn: Connection
+    held: List[Tuple[int, int]] = field(default_factory=list)
+    started_at: float = 0.0
 
 
 class ResilientDispatcher:
-    """Parent-side watchdog loop over an ``apply_async`` worker pool.
+    """Runs manifests on worker processes it owns; yields their outcomes.
 
-    The engine hands it a live pool plus the pending manifests; it yields
-    :data:`Outcome` tuples as runs finish, survives worker death (re-
-    dispatch, bounded), enforces per-run timeouts (targeted SIGKILL of the
-    wedged worker — the pool respawns it), and falls back to in-parent
-    serial execution once ``_MAX_WORKER_RESTARTS`` is exhausted.  The
-    ``stats`` dict exposes ``worker_restarts`` / ``timed_out`` /
-    ``redispatched`` for the campaign report.
+    Each worker is a ``multiprocessing.Process`` from the platform's default
+    context (fork on Linux, so a scenario registered in this process reaches
+    it) with its own duplex pipe, and holds at most two runs: one running
+    and one queued, so a worker starts its next run without waiting for
+    the parent.  The parent blocks on the pipes and the process sentinels,
+    with the earliest run deadline as its timeout, so a completion, a death
+    and an expiry each wake it directly.
 
-    Each worker has one run executing and one queued in the pool, so a
-    freed worker starts its next run without waiting for the parent.  Each
-    dispatch's completion callback puts ``(payload index, dispatch
-    attempt)`` on a queue; the loop blocks on it, refills the pool as soon
-    as a run completes, and runs the watchdog checks on every wake (at
-    least every ``_POLL_S``).
+    Because the parent knows which runs each worker holds:
+
+    * a worker that dies loses its running run, which is re-dispatched once
+      and then quarantined as ``worker_lost``; its queued run is
+      re-dispatched uncharged;
+    * a run that outlives ``run_timeout_s`` (counted from pickup) is
+      quarantined as ``timeout``: its worker is killed and replaced, and
+      the queued run is re-dispatched uncharged;
+    * after more than ``_MAX_WORKER_RESTARTS`` lost or killed workers, the
+      remaining runs execute serially in this process.
+
+    Every worker started is reaped before :meth:`outcomes` returns or
+    raises.  ``snapshots`` holds each worker's last metrics snapshot by pid.
     """
 
-    def __init__(
-        self,
-        pool: Any,
-        manifests: List[RunManifest],
-        config: ResilienceConfig,
-        heartbeat: Heartbeat,
-        worker: Callable[[int], Outcome],
-        processes: int,
-        on_retry: Optional[Callable[[], None]] = None,
-    ) -> None:
-        self.pool = pool
+    def __init__(self, manifests: Sequence[RunManifest], config: ResilienceConfig,
+                 processes: int) -> None:
         self.manifests = manifests
         self.config = config
-        self.heartbeat = heartbeat
-        self.worker = worker
         self.processes = processes
-        self.on_retry = on_retry
-        self.stats = {"worker_restarts": 0, "timed_out": 0, "redispatched": 0}
-        self._queue: List[Tuple[int, int]] = [
-            (i, 1) for i in range(len(manifests))]
-        self._inflight: Dict[int, _InFlight] = {}
-        self._completed: "queue.SimpleQueue[Tuple[int, int]]" = queue.SimpleQueue()
-        self._degraded = False
+        self.worker_restarts = 0
+        self.snapshots: Dict[int, List[Dict[str, Any]]] = {}
+        self._queue: Deque[Tuple[int, int]] = deque(
+            (index, 1) for index in range(len(manifests)))
+        self._workers: List[_Worker] = []
 
-    # ------------------------------------------------------------- dispatch
-    def _dispatch(self, payload_index: int, attempt: int) -> None:
-        def wake(_outcome: Any) -> None:
-            self._completed.put((payload_index, attempt))
-
-        self._inflight[payload_index] = _InFlight(
-            manifest=self.manifests[payload_index],
-            payload_index=payload_index,
-            result=self.pool.apply_async(self.worker, (payload_index,),
-                                         callback=wake, error_callback=wake),
-            dispatched_at=time.monotonic(),
-            dispatch_attempts=attempt,
-        )
-
-    def _fill_slots(self) -> None:
-        while self._queue and len(self._inflight) < 2 * self.processes:
-            index, attempt = self._queue.pop(0)
-            self._dispatch(index, attempt)
-
-    # -------------------------------------------------------------- timeout
-    def _deadline_passed(self, flight: _InFlight, now: float) -> bool:
-        timeout = self.config.run_timeout_s
-        if timeout is None:
-            return False
-        beat = self.heartbeat.read(flight.payload_index)
-        if beat is None:
-            # Not picked up yet: it may be queued behind a run that uses the
-            # whole budget, so the grace only has to cover the pickup.
-            return now - flight.dispatched_at > timeout + _PICKUP_GRACE_S
-        _pid, started_at = beat
-        return time.time() - started_at > timeout
-
-    def _handle_expiry(self, flight: _InFlight) -> Optional[Outcome]:
-        """Timeout or worker death for one in-flight run.
-
-        Returns an error outcome to emit, or ``None`` if the run was
-        re-queued (dead worker, budget left).
-        """
-        beat = self.heartbeat.read(flight.payload_index)
-        pid = beat[0] if beat is not None else None
-        if pid is not None and pid_alive(pid):
-            # Wedged or genuinely too slow: reclaim the slot.
-            kill_worker(pid)
-            self.stats["worker_restarts"] += 1
-            self.stats["timed_out"] += 1
-            self.heartbeat.finish(flight.payload_index)
-            return (ERROR,
-                    error_record(flight.manifest, classification=TIMEOUT,
-                                 attempts=flight.dispatch_attempts,
-                                 wall_s=self.config.run_timeout_s or 0.0,
-                                 message=(
-                                     f"run exceeded its wall-clock budget of "
-                                     f"{self.config.run_timeout_s}s")),
-                    flight.dispatch_attempts)
-        # Worker died under the run (or never picked it up): the run itself
-        # is innocent — re-dispatch unless its budget is spent.
-        self.stats["worker_restarts"] += 1
-        self.heartbeat.finish(flight.payload_index)
-        if flight.dispatch_attempts < _MAX_DISPATCH_ATTEMPTS:
-            self.stats["redispatched"] += 1
-            self._queue.append(
-                (flight.payload_index, flight.dispatch_attempts + 1))
-            return None
-        return (ERROR,
-                error_record(flight.manifest, classification=WORKER_LOST,
-                             attempts=flight.dispatch_attempts,
-                             wall_s=time.monotonic() - flight.dispatched_at,
-                             message=(
-                                 "worker process died "
-                                 f"{flight.dispatch_attempts} time(s) while "
-                                 "executing this run")),
-                flight.dispatch_attempts)
-
-    def _check_worker_death(self, flight: _InFlight) -> bool:
-        """True when the worker that picked this run up is gone."""
-        beat = self.heartbeat.read(flight.payload_index)
-        if beat is None:
-            return False
-        pid, _started = beat
-        return not pid_alive(pid)
-
-    # ------------------------------------------------------------------ run
-    def outcomes(self):
-        """Yield one outcome per pending run, in completion order."""
-        while self._queue or self._inflight:
-            if self._degraded:
-                yield from self._drain_serial()
-                return
-            self._fill_slots()
-            yield from self._wait_once()
-            if self.stats["worker_restarts"] > _MAX_WORKER_RESTARTS:
-                self._degrade()
-
-    def _wait_once(self):
-        """Yield the next completed run (if one arrives within ``_POLL_S``),
-        then any outcome the watchdog checks produce."""
+    def outcomes(self) -> Iterator[Outcome]:
+        """Yield one outcome per manifest, in completion order."""
         try:
-            index, attempt = self._completed.get(timeout=_POLL_S)
-        except queue.Empty:
-            pass
-        else:
-            flight = self._inflight.get(index)
-            # A stale wake (an expired dispatch finishing late) is dropped.
-            if flight is not None and flight.dispatch_attempts == attempt:
-                del self._inflight[index]
-                self._fill_slots()
-                # The callback fires just before the result is marked
-                # ready; get() waits out that instant.
-                yield flight.result.get()
+            while self._queue or any(worker.held for worker in self._workers):
+                if self.worker_restarts > _MAX_WORKER_RESTARTS:
+                    yield from self._degrade()
+                    return
+                self._fill()
+                yield from self._wait()
+        finally:
+            self._stop()
+
+    # ------------------------------------------------------------ dispatch
+    def _start(self) -> _Worker:
+        conn, child_conn = multiprocessing.Pipe()
+        parent_ends = [worker.conn for worker in self._workers] + [conn]
+        process = multiprocessing.Process(
+            target=_worker_main, daemon=True,
+            args=(child_conn, parent_ends, self.manifests, self.config.retry,
+                  obs_metrics.enabled()))
+        process.start()
+        child_conn.close()
+        worker = _Worker(process, conn)
+        self._workers.append(worker)
+        return worker
+
+    def _send(self, worker: _Worker, run: Tuple[int, int]) -> None:
+        if not worker.held:
+            worker.started_at = time.monotonic()
+        worker.held.append(run)
+        try:
+            worker.conn.send(run[0])
+        except (BrokenPipeError, ConnectionResetError):
+            pass  # the worker is dead: its sentinel settles what it holds
+
+    def _fill(self) -> None:
+        """Start missing workers, then give each a running and a queued run."""
+        while self._queue and len(self._workers) < self.processes:
+            self._start()
+        for depth in (1, 2):
+            for worker in self._workers:
+                if self._queue and len(worker.held) < depth:
+                    self._send(worker, self._queue.popleft())
+
+    # ---------------------------------------------------------------- wait
+    def _deadline(self, worker: _Worker) -> float:
+        """When the worker's running run exceeds its budget (inf if never)."""
+        timeout = self.config.run_timeout_s
+        if timeout is None or not worker.held:
+            return math.inf
+        return worker.started_at + timeout
+
+    def _wait(self) -> Iterator[Outcome]:
+        """Block until a completion, a death or the earliest deadline."""
+        # Imported here so that a serial campaign never loads it: the module
+        # and its imports add about 1 MB to a serial pass's peak RSS.
+        from multiprocessing.connection import wait
+
+        earliest = min(map(self._deadline, self._workers), default=math.inf)
+        handles: List[Any] = [worker.conn for worker in self._workers]
+        handles += [worker.process.sentinel for worker in self._workers]
+        ready = wait(handles, None if earliest == math.inf
+                     else max(0.0, earliest - time.monotonic()))
         now = time.monotonic()
-        for index, flight in list(self._inflight.items()):
-            if self._deadline_passed(flight, now) \
-                    or self._check_worker_death(flight):
-                del self._inflight[index]
-                outcome = self._handle_expiry(flight)
-                if outcome is not None:
-                    yield outcome
+        for worker in list(self._workers):
+            if worker.conn in ready:
+                yield from self._receive(worker)
+            if worker.process.sentinel in ready:
+                yield from self._lost(worker)
+            elif now >= self._deadline(worker):
+                yield self._expired(worker)
 
-    def _degrade(self) -> None:
-        """Give up on the pool; survivors run serially in the parent."""
-        self._degraded = True
-        for flight in self._inflight.values():
-            self._queue.append(
-                (flight.payload_index, flight.dispatch_attempts))
-        self._inflight.clear()
-        self.pool.terminate()
+    def _receive(self, worker: _Worker) -> Iterator[Outcome]:
+        """Yield every outcome the worker has sent, topping it up as it goes."""
+        while worker.held and worker.conn.poll():
+            try:
+                outcome, snapshot = worker.conn.recv()
+            except (EOFError, ConnectionResetError):
+                return  # the worker died; its sentinel reports it
+            worker.held.pop(0)
+            worker.started_at = time.monotonic()
+            if snapshot is not None:
+                self.snapshots[worker.process.pid] = snapshot
+            if self._queue:
+                self._send(worker, self._queue.popleft())
+            yield outcome
 
-    def _drain_serial(self):
+    # ------------------------------------------------------------ failures
+    def _retire(self, worker: _Worker) -> Optional[Tuple[int, int]]:
+        """Reap a dead or killed worker and re-queue its queued run uncharged.
+
+        Returns the run it was executing, if any.
+        """
+        self._workers.remove(worker)
+        self._reap(worker)
+        self.worker_restarts += 1
+        if not worker.held:
+            return None
+        self._queue.extendleft(worker.held[1:])
+        return worker.held[0]
+
+    def _lost(self, worker: _Worker) -> Iterator[Outcome]:
+        """The worker died: re-dispatch its running run once, then quarantine it."""
+        running = self._retire(worker)
+        if running is None:
+            return
+        index, attempt = running
+        if attempt < _MAX_DISPATCH_ATTEMPTS:
+            self._queue.appendleft((index, attempt + 1))
+            return
+        yield (ERROR,
+               error_record(self.manifests[index], classification=WORKER_LOST,
+                            attempts=attempt,
+                            wall_s=time.monotonic() - worker.started_at,
+                            message=(f"worker process died {attempt} time(s) "
+                                     "while executing this run")),
+               attempt)
+
+    def _expired(self, worker: _Worker) -> Outcome:
+        """The running run outlived its budget: kill its worker, quarantine it."""
+        timeout = self.config.run_timeout_s
+        index, attempt = worker.held[0]
+        worker.process.kill()
+        self._retire(worker)
+        return (ERROR,
+                error_record(self.manifests[index], classification=TIMEOUT,
+                             attempts=attempt, wall_s=timeout,
+                             message=(f"run exceeded its wall-clock budget of "
+                                      f"{timeout}s")),
+                attempt)
+
+    def _degrade(self) -> Iterator[Outcome]:
+        """Give up on worker processes; the remaining runs execute here."""
+        for worker in self._workers:
+            self._queue.extend(worker.held)
+        self._stop()
         manifests = [self.manifests[index] for index, _attempt in self._queue]
         self._queue.clear()
-        yield from execute_serially(manifests, self.config.retry,
-                                    on_retry=self.on_retry)
+        yield from execute_serially(manifests, self.config.retry, on_retry=_note_retry)
+
+    # ------------------------------------------------------------ shutdown
+    @staticmethod
+    def _reap(worker: _Worker) -> None:
+        worker.process.join()
+        worker.process.close()
+        worker.conn.close()
+
+    def _stop(self) -> None:
+        """End every worker: idle ones are told to exit, busy ones are killed."""
+        for worker in self._workers:
+            if worker.held:
+                worker.process.kill()
+            else:
+                try:
+                    worker.conn.send(None)
+                except (BrokenPipeError, ConnectionResetError):
+                    pass  # already gone; join reaps it
+        for worker in self._workers:
+            self._reap(worker)
+        self._workers.clear()

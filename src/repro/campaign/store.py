@@ -306,10 +306,15 @@ class ResultStore:
         existing = self.load_manifest()
         if existing is None:
             return
-        if existing.get("spec") != spec.as_dict():
+        existing_spec = existing.get("spec")
+        if not isinstance(existing_spec, dict):
+            raise CampaignError(
+                f"campaign directory {self.directory}: manifest field 'spec' "
+                "must be an object")
+        if existing_spec != spec.as_dict():
             raise CampaignError(
                 f"campaign directory {self.directory} already holds campaign "
-                f"{existing.get('spec', {}).get('name')!r} with a different spec; "
+                f"{existing_spec.get('name')!r} with a different spec; "
                 "pass a fresh directory or the matching spec"
             )
         # Shard identity first: "wrong shard" is the actionable message when
@@ -373,7 +378,21 @@ class ResultStore:
 
     def completed(self) -> Dict[int, Dict[str, Any]]:
         """Completed records keyed by run index (last write wins)."""
-        return {record["run_index"]: record for record in self.records()}
+        return self._by_run_index(self.results_path)
+
+    def _by_run_index(self, path: Path) -> Dict[int, Dict[str, Any]]:
+        """The intact records of ``path`` keyed by run index (last write wins).
+
+        A decodable record without an integer ``run_index`` raises a
+        :class:`CampaignError` naming the directory and the file.
+        """
+        where = f"campaign directory {self.directory}: a {path.name} record"
+        return {_run_index(record, where): record for record in iter_jsonl(path)}
+
+    def _in_run_order(self, path: Path) -> List[Dict[str, Any]]:
+        """The intact records of ``path``, one per run index, in run order."""
+        by_index = self._by_run_index(path)
+        return [by_index[index] for index in sorted(by_index)]
 
     def repair(self) -> int:
         """Drop undecodable lines from both JSONL files; returns kept results.
@@ -407,8 +426,7 @@ class ResultStore:
     def finalize(self) -> List[Dict[str, Any]]:
         """Rewrite ``results.jsonl`` sorted by run index; return the records."""
         self._results.close()  # the atomic replace would orphan an open handle
-        completed = self.completed()
-        ordered = [completed[index] for index in sorted(completed)]
+        ordered = self._in_run_order(self.results_path)
         self._write_jsonl(self.results_path, ordered)
         return ordered
 
@@ -419,9 +437,7 @@ class ResultStore:
         directory looks exactly as it did before quarantine existed.
         """
         self._errors.close()
-        by_index = {record["run_index"]: record
-                    for record in self.error_records()}
-        ordered = [by_index[index] for index in sorted(by_index)]
+        ordered = self._in_run_order(self.errors_path)
         self._write_jsonl(self.errors_path, ordered, keep_empty=False)
         return ordered
 
@@ -620,12 +636,11 @@ class ResultStore:
 
 def load_results(directory: Union[str, Path]) -> List[Dict[str, Any]]:
     """Convenience: the intact records of a campaign directory, in run order."""
-    records = ResultStore(directory).completed()
-    return [records[index] for index in sorted(records)]
+    store = ResultStore(directory)
+    return store._in_run_order(store.results_path)
 
 
 def load_errors(directory: Union[str, Path]) -> List[Dict[str, Any]]:
     """Convenience: the quarantine records of a campaign directory, in run order."""
-    records = {record["run_index"]: record
-               for record in ResultStore(directory).error_records()}
-    return [records[index] for index in sorted(records)]
+    store = ResultStore(directory)
+    return store._in_run_order(store.errors_path)

@@ -21,7 +21,7 @@ statistics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Dict, List, Optional
 
 import numpy as np
@@ -107,28 +107,7 @@ class PCARunResult:
 
     def as_record(self) -> Dict[str, Any]:
         """Flat, JSON-serialisable record of the run (campaign result schema)."""
-        record = {
-            "mode": self.mode,
-            "patient_id": self.patient_id,
-            "duration_s": self.duration_s,
-            "respiratory_failure_events": self.respiratory_failure_events,
-            "time_in_respiratory_failure_s": self.time_in_respiratory_failure_s,
-            "time_below_spo2_90_s": self.time_below_spo2_90_s,
-            "min_spo2": self.min_spo2,
-            "max_plasma_concentration": self.max_plasma_concentration,
-            "total_drug_delivered_mg": self.total_drug_delivered_mg,
-            "boluses_delivered": self.boluses_delivered,
-            "boluses_denied": self.boluses_denied,
-            "final_pain_level": self.final_pain_level,
-            "mean_pain_level": self.mean_pain_level,
-            "supervisor_stops": self.supervisor_stops,
-            "supervisor_resumes": self.supervisor_resumes,
-            "supervisor_first_stop_time_s": self.supervisor_first_stop_time_s,
-            "caregiver_interventions": self.caregiver_interventions,
-            "caregiver_alarms_missed": self.caregiver_alarms_missed,
-            "harmed": self.harmed,
-        }
-        return record
+        return asdict(self)
 
 
 class _PatientButton(Process):

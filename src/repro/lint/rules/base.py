@@ -18,7 +18,7 @@ SCOPE: Dict[str, Tuple[str, ...]] = {
     # DET01/DET04: packages whose ordering is part of the golden contract.
     "det": ("sim", "middleware", "campaign"),
     # DET03: modules allowed to read the wall clock (observability and the
-    # watchdog/heartbeat machinery genuinely measure real time).
+    # campaign's worker watchdog genuinely measure real time).
     "wallclock": ("obs", "campaign.resilience"),
     # LAYER01: the simulation core must never depend on its drivers.
     "sim": ("sim",),

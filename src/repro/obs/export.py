@@ -7,7 +7,7 @@ every object serialised with ``sort_keys=True`` — so two runs of the same
 workload produce snapshots whose line/key ordering is identical under any
 ``PYTHONHASHSEED`` (CI pins this with a subprocess test).
 
-Campaign workers each write their own *shard* snapshot;
+Each campaign worker sends the parent its own *shard* snapshot;
 :func:`merge_lines` folds any number of shards into one campaign-level
 snapshot: counters sum, gauges fold by their declared ``agg``,
 histograms add bucket-wise (bounds must agree), spans concatenate.  Merging

@@ -324,13 +324,13 @@ class CampaignInstruments:
 
     The resilience counters are incremented where the event is observed:
     ``runs_retried`` and ``faults_injected`` in whichever process executes
-    the run (so they ride worker shards), ``runs_quarantined`` and
+    the run (so they ride worker snapshots), ``runs_quarantined`` and
     ``worker_restarts`` in the parent watchdog.  All are plain counters, so
-    the shard merge sums them like any other.
+    the snapshot merge sums them like any other.
     """
 
     __slots__ = ("runs", "run_wall_s", "runs_retried", "runs_quarantined",
-                 "worker_restarts", "faults_injected", "shards_merged")
+                 "worker_restarts", "faults_injected", "segments_merged")
 
     def __init__(self, reg: MetricsRegistry) -> None:
         self.runs = reg.counter("campaign.runs")
@@ -339,7 +339,7 @@ class CampaignInstruments:
         self.runs_quarantined = reg.counter("campaign.runs_quarantined")
         self.worker_restarts = reg.counter("campaign.worker_restarts")
         self.faults_injected = reg.counter("campaign.faults_injected")
-        self.shards_merged = reg.counter("campaign.shards_merged")
+        self.segments_merged = reg.counter("campaign.shards_merged")
 
 
 def kernel_instruments() -> Optional[KernelInstruments]:

@@ -99,7 +99,7 @@ def run_chaos_campaign(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
     elif behavior == "kill":
         if not in_worker():
             # Killing the only process would take the campaign (and the
-            # test harness) down with it; outside a pool this scripted
+            # test harness) down with it; outside a worker this scripted
             # fault degrades to a deterministic failure.
             raise RuntimeError(f"chaos: kill scripted at repeat {repeat} "
                                "outside a worker process")

@@ -364,7 +364,7 @@ class TestGoldenScenarioTraces:
         assert counters == json.loads(GOLDEN_PATH.read_text())["work_counters"][scenario_key]
 
     def test_parallel_results_match_seed_bytes(self, golden, tmp_path):
-        # The pool path (payloads shipped once through the initializer,
+        # The worker path (manifests shipped once per worker,
         # completion-order appends) must not leak into the results: same
         # bytes as the seed's serial path.
         spec = CampaignSpec(**SCENARIO_SPECS["pca"])

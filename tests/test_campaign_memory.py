@@ -1,7 +1,7 @@
 """Campaign memory: one finished run's object graph in memory at a time.
 
 The engine frees each finished run's reference cycles at the run boundary
-(serially and in every pool worker) and leaves the caller's collector as it
+(serially and in every worker process) and leaves the caller's collector as it
 found it.  That is safe only because no module in ``src/repro`` observes
 when the collector runs -- guarded here by an AST walk.
 """
@@ -71,7 +71,7 @@ class TestRunBoundaryReclamation:
         assert _alive_flags(report) == [False] * 5
 
     def test_pool_workers_start_without_the_previous_runs_cycle(self, cycle_scenario):
-        # The pool forks its workers (the Linux default start method), so
+        # The engine forks its workers (the Linux default start method), so
         # they inherit the scenario registered in this process.
         spec = CampaignSpec(name="gc", scenario=cycle_scenario, repeats=8)
         report = run_campaign(spec, workers=2)

@@ -10,8 +10,17 @@ execution of the same spec.
 
 import gc
 import json
+import multiprocessing
+import multiprocessing.connection
+import os
+import re
+import select
+import signal
+import subprocess
+import sys
+import tempfile
 import time
-from multiprocessing.pool import ThreadPool
+from pathlib import Path
 
 import pytest
 
@@ -26,16 +35,40 @@ from repro.campaign.resilience import (
     TIMEOUT,
     TRANSIENT,
     WORKER_LOST,
-    Heartbeat,
     ResilienceConfig,
-    ResilientDispatcher,
     RetryPolicy,
     TransientError,
     execute_with_capture,
-    pid_alive,
 )
 from repro.campaign.spec import CampaignSpec, RunManifest
 from repro.campaign.store import ResultStore, load_errors, load_results, scan_jsonl
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+#: Runs a 2-worker chaos campaign whose run 0 hangs for a second; prints the
+#: worker pids after the first outcome, then sleeps until it is killed.
+_ORPHAN_SCRIPT = """
+import multiprocessing, time
+from repro.campaign import CampaignSpec, ResilienceConfig, run_campaign
+
+def report(done, total, record):
+    print(" ".join(str(p.pid) for p in multiprocessing.active_children()), flush=True)
+    time.sleep(60)
+
+run_campaign(CampaignSpec(name="orphans", scenario="chaos", repeats=4,
+                          parameters={"hang_at": "0", "hang_s": 1.0}),
+             workers=2, resilience=ResilienceConfig(), progress=report)
+"""
+
+
+def _running(pid):
+    """Whether ``pid`` is a live process (a zombie has exited)."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="utf-8") as handle:
+            return handle.read().rsplit(") ", 1)[1][0] != "Z"
+    except FileNotFoundError:
+        return False
 
 
 def chaos_spec(name="chaos-test", repeats=6, base_seed=7, **params):
@@ -227,11 +260,6 @@ class TestSerialResilience:
 class TestParallelResilience:
     CONFIG = ResilienceConfig(run_timeout_s=5.0)
 
-    @pytest.fixture
-    def slow_pickup(self, monkeypatch):
-        # A loaded box may take seconds to start a queued run's worker.
-        monkeypatch.setattr(resilience, "_PICKUP_GRACE_S", 15.0)
-
     def test_worker_raise_does_not_poison_the_pool(self, tmp_path):
         report = run_campaign(chaos_spec(raise_at="1", repeats=8),
                               workers=2, directory=tmp_path,
@@ -239,7 +267,7 @@ class TestParallelResilience:
         assert (report.ok, report.quarantined) == (7, 1)
         assert len(load_results(tmp_path)) == 7
 
-    def test_sigkilled_worker_is_survived(self, tmp_path, slow_pickup):
+    def test_sigkilled_worker_is_survived(self, tmp_path):
         report = run_campaign(chaos_spec(kill_at="2", repeats=8),
                               workers=2, directory=tmp_path,
                               resilience=self.CONFIG)
@@ -250,7 +278,7 @@ class TestParallelResilience:
         assert errors[0]["error"]["classification"] == WORKER_LOST
         assert errors[0]["run_index"] == 2
 
-    def test_hung_run_times_out_and_is_quarantined(self, tmp_path, slow_pickup):
+    def test_hung_run_times_out_and_is_quarantined(self, tmp_path):
         config = ResilienceConfig(run_timeout_s=1.0)
         report = run_campaign(chaos_spec(hang_at="1", hang_s=60.0, repeats=6),
                               workers=2, directory=tmp_path,
@@ -279,23 +307,66 @@ class TestParallelResilience:
         with pytest.raises(CampaignError, match="worker process died"):
             run_campaign(chaos_spec(kill_at="2", repeats=8), workers=2)
 
-    def test_dispatcher_yields_a_completion_without_waiting_out_the_poll(
-            self, tmp_path, monkeypatch):
-        monkeypatch.setattr(resilience, "_POLL_S", 30.0)
-        manifests = [manifest(seed=seed) for seed in range(4)]
-        started = time.monotonic()
-        with ThreadPool(2) as pool:
-            dispatcher = ResilientDispatcher(
-                pool, manifests, ResilienceConfig(),
-                Heartbeat(str(tmp_path / "hb")),
-                lambda index: (OK, {"index": index}, 1), processes=2)
-            outcomes = list(dispatcher.outcomes())
-        assert time.monotonic() - started < 5.0
-        assert sorted(record["index"] for _, record, _ in outcomes) == [0, 1, 2, 3]
+    @pytest.mark.parametrize("budget", [None, 60.0])
+    def test_a_completion_wakes_the_parent_directly(self, monkeypatch, budget):
+        # The parent waits on its workers' pipes with no timeout but the
+        # earliest run deadline: every wake delivers a completion.
+        timeouts = []
+        real_wait = multiprocessing.connection.wait
+
+        def recording_wait(handles, timeout=None):
+            if len(handles) > 1:  # not Connection.poll, which waits on one pipe
+                timeouts.append(timeout)
+            return real_wait(handles, timeout)
+
+        monkeypatch.setattr(multiprocessing.connection, "wait", recording_wait)
+        report = run_campaign(chaos_spec(repeats=8, work_s=0.02), workers=2,
+                              resilience=ResilienceConfig(run_timeout_s=budget))
+        assert report.ok == 8
+        assert 0 < len(timeouts) <= 8
+        if budget is None:
+            assert set(timeouts) == {None}
+        else:
+            assert all(budget - 10.0 < timeout <= budget for timeout in timeouts)
+
+    def test_a_dead_workers_queued_run_is_redispatched_uncharged(self, tmp_path):
+        # Worker 1 holds run 0 (running) and run 2 (queued); worker 2 holds
+        # run 1.  Run 0 kills worker 1, so run 2 never started there: it is
+        # dispatched twice more and dies both times, four deaths in all.
+        report = run_campaign(chaos_spec(kill_at="0,2", repeats=3), workers=2,
+                              directory=tmp_path, resilience=ResilienceConfig())
+        assert (report.ok, report.quarantined, report.worker_restarts) == (1, 2, 4)
+        errors = load_errors(tmp_path)
+        assert [(e["run_index"], e["error"]["classification"], e["error"]["attempts"])
+                for e in errors] == [(0, WORKER_LOST, 2), (2, WORKER_LOST, 2)]
+
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc")
+    def test_workers_exit_when_the_parent_is_killed(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+        parent = subprocess.Popen([sys.executable, "-c", _ORPHAN_SCRIPT],
+                                  stdout=subprocess.PIPE, text=True, env=env)
+        try:
+            assert select.select([parent.stdout], [], [], 30.0)[0], "no worker pids"
+            pids = [int(pid) for pid in parent.stdout.readline().split()]
+        finally:
+            parent.kill()
+            parent.wait()
+            parent.stdout.close()
+        assert len(pids) == 2
+        # The idle worker sees end-of-file at once; the hung one when its
+        # run ends and its reply has no reader.
+        deadline = time.monotonic() + 10.0
+        while any(map(_running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        orphans = [pid for pid in pids if _running(pid)]
+        for pid in orphans:
+            os.kill(pid, signal.SIGKILL)
+        assert orphans == []
 
     def test_pool_degrades_to_serial_after_repeated_worker_loss(self, tmp_path):
         # Two scripted kills, each lost on both of its dispatches, take the
-        # pool past _MAX_WORKER_RESTARTS; the campaign still finishes and
+        # engine past _MAX_WORKER_RESTARTS; the campaign still finishes and
         # every survivor matches a serial run.
         spec = chaos_spec(kill_at="1,4", repeats=10)
         report = run_campaign(spec, workers=2, directory=tmp_path / "degraded",
@@ -307,26 +378,52 @@ class TestParallelResilience:
                      resilience=ResilienceConfig())
         assert load_results(tmp_path / "degraded") == load_results(tmp_path / "serial")
 
-    def test_degraded_dispatcher_runs_the_serial_loop(self, tmp_path, monkeypatch):
-        # Survivors of a given-up pool run through execute_serially: each
-        # run is reclaimed with the caller's heap frozen, and the freeze is
-        # lifted afterwards.
+    def test_degraded_campaign_runs_the_serial_loop_with_the_heap_frozen(
+            self, tmp_path, monkeypatch):
+        # One lost worker is one too many here, so run 0's loss sends the
+        # runs left to execute_serially in this process: each is reclaimed
+        # with the caller's heap frozen, and the freeze is lifted afterwards.
+        monkeypatch.setattr(resilience, "_MAX_WORKER_RESTARTS", 0)
         frozen_at_reclaim = []
         monkeypatch.setattr(resilience, "_reclaim_run",
                             lambda: frozen_at_reclaim.append(gc.get_freeze_count() > 0))
-        manifests = chaos_spec(repeats=3).expand()
         freeze_count = gc.get_freeze_count()
-        with ThreadPool(2) as pool:
-            dispatcher = ResilientDispatcher(
-                pool, manifests, ResilienceConfig(),
-                Heartbeat(str(tmp_path / "hb")),
-                lambda index: (OK, {"index": index}, 1), processes=2)
-            dispatcher._degrade()
-            outcomes = list(dispatcher.outcomes())
-        assert [status for status, _record, _attempts in outcomes] == [OK, OK, OK]
-        assert outcomes == [execute_with_capture(m, RetryPolicy()) for m in manifests]
-        assert frozen_at_reclaim == [True, True, True]
+        report = run_campaign(chaos_spec(kill_at="0", repeats=4), workers=2,
+                              directory=tmp_path, resilience=ResilienceConfig())
+        assert (report.ok, report.quarantined, report.worker_restarts) == (3, 1, 1)
+        # Outside a worker the scripted kill is a deterministic failure.
+        assert [e["error"]["classification"] for e in load_errors(tmp_path)] == [DETERMINISTIC]
+        assert frozen_at_reclaim and all(frozen_at_reclaim)
         assert gc.get_freeze_count() == freeze_count
+
+    @pytest.mark.parametrize("ending", ["finished", "fail_fast", "interrupt", "degraded"])
+    def test_every_worker_is_reaped_and_no_temp_file_is_made(
+            self, tmp_path, monkeypatch, ending):
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        monkeypatch.setenv("TMPDIR", str(scratch))
+        monkeypatch.setattr(tempfile, "tempdir", None)
+        run = dict(workers=2, directory=tmp_path / "campaign")
+        if ending == "finished":
+            assert run_campaign(chaos_spec(repeats=6), **run).ok == 6
+        elif ending == "fail_fast":
+            with pytest.raises(CampaignError, match="scripted deterministic"):
+                run_campaign(chaos_spec(raise_at="1", repeats=6), **run)
+        elif ending == "interrupt":
+            def interrupt(done, total, record):
+                raise KeyboardInterrupt
+
+            with pytest.raises(KeyboardInterrupt):
+                run_campaign(chaos_spec(repeats=6, work_s=0.05),
+                             progress=interrupt, **run)
+        else:
+            report = run_campaign(chaos_spec(kill_at="1,4", repeats=10),
+                                  resilience=ResilienceConfig(), **run)
+            assert report.worker_restarts > resilience._MAX_WORKER_RESTARTS
+        assert multiprocessing.active_children() == []
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)  # no exited worker is left unreaped
+        assert list(scratch.iterdir()) == []
 
 
 # ------------------------------------------------------- interrupt and resume
@@ -426,30 +523,45 @@ class TestStoreCorruption:
         store2.finalize_errors()
         assert not store2.errors_path.exists()
 
+    @pytest.mark.parametrize("bad_line", ['{"result": {}}', "7"])
+    @pytest.mark.parametrize("filename", ["results.jsonl", "errors.jsonl"])
+    def test_a_record_without_a_run_index_is_a_campaign_error(
+            self, tmp_path, filename, bad_line):
+        spec = chaos_spec(raise_at="1", repeats=3)
+        config = ResilienceConfig()
+        run_campaign(spec, directory=tmp_path, resilience=config)
+        with open(tmp_path / filename, "a", encoding="utf-8") as handle:
+            handle.write(bad_line + "\n")
+        if filename == "results.jsonl":
+            readers = [lambda: load_results(tmp_path),
+                       lambda: ResultStore(tmp_path).finalize(),
+                       lambda: run_campaign(spec, directory=tmp_path, resume=True,
+                                            resilience=config)]
+        else:
+            readers = [lambda: load_errors(tmp_path),
+                       lambda: ResultStore(tmp_path).finalize_errors()]
+        message = re.escape(f"campaign directory {tmp_path}: a {filename} record "
+                            "has no integer 'run_index'")
+        for read in readers:
+            with pytest.raises(CampaignError, match=message):
+                read()
+
+    def test_resume_over_a_manifest_whose_spec_is_not_an_object(self, tmp_path):
+        spec = chaos_spec(repeats=2)
+        run_campaign(spec, directory=tmp_path)
+        manifest_path = tmp_path / "manifest.json"
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        manifest["spec"] = []
+        manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+        with pytest.raises(CampaignError, match=re.escape(
+                f"campaign directory {tmp_path}: manifest field 'spec' must be an object")):
+            run_campaign(spec, directory=tmp_path, resume=True)
+
     def test_repair_handles_missing_errors_file(self, tmp_path):
         store = self.fill(tmp_path)
         assert not store.errors_path.exists()
         assert store.repair() == 5
         assert not store.errors_path.exists()
-
-
-# ------------------------------------------------------------------ heartbeat
-class TestHeartbeat:
-    def test_roundtrip_and_cleanup(self, tmp_path):
-        heartbeat = Heartbeat(str(tmp_path / "hb"))
-        assert heartbeat.read(0) is None
-        heartbeat.start(0)
-        pid, started_at = heartbeat.read(0)
-        assert pid_alive(pid)
-        assert started_at > 0
-        heartbeat.finish(0)
-        assert heartbeat.read(0) is None
-        heartbeat.cleanup()
-        assert not heartbeat.directory.exists()
-
-    def test_pid_alive_on_dead_pid(self):
-        # PID 2**22 is above the default pid_max on Linux.
-        assert not pid_alive(2 ** 22)
 
 
 # ------------------------------------------------------------------------ CLI

@@ -21,6 +21,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.campaign import CampaignSpec, run_campaign
 from repro.campaign.cli import main as campaign_main
 from repro.obs import metrics as obsm
 from repro.obs.export import read_snapshot
@@ -328,8 +329,24 @@ class TestCliMetricsOut:
                      "sampler.flushed_samples"):
             assert sharded[name]["value"] == serial[name]["value"], name
         assert sharded["campaign.workers"]["value"] == 2.0
-        # Shard directory is cleaned up after the merge.
+        # Worker snapshots travel over the pipes: nothing is written beside
+        # the merged file.
         assert not (tmp_path / "sharded" / "metrics.ndjson.shards").exists()
+
+    def test_workers_count_only_their_own_runs(self, tmp_path):
+        # A forked worker starts with a copy of this process's registry; its
+        # snapshot must not bring that copy into the merge a second time.
+        obsm.enable()
+        try:
+            run_campaign(CampaignSpec(name="before", scenario="chaos", repeats=4))
+            metrics_path = tmp_path / "metrics.ndjson"
+            run_campaign(CampaignSpec(name="after", scenario="chaos", repeats=4),
+                         workers=2, metrics_out=metrics_path)
+            names = self.by_name(read_snapshot(metrics_path))
+        finally:
+            self._restore_obs()
+        # The registry is process-wide: 4 earlier runs here plus these 4.
+        assert names["campaign.runs"]["value"] == 8
 
 
 class TestResilienceMetrics:
