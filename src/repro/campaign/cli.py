@@ -374,7 +374,7 @@ def _cmd_merge(args: argparse.Namespace, log: StructLogger) -> int:
 
 
 def _cmd_report(args: argparse.Namespace, log: StructLogger) -> int:
-    store = ResultStore(args.directory)
+    store = ResultStore.existing(args.directory)
     # A bounded peek infers default metrics; aggregation itself re-streams
     # the file record-at-a-time, so the store is never materialised.
     peek = store.head_records(64)

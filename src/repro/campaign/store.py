@@ -269,6 +269,18 @@ class ResultStore:
         #: Lines dropped by the most recent :meth:`repair` (per file).
         self.last_repair_skipped: Dict[str, int] = {}
 
+    @classmethod
+    def existing(cls, directory: Union[str, Path]) -> "ResultStore":
+        """The store of a campaign directory that is already there, for reading.
+
+        Creates nothing: a path that is not a directory raises
+        :class:`CampaignError` naming it.
+        """
+        path = Path(directory)
+        if not path.is_dir():
+            raise CampaignError(f"campaign directory {path} is not a directory")
+        return cls(path)
+
     # -------------------------------------------------------------- manifest
     def write_manifest(
         self,
@@ -636,11 +648,11 @@ class ResultStore:
 
 def load_results(directory: Union[str, Path]) -> List[Dict[str, Any]]:
     """Convenience: the intact records of a campaign directory, in run order."""
-    store = ResultStore(directory)
+    store = ResultStore.existing(directory)
     return store._in_run_order(store.results_path)
 
 
 def load_errors(directory: Union[str, Path]) -> List[Dict[str, Any]]:
     """Convenience: the quarantine records of a campaign directory, in run order."""
-    store = ResultStore(directory)
+    store = ResultStore.existing(directory)
     return store._in_run_order(store.errors_path)

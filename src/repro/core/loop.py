@@ -193,7 +193,7 @@ class ClosedLoopPCASystem:
         self.patient = PatientModel(config.patient, trace=self.trace, rng=patient_rng)
         self.simulator.register(self.patient)
 
-        self.bus = DeviceBus(self.simulator, config.bus, rng=self.streams.stream("network"), trace=self.trace)
+        self.bus = DeviceBus(self.simulator, config.bus, rng=self.streams.stream("network"))
 
         self.pump = PCAPump(
             "pca-pump-1",

@@ -29,7 +29,6 @@ from repro.devices.base import MedicalDevice
 from repro.obs.metrics import bus_instruments
 from repro.sim.channel import Channel, ChannelConfig, Message
 from repro.sim.kernel import Simulator
-from repro.sim.trace import TraceRecorder
 
 #: Topic prefix reserved for the reverse (command) path.  Command messages
 #: ride the device uplink but must never enter the pub/sub forwarding path.
@@ -78,7 +77,12 @@ class BusConfig:
 
 
 class DeviceBus:
-    """Publish/subscribe message bus connecting devices and supervisors."""
+    """Publish/subscribe message bus connecting devices and supervisors.
+
+    The bus keeps no trace.  A sample is recorded once, as a signal of the
+    device that took it, and a command by the host that sends it; a log
+    here would hold every published payload for the whole run.
+    """
 
     def __init__(
         self,
@@ -86,13 +90,11 @@ class DeviceBus:
         config: Optional[BusConfig] = None,
         *,
         rng=None,
-        trace: Optional[TraceRecorder] = None,
     ) -> None:
         self.simulator = simulator
         self.config = config or BusConfig()
         self.config.validate()
         self._rng = rng
-        self.trace = trace
         self._uplinks: Dict[str, Channel] = {}
         self._downlinks: Dict[str, Channel] = {}
         self._subscriptions: Dict[str, List[Tuple[str, Callable[[str, Any, Message], None]]]] = {}
@@ -101,8 +103,6 @@ class DeviceBus:
         # (and hence downlink sequence numbers and kernel tiebreaks) must not
         # depend on PYTHONHASHSEED.
         self._routes: Dict[str, Tuple[Channel, ...]] = {}
-        # topic -> its "bus:publish:<topic>" trace event name, built once.
-        self._publish_events: Dict[str, str] = {}
         # Forwards to downlinks that are not deterministic, coalesced as
         # Channel coalesces deliveries: forward instant -> (order, sender,
         # topic, envelope, downlinks) in arrival order, sharing one kernel
@@ -194,12 +194,6 @@ class DeviceBus:
         obs = self._obs
         if obs is not None:
             obs.published.value += 1
-        trace = self.trace
-        if trace is not None:
-            name = self._publish_events.get(topic)
-            if name is None:
-                name = self._publish_events[topic] = f"bus:publish:{topic}"
-            trace.event(self.simulator.now, name, payload, device_id)
         arrival_at = uplink.fate()
         if arrival_at is None:
             return
@@ -341,13 +335,6 @@ class DeviceBus:
             self._order(channel, arrival_at)
             channel.enqueue(arrival_at, Message(sender_id, command_topic, parameters or {},
                                                self.simulator.now, -1))
-        if self.trace is not None:
-            self.trace.event(
-                self.simulator.now,
-                f"bus:command:{command}",
-                {"target": device_id, "sender": sender_id},
-                source=sender_id,
-            )
         return True
 
     # ------------------------------------------------------------ statistics

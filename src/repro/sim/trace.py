@@ -12,8 +12,9 @@ code calls them repeatedly per run, and rebuilding the arrays each call
 dominated metric collection on large traces.
 
 Discrete events are a plain list of ``(time, signal, value, source)``
-tuples, so :meth:`TraceRecorder.event` is one tuple append; the bus logs
-every published sample there.  :meth:`TraceRecorder.events` builds the
+tuples, so :meth:`TraceRecorder.event` is one tuple append.  Each sample
+is recorded once, as a signal of the device that took it: the bus logs
+nothing here.  :meth:`TraceRecorder.events` builds the
 :class:`TracePoint` read type only when it is asked for, and the counting
 and serialising queries read the tuples directly.
 

@@ -546,6 +546,30 @@ class TestStoreCorruption:
             with pytest.raises(CampaignError, match=message):
                 read()
 
+    @pytest.mark.parametrize("present", [False, True], ids=["missing", "file"])
+    @pytest.mark.parametrize("reader", ["load_results", "load_errors", "report"])
+    def test_a_reader_of_a_path_that_is_not_a_directory_creates_nothing(
+            self, tmp_path, capsys, reader, present):
+        path = tmp_path / "no-such-campaign"
+        if present:
+            path.write_text("not a campaign", encoding="utf-8")
+        before = sorted(tmp_path.rglob("*"))
+        message = f"campaign directory {path} is not a directory"
+        if reader == "report":
+            assert campaign_main(["report", str(path)]) == 2
+            assert message in capsys.readouterr().err
+        else:
+            read = load_results if reader == "load_results" else load_errors
+            with pytest.raises(CampaignError, match=re.escape(message)):
+                read(path)
+        assert sorted(tmp_path.rglob("*")) == before
+
+    def test_a_campaign_without_an_errors_file_has_no_errors(self, tmp_path):
+        run_campaign(chaos_spec(repeats=2), directory=tmp_path)
+        assert not (tmp_path / "errors.jsonl").exists()
+        assert load_errors(tmp_path) == []
+        assert len(load_results(tmp_path)) == 2
+
     def test_resume_over_a_manifest_whose_spec_is_not_an_object(self, tmp_path):
         spec = chaos_spec(repeats=2)
         run_campaign(spec, directory=tmp_path)

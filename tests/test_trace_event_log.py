@@ -12,9 +12,8 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.middleware.bus import DeviceBus
+from repro.core.loop import ClosedLoopPCASystem, PCASystemConfig
 from repro.readings import Reading
-from repro.sim.kernel import Simulator
 from repro.sim.trace import TracePoint, TraceRecorder
 from trace_reference import ReferenceTraceRecorder
 
@@ -80,15 +79,10 @@ def test_merge_matches_the_tracepoint_oracle(first, second):
     _assert_agree(actual, expected)
 
 
-def test_bus_logs_one_named_event_per_published_sample():
-    simulator = Simulator()
-    trace = TraceRecorder()
-    bus = DeviceBus(simulator, trace=trace)
-    reading = Reading(97.0, True, 0.0)
-    for _ in range(3):
-        bus.publish("ox-1", "spo2", reading)
-    bus.publish("pump-1", "pump_status", None)
-    assert trace.events() == [TracePoint(0.0, "bus:publish:spo2", reading, "ox-1")] * 3 + [
-        TracePoint(0.0, "bus:publish:pump_status", None, "pump-1")
-    ]
-    assert trace.count_events("bus:publish:spo2") == 3
+def test_a_pca_run_logs_no_bus_event_and_keeps_no_reading():
+    """Each sample is traced once, by its device: the bus logs nothing."""
+    system = ClosedLoopPCASystem(PCASystemConfig(mode="closed_loop", duration_s=1800.0, seed=424242))
+    system.run()
+    events = system.trace.events()
+    assert not [event.signal for event in events if event.signal.startswith("bus:")]
+    assert not [event for event in events if isinstance(event.value, Reading)]
