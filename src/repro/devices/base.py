@@ -18,12 +18,15 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from repro.readings import Reading
 from repro.sim.kernel import PeriodicTask, Process
 from repro.sim.sampler import BatchedTraceWriter
 from repro.sim.trace import TraceRecorder
+
+if TYPE_CHECKING:
+    from repro.middleware.bus import DeviceBus
 
 
 class DeviceState(enum.Enum):
@@ -103,6 +106,8 @@ class MedicalDevice(Process):
         super().__init__(name=f"device:{descriptor.device_id}")
         self.descriptor = descriptor
         self.state = DeviceState.STANDBY
+        # Where published data goes: a bus, or a (topic, payload) function.
+        self._bus: Optional[DeviceBus] = None
         self._publisher: Optional[Callable[[str, Any], None]] = None
         self._command_handlers: Dict[str, Callable[[Dict[str, Any]], Any]] = {}
         self.rejected_commands: List[Tuple[str, str]] = []
@@ -169,9 +174,21 @@ class MedicalDevice(Process):
             self.transition(DeviceState.STANDBY)
 
     # ------------------------------------------------------------ middleware
+    def attach_bus(self, bus: DeviceBus) -> None:
+        """Publish into ``bus`` (:meth:`DeviceBus.attach_device` calls this).
+
+        Replaces any publisher function.
+        """
+        self._bus = bus
+        self._publisher = None
+
     def attach_publisher(self, publisher: Callable[[str, Any], None]) -> None:
-        """Give the device a function that publishes ``(topic, payload)``."""
+        """Give the device a function that publishes ``(topic, payload)``.
+
+        Replaces any bus; samples reach ``publisher`` as :class:`Reading`.
+        """
         self._publisher = publisher
+        self._bus = None
 
     def publish(self, topic: str, payload: Any) -> None:
         if self.crashed:
@@ -180,7 +197,9 @@ class MedicalDevice(Process):
             raise ValueError(
                 f"device {self.descriptor.device_id!r} tried to publish undeclared topic {topic!r}"
             )
-        if self._publisher is not None:
+        if self._bus is not None:
+            self._bus.publish(self.descriptor.device_id, topic, payload)
+        elif self._publisher is not None:
             self._publisher(topic, payload)
 
     def publish_reading(
@@ -191,9 +210,12 @@ class MedicalDevice(Process):
         *,
         record: Optional[str] = None,
     ) -> None:
-        """Publish one sensor sample on ``topic`` as a :class:`Reading`.
+        """Publish one sensor sample on ``topic``, read as a :class:`Reading`.
 
-        The sample is stamped with the current simulated time.  ``record``
+        The sample is stamped with the current simulated time.  It enters
+        the bus unboxed, in one :meth:`DeviceBus.publish` call, and the bus
+        builds its ``Reading`` only for a topic with a subscriber; a
+        publisher function gets the ``Reading`` itself.  ``record``
         optionally names a declared trace signal to record ``value`` under in
         the same call (the publish+record pair every sensor tick performs).
         """
@@ -204,7 +226,10 @@ class MedicalDevice(Process):
                 f"device {self.descriptor.device_id!r} tried to publish undeclared topic {topic!r}"
             )
         now = self.now
-        if self._publisher is not None:
+        bus = self._bus
+        if bus is not None:
+            bus.publish(self.descriptor.device_id, topic, value, valid, now)
+        elif self._publisher is not None:
             self._publisher(topic, Reading(value, valid, now))
         if record is not None and self._writer is not None:
             self._writer.record(now, record, value)

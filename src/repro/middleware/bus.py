@@ -6,10 +6,13 @@ downlink channels, so end-to-end latency is the sum of two channel delays
 plus any bus processing delay.  Channels can be degraded or cut by the fault
 injector to model communication failures.
 
-One route: a sample's uplink hop is decided when it is published
-(:meth:`~repro.sim.channel.Channel.fate` applies outages, loss, jitter and
-the bandwidth cap), so the bus takes the subscribers then and queues each
-copy for its forward instant ``arrival + processing_delay_s``.  A
+One route: a device's sample enters the bus in one call,
+:meth:`DeviceBus.publish`, with its value, validity and time unboxed.  Its
+uplink hop is decided then (:meth:`~repro.sim.channel.Channel.fate`
+applies outages, loss, jitter and the bandwidth cap), so the bus takes the
+subscribers then, builds the sample's :class:`~repro.readings.Reading`
+only if there are any, and queues each copy for its forward instant
+``arrival + processing_delay_s``.  A
 :attr:`~repro.sim.channel.Channel.deterministic` downlink gets the copy at
 once through :meth:`~repro.sim.channel.Channel.send_at`; any other downlink
 gets it from the one ``bus:forward`` event of that instant, where it draws
@@ -27,6 +30,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.devices.base import MedicalDevice
 from repro.obs.metrics import bus_instruments
+from repro.readings import Reading
 from repro.sim.channel import Channel, ChannelConfig, Message
 from repro.sim.kernel import Simulator
 
@@ -114,6 +118,10 @@ class DeviceBus:
         # The key (instant, rank) ranks an uplink by when its first message
         # for that instant was sent, as its delivery batch would be.
         self._arrivals: Dict[float, Dict[Channel, Tuple[float, int]]] = {}
+        # uplink -> its order key at the last instant it was ranked at.  A
+        # key never changes once given, and an instant is forgotten only
+        # once past, so the memo is exact; a miss asks _order.
+        self._ranked: Dict[Channel, Tuple[float, int]] = {}
         self._sweep_at = 8
         self._attached_devices: Dict[str, MedicalDevice] = {}
         self._command_routes: set = set()
@@ -125,13 +133,13 @@ class DeviceBus:
 
     # ------------------------------------------------------------ attachment
     def attach_device(self, device: MedicalDevice) -> Channel:
-        """Attach a device: create its uplink and wire its publish method."""
+        """Attach a device: create its uplink and make it publish here."""
         device_id = device.descriptor.device_id
         if device_id in self._attached_devices:
             raise ValueError(f"device {device_id!r} is already attached to the bus")
         uplink = self._make_uplink(device_id)
         self._attached_devices[device_id] = device
-        device.attach_publisher(lambda topic, payload, d=device_id: self.publish(d, topic, payload))
+        device.attach_bus(self)
         return uplink
 
     def attach_endpoint(self, endpoint_id: str) -> None:
@@ -179,13 +187,27 @@ class DeviceBus:
                                      for downlink in self._downlinks.values())
 
     # ------------------------------------------------------------ publishing
-    def publish(self, device_id: str, topic: str, payload: Any) -> None:  # repro-lint: hot
+    def publish(  # repro-lint: hot
+        self,
+        device_id: str,
+        topic: str,
+        payload: Any,
+        valid: bool = True,
+        time: Optional[float] = None,
+    ) -> None:
         """Called by devices; routes the message to its subscribers.
+
+        With ``time`` given, ``payload`` is a sample's value, taken at
+        ``time`` and flagged ``valid`` (what
+        :meth:`~repro.devices.base.MedicalDevice.publish_reading` sends);
+        subscribers receive it as ``Reading(payload, valid, time)``.
+        Without, ``payload`` is delivered as it is.
 
         The uplink decides the sample's fate now.  A delivered sample is
         ranked among the arrivals at its instant even if nobody subscribes
         to its topic (it still orders its device's later samples there),
-        but only a subscribed one makes a ``Message`` or an event.
+        but only a subscribed one makes a ``Reading``, a ``Message`` or an
+        event.
         """
         uplink = self._uplinks.get(device_id)
         if uplink is None:
@@ -197,13 +219,14 @@ class DeviceBus:
         arrival_at = uplink.fate()
         if arrival_at is None:
             return
-        ranks = self._arrivals.get(arrival_at)
-        order = None if ranks is None else ranks.get(uplink)
-        if order is None:
+        order = self._ranked.get(uplink)
+        if order is None or order[0] != arrival_at:
             order = self._order(uplink, arrival_at)
         routes = self._routes.get(topic)
         if routes is None:
             return
+        if time is not None:
+            payload = Reading(payload, valid, time)
         forward_at = arrival_at + self.config.processing_delay_s
         envelope = Envelope(payload, self.simulator.now)
         later: Optional[List[Channel]] = None
@@ -248,6 +271,7 @@ class DeviceBus:
         order = ranks.get(uplink)
         if order is None:
             order = ranks[uplink] = (arrival_at, len(ranks))
+        self._ranked[uplink] = order
         return order
 
     def _forward_batch(self) -> None:  # repro-lint: hot

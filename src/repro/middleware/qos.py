@@ -64,7 +64,7 @@ class QoSMonitor:
     # --------------------------------------------------------------- contracts
     def add_contract(self, contract: TopicQoS) -> None:
         self._contracts[contract.topic] = contract
-        self._stats.setdefault(contract.topic, TopicStats())
+        self.stats(contract.topic)
 
     def contract(self, topic: str) -> Optional[TopicQoS]:
         return self._contracts.get(topic)
@@ -73,7 +73,9 @@ class QoSMonitor:
     def record_delivery(self, topic: str, published_at: float, delivered_at: Optional[float] = None) -> None:
         """Record a delivery; called by supervisors from their subscription handlers."""
         delivered_at = self.simulator.now if delivered_at is None else delivered_at
-        stats = self._stats.setdefault(topic, TopicStats())
+        stats = self._stats.get(topic)
+        if stats is None:
+            stats = self._stats[topic] = TopicStats()
         stats.deliveries += 1
         stats.last_delivery_time = delivered_at
         stats.last_published_time = published_at
@@ -109,7 +111,10 @@ class QoSMonitor:
         return bool(self.stale_topics())
 
     def stats(self, topic: str) -> TopicStats:
-        return self._stats.setdefault(topic, TopicStats())
+        stats = self._stats.get(topic)
+        if stats is None:
+            stats = self._stats[topic] = TopicStats()
+        return stats
 
     def mean_latency(self, topic: str) -> float:
         stats = self._stats.get(topic)

@@ -4,9 +4,10 @@ Every sensor sample in the system used to travel as a fresh three-key dict
 (``{"value": ..., "valid": ..., "time": ...}``) allocated per published
 reading — multiplied by devices x sample rate x campaign size, that dict was
 the last per-reading allocation on the messaging hot path.  :class:`Reading`
-replaces it: a ``__slots__`` value type produced by the device publish
-helpers, carried opaquely through :class:`repro.sim.channel.Channel` messages
-and :class:`repro.middleware.bus.Envelope` envelopes, and consumed natively
+replaces it: a ``__slots__`` value type built only for a sample somebody
+receives (the bus builds it once a subscriber is found), carried opaquely
+through :class:`repro.sim.channel.Channel` messages and
+:class:`repro.middleware.bus.Envelope` envelopes, and consumed natively
 (attribute access, no string-keyed lookups) by the supervisor, workflow,
 EHR, and alarm layers.
 

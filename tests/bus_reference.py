@@ -14,6 +14,7 @@ messages, at the same times, in the same order.
 from __future__ import annotations
 
 from repro.middleware.bus import COMMAND_TOPIC_PREFIX, DeviceBus, Envelope
+from repro.readings import Reading
 from repro.sim.channel import Channel, Message
 
 
@@ -25,11 +26,14 @@ class ReferenceBus(DeviceBus):
             super()._make_uplink(device_id).subscribe(self._on_uplink_message)
         return self._uplinks[device_id]
 
-    def publish(self, device_id: str, topic: str, payload) -> None:
-        # Always delivered over the uplink: the production bus decides the
-        # uplink hop at publish instead.
+    def publish(self, device_id: str, topic: str, payload, valid=True, time=None) -> None:
+        # Always delivered over the uplink, a sample boxed first: the
+        # production bus decides the uplink hop at publish instead, and
+        # boxes only a routed sample.
         uplink = self._make_uplink(device_id)
         self.published_count += 1
+        if time is not None:
+            payload = Reading(payload, valid, time)
         uplink.send(device_id, topic, payload)
 
     def _on_uplink_message(self, message: Message) -> None:

@@ -7,8 +7,10 @@ forward instant.  ``bus_reference.ReferenceBus`` keeps the old path (every
 sample is delivered over its uplink, one event per forward, subscribers
 looked up when it fires).  On random topologies, per-link channel configs,
 outage plans, commands and devices' publishes interleaved within an
-instant, the two must agree on everything a subscriber or an analysis can
-see: per-endpoint delivery order, sequence numbers and times, handler
+instant, samples sent through ``publish_reading`` (unboxed, so the
+production bus builds a ``Reading`` only for a routed topic) as well as
+``publish``, the two must agree on everything a subscriber or an analysis
+can see: per-endpoint delivery order, sequence numbers and times, handler
 payloads, the forward count, every downlink's statistics, and every
 uplink's sends and drops.  Uplinks deliver commands only.
 """
@@ -20,9 +22,13 @@ from hypothesis import strategies as st
 
 from bus_reference import ReferenceBus
 
+from repro.core.loop import ClosedLoopPCASystem, PCASystemConfig
+from repro.devices import base as device_base
 from repro.devices.base import DeviceDescriptor, DeviceState, MedicalDevice
+from repro.middleware import bus as bus_module
 from repro.middleware.bus import COMMAND_TOPIC_PREFIX, BusConfig, DeviceBus
 from repro.obs import metrics as obsm
+from repro.readings import Reading
 from repro.sim import channel as channel_module
 from repro.sim.channel import ChannelConfig
 from repro.sim.faults import FaultInjector, FaultSpec
@@ -109,11 +115,14 @@ def _scenarios(uplinks, downlinks, links, outage_count):
                                        st.sampled_from([0.5, 1.0, 1.5])), max_size=3),
         # Extra samples, one kernel event each, at instants the periodic
         # ticks also hit: devices' publishes interleave within an instant,
-        # subscribed topics or not.
+        # subscribed topics or not, as payloads or as readings (None, or
+        # the reading's validity).
         "bursts": st.lists(
             st.tuples(st.sampled_from([0.5, 1.0, 1.5, 2.25]),
                       st.lists(st.tuples(st.integers(min_value=0, max_value=3),
-                                         st.sampled_from(TOPICS)), min_size=1, max_size=5)),
+                                         st.sampled_from(TOPICS),
+                                         st.sampled_from([None, True, False])),
+                               min_size=1, max_size=5)),
             max_size=3),
         "seed": st.integers(min_value=0, max_value=2**16),
     })
@@ -165,10 +174,14 @@ def _run(bus_class, scenario, until=3.0):
         device_id = f"dev-{target % len(devices)}"
         simulator.schedule_at(at, lambda d=device_id: bus.send_command("sup", d, "ping", {"at": d}))
     for burst, (at, publishes) in enumerate(scenario["bursts"]):
-        for target, topic in publishes:
+        for target, topic, valid in publishes:
             device = devices[target % len(devices)]
-            simulator.schedule_at(at, lambda d=device, t=topic, b=burst: d.publish(
-                t, {"device": d.name, "burst": b}))
+            if valid is None:
+                simulator.schedule_at(at, lambda d=device, t=topic, b=burst: d.publish(
+                    t, {"device": d.name, "burst": b}))
+            else:
+                simulator.schedule_at(at, lambda d=device, t=topic, b=burst, v=valid:
+                                      d.publish_reading(t, (d.name, b), valid=v))
 
     names = _EventNames()
     simulator.attach_profiler(names)
@@ -381,6 +394,33 @@ class TestCompiledRoutes:
         assert runs[0] == runs[1]
         assert [entry[3] for entry in runs[0]] == [0, 1]
 
+    def test_uplink_back_at_an_earlier_instant_keeps_its_first_rank(self):
+        # dev-0's uplink has no latency and a jitter, so a draw below zero
+        # reaches the bus at once: under seed 8 its samples a, c and d, all
+        # published at 0, arrive at 0, 0.0039 and 0 again.  a opened dev-0's
+        # batch at 0 ahead of dev-1's b, and on the per-message path d joins
+        # that batch, so it reaches the bus before b too, although dev-0's
+        # uplink was last ranked at 0.0039.
+        runs = []
+        for bus_class in (DeviceBus, ReferenceBus):
+            simulator = Simulator()
+            bus = bus_class(simulator, BusConfig(uplink=ChannelConfig(latency_s=0.0)),
+                            rng=np.random.default_rng(8))
+            devices = [_Sensor(f"dev-{index}", ["t"], period=1.0) for index in range(2)]
+            for device in devices:
+                bus.attach_device(device)
+                device.bind(simulator)
+            bus.uplink("dev-0").config = ChannelConfig(latency_s=0.0, jitter_s=0.004)
+            log = _publish_log(bus, "listener", "t", simulator)
+            for device, value in zip((0, 1, 0, 0), "abcd"):
+                devices[device].publish_reading("t", value)
+            simulator.run()
+            runs.append(log)
+        assert [(entry[1].value, entry[3]) for entry in runs[1]] == [
+            ("a", 0), ("d", 1), ("b", 2), ("c", 3)]
+        assert runs[0] == runs[1]
+        assert 0.0 < runs[0][3][4] - 0.005 < 0.004  # c reached the bus at T2
+
     @pytest.mark.parametrize("publish_at", [1.75, 2.0])
     def test_forwarded_count_exact_at_until(self, publish_at):
         # Uplink 0.25 + processing 0.0: a sample published at 1.75 is
@@ -578,3 +618,60 @@ class TestCompiledRoutes:
             runs.append(log)
         assert runs[0] == runs[1]
         assert [entry[1]["v"] for entry in runs[0]] == [0, 2]
+
+
+@pytest.fixture
+def built_readings(monkeypatch):
+    """Counts every Reading the devices and the bus build (real ones)."""
+    built = []
+
+    def counting_reading(*args):
+        built.append(None)
+        return Reading(*args)
+
+    monkeypatch.setattr(device_base, "Reading", counting_reading)
+    monkeypatch.setattr(bus_module, "Reading", counting_reading)
+    return built
+
+
+def _pca_run(mode, duration_s=1800.0):
+    system = ClosedLoopPCASystem(PCASystemConfig(mode=mode, duration_s=duration_s, seed=3))
+    system.run()
+    return system
+
+
+class TestSamplesEnterTheBusUnboxed:
+    """A device's sample reaches DeviceBus.publish as its value, validity and
+    time; the bus builds its Reading only for a topic with a subscriber."""
+
+    def test_open_loop_run_builds_no_reading(self, built_readings):
+        # Nobody subscribes in an open loop: every sample is published,
+        # fated and ranked, and none is boxed.
+        system = _pca_run("open_loop")
+        assert system.oximeter.readings_published == 900
+        assert system.bus.published_count > 2000
+        assert built_readings == []
+
+    def test_closed_loop_builds_one_reading_per_routed_copy(self, built_readings):
+        # The supervisor is the one endpoint, subscribed to sample topics
+        # only, so each routed sample is one forwarded copy.  The run ends
+        # between sample instants, so no copy is still in flight.
+        system = _pca_run("closed_loop", duration_s=1800.5)
+        assert system.bus.subscribers("spo2") == ["supervisor_host:pca-safety"]
+        assert 0 < len(built_readings) == system.bus.forwarded_count
+        assert len(built_readings) < system.bus.published_count
+
+    def test_every_publish_is_one_bus_publish_call(self, monkeypatch):
+        # perfbench charges DeviceBus.publish to the bus layer: samples must
+        # enter the bus there and nowhere else.
+        calls = []
+        publish = DeviceBus.publish
+
+        def counting_publish(self, *args, **kwargs):
+            calls.append(None)
+            return publish(self, *args, **kwargs)
+
+        monkeypatch.setattr(DeviceBus, "publish", counting_publish)
+        system = _pca_run("closed_loop")
+        assert system.bus.published_count > 2000
+        assert len(calls) == system.bus.published_count

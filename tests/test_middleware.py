@@ -9,6 +9,7 @@ from golden_workload import GOLDEN_PATH, bus_workload
 from repro.devices.base import DeviceDescriptor, DeviceState, MedicalDevice
 from repro.middleware.bus import BusConfig, DeviceBus
 from repro.middleware.clock_sync import ClockSync, DeviceClock
+from repro.middleware import qos as qos_module
 from repro.middleware.qos import QoSMonitor, TopicQoS
 from repro.middleware.registry import DeviceRegistry, DeviceRequirement, RegistrationError
 from repro.middleware.supervisor_host import SupervisorApp, SupervisorHost
@@ -290,6 +291,35 @@ class TestQoSMonitor:
         assert monitor.mean_latency("spo2") == 2.5 / 5
         assert monitor.max_latency("spo2") == 1.5
         assert not hasattr(stats, "latencies")
+
+    def test_records_and_reads_build_a_topics_stats_once(self, monkeypatch):
+        built = []
+        topic_stats = qos_module.TopicStats
+
+        def counting_stats():
+            built.append(None)
+            return topic_stats()
+
+        monkeypatch.setattr(qos_module, "TopicStats", counting_stats)
+        simulator = Simulator()
+        monitor = QoSMonitor(simulator)
+        monitor.add_contract(TopicQoS(topic="spo2", max_age_s=5.0, max_latency_s=0.5))
+        stats = monitor.stats("spo2")
+        for index in range(1000):
+            monitor.record_delivery("spo2", published_at=index - 0.25 * (index % 4),
+                                    delivered_at=float(index))
+        assert monitor.stats("spo2") is stats
+        assert stats.deliveries == 1000
+        summary = {"spo2": {"deliveries": 1000.0, "deadline_violations": 250.0,
+                            "mean_latency": 0.375, "max_latency": 0.75, "age": -999.0}}
+        assert monitor.summary() == summary
+        assert monitor.summary() == summary
+        assert len(built) == 1
+        # An uncontracted topic gets its stats at its first read or record.
+        assert monitor.stats("etco2") is monitor.stats("etco2")
+        monitor.record_delivery("etco2", published_at=0.0)
+        assert monitor.stats("etco2").deliveries == 1
+        assert len(built) == 2
 
 
 class TestClockSync:
