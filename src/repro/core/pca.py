@@ -28,7 +28,7 @@ import enum
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.middleware.qos import TopicQoS
 from repro.middleware.supervisor_host import SupervisorApp
@@ -142,9 +142,7 @@ class PCASafetySupervisor(SupervisorApp):
         self.first_stop_time: Optional[float] = None
 
     # ----------------------------------------------------------------- data
-    def on_data(self, topic: str, payload: Any, message: Message) -> None:
-        if type(payload) is not Reading:
-            return
+    def on_data(self, topic: str, payload: Reading, message: Message) -> None:
         time, value, valid = payload.time, float(payload.value), payload.valid
         self._latest[topic] = (time, value, valid)
         if topic == "spo2" and valid:

@@ -106,9 +106,9 @@ class MedicalDevice(Process):
         super().__init__(name=f"device:{descriptor.device_id}")
         self.descriptor = descriptor
         self.state = DeviceState.STANDBY
-        # Where published data goes: a bus, or a (topic, payload) function.
+        # Where published samples go: a bus, or a (topic, reading) function.
         self._bus: Optional[DeviceBus] = None
-        self._publisher: Optional[Callable[[str, Any], None]] = None
+        self._publisher: Optional[Callable[[str, Reading], None]] = None
         self._command_handlers: Dict[str, Callable[[Dict[str, Any]], Any]] = {}
         self.rejected_commands: List[Tuple[str, str]] = []
         self.state_history: List[Tuple[float, DeviceState]] = []
@@ -182,25 +182,14 @@ class MedicalDevice(Process):
         self._bus = bus
         self._publisher = None
 
-    def attach_publisher(self, publisher: Callable[[str, Any], None]) -> None:
-        """Give the device a function that publishes ``(topic, payload)``.
+    def attach_publisher(self, publisher: Callable[[str, Reading], None]) -> None:
+        """Give the device a function that publishes ``(topic, reading)``.
 
-        Replaces any bus; samples reach ``publisher`` as :class:`Reading`.
+        Replaces any bus; every sample reaches ``publisher`` as a
+        :class:`Reading`.
         """
         self._publisher = publisher
         self._bus = None
-
-    def publish(self, topic: str, payload: Any) -> None:
-        if self.crashed:
-            return
-        if not self.descriptor.publishes(topic):
-            raise ValueError(
-                f"device {self.descriptor.device_id!r} tried to publish undeclared topic {topic!r}"
-            )
-        if self._bus is not None:
-            self._bus.publish(self.descriptor.device_id, topic, payload)
-        elif self._publisher is not None:
-            self._publisher(topic, payload)
 
     def publish_reading(
         self,
@@ -210,14 +199,16 @@ class MedicalDevice(Process):
         *,
         record: Optional[str] = None,
     ) -> None:
-        """Publish one sensor sample on ``topic``, read as a :class:`Reading`.
+        """Publish one sample on ``topic``, read as a :class:`Reading`.
 
-        The sample is stamped with the current simulated time.  It enters
-        the bus unboxed, in one :meth:`DeviceBus.publish` call, and the bus
-        builds its ``Reading`` only for a topic with a subscriber; a
-        publisher function gets the ``Reading`` itself.  ``record``
-        optionally names a declared trace signal to record ``value`` under in
-        the same call (the publish+record pair every sensor tick performs).
+        This is the device's only publish route: a status is a sample too,
+        its state coded in ``value``.  The sample is stamped with the current
+        simulated time.  It enters the bus unboxed, in one
+        :meth:`DeviceBus.publish` call, and the bus builds its ``Reading``
+        only for a topic with a subscriber; a publisher function gets the
+        ``Reading`` itself.  ``record`` optionally names a declared trace
+        signal to record ``value`` under in the same call (the
+        publish+record pair every sensor tick performs).
         """
         if self.crashed:
             return

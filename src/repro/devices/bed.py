@@ -60,19 +60,12 @@ class HospitalBed(MedicalDevice):
         self.height_cm = float(height_cm)
         self._log_event("bed_move", {"from_cm": previous, "to_cm": self.height_cm})
         # The patient/transducer offset changes when the motion completes.
-        self.after(self.motion_duration_s, lambda: self._finish_move(previous))
+        self.after(self.motion_duration_s, self._finish_move)
 
-    def _finish_move(self, previous_cm: float) -> None:
+    def _finish_move(self) -> None:
         self.patient.map_model.set_bed_height_offset(self.height_cm)
         if self.publish_context_events:
-            self.publish(
-                "bed_height",
-                {
-                    "height_cm": self.height_cm,
-                    "previous_cm": previous_cm,
-                    "time": self.now,
-                },
-            )
+            self.publish_reading("bed_height", self.height_cm)
         self._record("height_cm", self.height_cm)
 
     def _command_set_height(self, parameters) -> bool:

@@ -71,7 +71,7 @@ class ECGMonitor(MedicalDevice):
         if not self.is_operational:
             return
         if self._lead_off:
-            self.publish("lead_status", {"attached": False, "time": self.now})
+            self.publish_reading("lead_status", 0.0)  # 0.0: detached
             self.publish_reading("ecg_heart_rate", self.config.lead_off_value, valid=False)
             return
         heart_rate = self.patient.vital_signs.heart_rate_bpm

@@ -121,17 +121,9 @@ class PCAPump(MedicalDevice):
     def _publish_status(self) -> None:
         if not self.is_operational:
             return
-        self.publish(
-            "pump_status",
-            {
-                "device_id": self.descriptor.device_id,
-                "stopped": self.stopped_by_supervisor,
-                "state": self.state.value,
-                "delivered_mg_last_hour": self.delivered_in_window(SECONDS_PER_HOUR),
-                "basal_rate_mg_per_hr": self.effective_prescription.basal_rate_mg_per_hr,
-            },
-        )
-        self._record("stopped", 1.0 if self.stopped_by_supervisor else 0.0)
+        # The actuation state: 1.0 while stopped by the supervisor, else 0.0.
+        self.publish_reading("pump_status", 1.0 if self.stopped_by_supervisor else 0.0,
+                             record="stopped")
 
     # --------------------------------------------------------------- dosing
     @property
@@ -190,7 +182,7 @@ class PCAPump(MedicalDevice):
         self.delivered_boluses.append((now, dose_mg))
         self.patient.infuse_bolus(dose_mg)
         self._log_event("bolus_delivered", dose_mg)
-        self.publish("dose_delivered", {"time": now, "dose_mg": dose_mg})
+        self.publish_reading("dose_delivered", dose_mg)
 
     def delivered_in_window(self, window_s: float) -> float:
         """Total bolus drug delivered in the trailing ``window_s`` seconds."""

@@ -184,7 +184,7 @@ class PulseOximeter(MedicalDevice):
             # A detached probe reads nonsense near zero; the smart-alarm
             # experiment relies on this signature being distinguishable from
             # true desaturation by its abruptness and by other vitals.
-            self.publish("probe_status", {"attached": False})
+            self.publish_reading("probe_status", 0.0)  # 0.0: detached
             self.publish_reading("spo2", 0.0, valid=False, record="spo2_reading")
             self.publish_reading("heart_rate", 0.0, valid=False)
             return

@@ -130,18 +130,12 @@ class Ventilator(MedicalDevice):
         self.after(duration, self._next_phase)
 
     def _broadcast(self) -> None:
+        # The breathing-cycle state as one sample: seconds to the next
+        # inhalation, valid only inside the end-expiratory (imaging) window.
         if not self.is_operational:
             return
-        self.publish(
-            "breath_phase",
-            {
-                "phase": self.phase.value,
-                "phase_started_at": self.phase_started_at,
-                "time_to_next_inhale_s": self.time_to_next_inhalation(),
-                "air_flow_lpm": self.air_flow_lpm(),
-                "time": self.now,
-            },
-        )
+        self.publish_reading("breath_phase", self.time_to_next_inhalation(),
+                             valid=self.phase is BreathPhase.END_EXPIRATORY_PAUSE)
 
     # ------------------------------------------------------------ physiology
     def air_flow_lpm(self) -> float:

@@ -16,10 +16,11 @@ Two coordination modes from Section II(b) of the paper are implemented:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
 from repro.devices.base import DeviceDescriptor, DeviceState, MedicalDevice
 from repro.devices.ventilator import Ventilator
+from repro.readings import Reading
 from repro.sim.trace import TraceRecorder
 
 COORDINATION_MODES = ("manual", "pause_restart", "state_broadcast")
@@ -97,7 +98,7 @@ class XRayMachine(MedicalDevice):
         self.images: List[XRayImage] = []
         self.skipped_windows = 0
         self.pending_request = False
-        self._latest_vent_state: Optional[Dict[str, Any]] = None
+        self._latest_vent_state: Optional[Reading] = None
         self._latest_vent_state_received_at: Optional[float] = None
         self._declare_events("image_requested", "image_taken",
                              "pause_failed", "resume_failed")
@@ -108,9 +109,9 @@ class XRayMachine(MedicalDevice):
         self.transition(DeviceState.RUNNING)
 
     # --------------------------------------------------- ventilator listening
-    def on_ventilator_state(self, payload: Dict[str, Any]) -> None:
-        """Middleware callback delivering a ventilator ``breath_phase`` message."""
-        self._latest_vent_state = dict(payload)
+    def on_ventilator_state(self, reading: Reading) -> None:
+        """Middleware callback delivering a ventilator ``breath_phase`` sample."""
+        self._latest_vent_state = reading
         self._latest_vent_state_received_at = self.now
         if self.pending_request and self.config.coordination_mode == "state_broadcast":
             self._try_state_broadcast_shot()
@@ -145,7 +146,7 @@ class XRayMachine(MedicalDevice):
         image = XRayImage(requested_at=requested_at, taken_at=self.now, blurred=blurred, mode=mode)
         self.images.append(image)
         self.pending_request = False
-        self.publish("image_taken", {"time": self.now, "blurred": blurred, "mode": mode})
+        self.publish_reading("image_taken", 0.0 if blurred else 1.0)  # 1.0: sharp
         self._log_event("image_taken", {"blurred": blurred, "mode": mode})
 
     # ----------------------------------------------------- pause/restart mode
@@ -182,17 +183,15 @@ class XRayMachine(MedicalDevice):
         """Decide whether the current reported window is long enough to shoot."""
         if not self.pending_request or self._latest_vent_state is None:
             return
-        payload = self._latest_vent_state
-        phase = payload.get("phase")
-        if phase != "end_expiratory_pause":
+        reading = self._latest_vent_state
+        if not reading.valid:  # not in the end-expiratory pause
             return
         # Age of the information plus the assumed transmission margin.
         staleness = 0.0
-        if self._latest_vent_state_received_at is not None and "time" in payload:
-            staleness = max(0.0, self._latest_vent_state_received_at - float(payload["time"]))
-        time_to_inhale = float(payload.get("time_to_next_inhale_s", 0.0))
+        if self._latest_vent_state_received_at is not None:
+            staleness = max(0.0, self._latest_vent_state_received_at - reading.time)
         usable_window = (
-            time_to_inhale
+            reading.value
             - staleness
             - self.config.assumed_transmission_delay_s
             - self.config.preparation_time_s

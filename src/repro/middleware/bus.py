@@ -6,6 +6,12 @@ downlink channels, so end-to-end latency is the sum of two channel delays
 plus any bus processing delay.  Channels can be degraded or cut by the fault
 injector to model communication failures.
 
+One payload type: every bus message is a sample, read by its subscribers
+as a :class:`~repro.readings.Reading` and nothing else.  A status (a pump
+stopped, a probe detached) is a sample too, its state coded in the value.
+There is no envelope: a Reading's own ``time`` is its publish instant, so
+the copy a subscriber gets carries everything end-to-end latency needs.
+
 One route: a device's sample enters the bus in one call,
 :meth:`DeviceBus.publish`, with its value, validity and time unboxed.  Its
 uplink hop is decided then (:meth:`~repro.sim.channel.Channel.fate`
@@ -37,25 +43,6 @@ from repro.sim.kernel import Simulator
 #: Topic prefix reserved for the reverse (command) path.  Command messages
 #: ride the device uplink but must never enter the pub/sub forwarding path.
 COMMAND_TOPIC_PREFIX = "__command__:"
-
-
-class Envelope:
-    """Bus forwarding envelope: the original payload plus its publish time.
-
-    One envelope is built per forwarded message (shared by every subscriber
-    copy) on the simulation's hottest messaging path; a slotted class keeps
-    that cheaper than a fresh two-key dict per subscriber and makes the
-    contract explicit.  Treat instances as immutable.
-    """
-
-    __slots__ = ("payload", "published_at")
-
-    def __init__(self, payload: Any, published_at: float) -> None:
-        self.payload = payload
-        self.published_at = published_at
-
-    def __repr__(self) -> str:  # pragma: no cover - debug helper
-        return f"<Envelope published_at={self.published_at} {self.payload!r}>"
 
 
 @dataclass
@@ -101,7 +88,7 @@ class DeviceBus:
         self._rng = rng
         self._uplinks: Dict[str, Channel] = {}
         self._downlinks: Dict[str, Channel] = {}
-        self._subscriptions: Dict[str, List[Tuple[str, Callable[[str, Any, Message], None]]]] = {}
+        self._subscriptions: Dict[str, List[Tuple[str, Callable[[str, Reading, Message], None]]]] = {}
         # topic -> downlinks of its subscribed endpoints, each once, in
         # subscription order.  Insertion order, never a set: delivery order
         # (and hence downlink sequence numbers and kernel tiebreaks) must not
@@ -109,9 +96,9 @@ class DeviceBus:
         self._routes: Dict[str, Tuple[Channel, ...]] = {}
         # Forwards to downlinks that are not deterministic, coalesced as
         # Channel coalesces deliveries: forward instant -> (order, sender,
-        # topic, envelope, downlinks) in arrival order, sharing one kernel
+        # topic, reading, downlinks) in arrival order, sharing one kernel
         # event, popped when it fires.
-        self._pending_forwards: Dict[float, List[Tuple[Tuple[float, int], str, str, Envelope,
+        self._pending_forwards: Dict[float, List[Tuple[Tuple[float, int], str, str, Reading,
                                                        List[Channel]]]] = {}
         self._forward_batch_cb = self._forward_batch
         # Arrival order at the bus: arrival instant -> {uplink: order key}.
@@ -188,20 +175,13 @@ class DeviceBus:
 
     # ------------------------------------------------------------ publishing
     def publish(  # repro-lint: hot
-        self,
-        device_id: str,
-        topic: str,
-        payload: Any,
-        valid: bool = True,
-        time: Optional[float] = None,
+        self, device_id: str, topic: str, value: Any, valid: bool, time: float,
     ) -> None:
-        """Called by devices; routes the message to its subscribers.
+        """Called by devices; routes one sample to its subscribers.
 
-        With ``time`` given, ``payload`` is a sample's value, taken at
-        ``time`` and flagged ``valid`` (what
-        :meth:`~repro.devices.base.MedicalDevice.publish_reading` sends);
-        subscribers receive it as ``Reading(payload, valid, time)``.
-        Without, ``payload`` is delivered as it is.
+        The sample is ``value``, taken at ``time`` and flagged ``valid``
+        (what :meth:`~repro.devices.base.MedicalDevice.publish_reading`
+        sends); subscribers receive it as ``Reading(value, valid, time)``.
 
         The uplink decides the sample's fate now.  A delivered sample is
         ranked among the arrivals at its instant even if nobody subscribes
@@ -225,14 +205,12 @@ class DeviceBus:
         routes = self._routes.get(topic)
         if routes is None:
             return
-        if time is not None:
-            payload = Reading(payload, valid, time)
+        reading = Reading(value, valid, time)
         forward_at = arrival_at + self.config.processing_delay_s
-        envelope = Envelope(payload, self.simulator.now)
         later: Optional[List[Channel]] = None
         for downlink in routes:
             if downlink.deterministic:
-                downlink.send_at(forward_at, device_id, topic, envelope, order)
+                downlink.send_at(forward_at, device_id, topic, reading, order)
             elif later is None:
                 later = [downlink]
             else:
@@ -240,7 +218,7 @@ class DeviceBus:
         queued = len(routes)
         if later is not None:
             queued -= len(later)
-            forward = (order, device_id, topic, envelope, later)
+            forward = (order, device_id, topic, reading, later)
             batch = self._pending_forwards.get(forward_at)
             if batch is None:
                 self._pending_forwards[forward_at] = [forward]
@@ -278,30 +256,30 @@ class DeviceBus:
         # The kernel fires this event at exactly the pending key's time, so
         # `now` IS the key.  Pop before sending, as Channel._deliver_batch
         # does: a zero processing delay must open a fresh batch.  Each
-        # downlink draws its copy's fate as it is sent; the original
-        # publish time travels in the envelope for end-to-end latency
-        # accounting.
+        # downlink draws its copy's fate as it is sent; the sample's own
+        # time is its publish instant, for end-to-end latency accounting.
         batch = self._pending_forwards.pop(self.simulator.now)
         obs = self._obs
-        for _, sender, topic, envelope, downlinks in batch:
+        for _, sender, topic, reading, downlinks in batch:
             self._forwarded += len(downlinks)
             if obs is not None:
                 obs.forwarded.value += len(downlinks)
             for downlink in downlinks:
-                downlink.send(sender, topic, envelope)
+                downlink.send(sender, topic, reading)
 
     # ---------------------------------------------------------- subscribing
     def subscribe(
         self,
         endpoint_id: str,
         topic: str,
-        handler: Callable[[str, Any, Message], None],
+        handler: Callable[[str, Reading, Message], None],
     ) -> None:
         """Subscribe ``endpoint_id`` to ``topic``.
 
-        ``handler(topic, payload, message)`` is called on each delivery, where
-        ``message`` is the downlink delivery record (including end-to-end
-        latency information).
+        ``handler(topic, reading, message)`` is called on each delivery, where
+        ``reading`` is the sample and ``message`` the downlink delivery
+        record (``reading.time`` to ``message.delivered_at`` is the
+        end-to-end latency).
 
         Command topics (``__command__:`` prefix) belong to the reverse path
         and cannot be subscribed to.
@@ -314,8 +292,7 @@ class DeviceBus:
         downlink = self._downlinks[endpoint_id]
 
         def _deliver(message: Message, topic=topic, handler=handler) -> None:
-            envelope = message.payload
-            handler(topic, envelope.payload, message)
+            handler(topic, message.payload, message)
 
         downlink.subscribe(_deliver, topic=topic)
         self._subscriptions.setdefault(topic, []).append((endpoint_id, handler))

@@ -17,6 +17,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.middleware.bus import DeviceBus
 from repro.middleware.qos import QoSMonitor, TopicQoS
+from repro.readings import Reading
 from repro.sim.channel import Message
 from repro.sim.kernel import PeriodicTask, Process, Simulator
 from repro.sim.trace import TraceRecorder
@@ -45,7 +46,7 @@ class SupervisorApp:
     def on_attached(self) -> None:
         """Called when the app is attached to a host."""
 
-    def on_data(self, topic: str, payload: Any, message: Message) -> None:
+    def on_data(self, topic: str, payload: Reading, message: Message) -> None:
         """Called for every delivery on a subscribed topic."""
 
     def step(self, now: float) -> None:
@@ -172,11 +173,11 @@ class SupervisorHost(Process):
             self._schedule_app(app)
 
     def _make_handler(self, app: SupervisorApp):
-        def _handler(topic: str, payload: Any, message: Message) -> None:
-            # The publish instant comes from the bus envelope, whatever the
-            # payload: `message.sent_at` is the bus forward instant, so it
-            # would leave the uplink hop out of the latency.
-            self.qos.record_delivery(topic, published_at=message.payload.published_at,
+        def _handler(topic: str, payload: Reading, message: Message) -> None:
+            # The publish instant is the sample's own time: `message.sent_at`
+            # is the bus forward instant, so it would leave the uplink hop
+            # out of the latency.
+            self.qos.record_delivery(topic, published_at=payload.time,
                                      delivered_at=message.delivered_at)
             app.on_data(topic, payload, message)
         return _handler

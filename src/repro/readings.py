@@ -1,21 +1,17 @@
-"""The slotted, immutable per-sample sensor reading carried end-to-end.
+"""The slotted, immutable sample carried end-to-end: the one wire payload.
 
-Every sensor sample in the system used to travel as a fresh three-key dict
-(``{"value": ..., "valid": ..., "time": ...}``) allocated per published
-reading — multiplied by devices x sample rate x campaign size, that dict was
-the last per-reading allocation on the messaging hot path.  :class:`Reading`
-replaces it: a ``__slots__`` value type built only for a sample somebody
-receives (the bus builds it once a subscriber is found), carried opaquely
-through :class:`repro.sim.channel.Channel` messages and
-:class:`repro.middleware.bus.Envelope` envelopes, and consumed natively
-(attribute access, no string-keyed lookups) by the supervisor, workflow,
-EHR, and alarm layers.
+Every message on the device bus is a :class:`Reading`: a value, its
+validity flag and the simulated time it was taken.  A status is a sample
+too, its state coded in the value (``pump_status`` reads 1.0 while the
+supervisor has the pump stopped, ``probe_status`` 0.0 for a detached
+probe).  The bus builds a Reading only for a sample somebody receives and
+hands that object to every subscriber, carried opaquely through
+:class:`repro.sim.channel.Channel` messages with no envelope: its ``time``
+is its publish instant.  Consumers (supervisor, workflow, EHR and alarm
+layers) read it natively, by attribute, with no type check.
 
-A ``Reading`` is not a mapping: read its fields as attributes.  It is the
-only sample shape a consumer understands: a handler ignores any payload
-whose type is not ``Reading`` (status dicts such as ``pump_status`` are
-states, not samples), and :meth:`Reading.as_dict` renders the dict form
-for serialisation.
+A ``Reading`` is not a mapping: read its fields as attributes.
+:meth:`Reading.as_dict` renders the dict form for serialisation.
 """
 
 from __future__ import annotations

@@ -52,6 +52,10 @@ class BedMapConfig:
             raise ValueError("event counts must be non-negative")
         if self.hypotension_duration_s <= 0:
             raise ValueError("hypotension_duration_s must be positive")
+        if not math.isfinite(self.map_alarm_threshold_mmhg):
+            # A NaN threshold compares false with every MAP: no alarm, ever.
+            raise ValueError(
+                f"map_alarm_threshold_mmhg must be finite, got {self.map_alarm_threshold_mmhg!r}")
 
 
 @dataclass

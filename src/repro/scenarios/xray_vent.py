@@ -21,6 +21,7 @@ experiment E3.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional
 
@@ -55,8 +56,13 @@ class XRayVentilatorConfig:
             raise ValueError(f"unknown coordination mode {self.mode!r}")
         if self.image_requests < 0:
             raise ValueError("image_requests must be non-negative")
-        if self.request_period_s <= 0:
-            raise ValueError("request_period_s must be positive")
+        # A NaN compares false with everything, so `value <= 0` lets it
+        # through: a NaN watchdog timeout never fires, and a NaN request
+        # period fails only when the kernel schedules it.
+        for name in ("request_period_s", "apnea_watchdog_timeout_s"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
         if not 0 <= self.command_loss_probability <= 1:
             raise ValueError("command_loss_probability must be in [0, 1]")
         if not 0 <= self.forget_restart_probability <= 1:
@@ -102,7 +108,7 @@ class XRayVentilatorScenario:
         xray_config = XRayConfig(
             exposure_time_s=self.config.xray.exposure_time_s,
             preparation_time_s=self.config.xray.preparation_time_s,
-            coordination_mode=self.config.mode if self.config.mode != "manual" else "manual",
+            coordination_mode=self.config.mode,
             assumed_transmission_delay_s=max(
                 self.config.xray.assumed_transmission_delay_s, self.config.network_latency_s
             ),

@@ -209,11 +209,11 @@ class WardSafetyApp(SupervisorApp):
         self._pump_by_sensor[sensor_device_id] = pump_device_id
         self._stopped[pump_device_id] = False
 
-    def on_data(self, topic: str, payload: Any, message) -> None:
+    def on_data(self, topic: str, payload: Reading, message) -> None:
         pump_id = self._pump_by_sensor.get(message.sender)
         if pump_id is None or self._stopped[pump_id]:
             return
-        if type(payload) is not Reading or not payload.valid:
+        if not payload.valid:
             return
         if payload.value < self.stop_threshold:
             self._stopped[pump_id] = True
@@ -330,11 +330,11 @@ def _wire_ward_monitor(runtime: HospitalRuntime, ward_runtime: WardRuntime) -> N
         for device in bed.devices.values():
             bed_by_device[device.descriptor.device_id] = bed
 
-    def _observe(topic: str, payload: Any, message) -> None:
+    def _observe(topic: str, payload: Reading, message) -> None:
         bed = bed_by_device.get(message.sender)
         if bed is None:
             return
-        if type(payload) is not Reading or not payload.valid:
+        if not payload.valid:
             return
         raised = bed.alarm.observe(simulator.now, topic, float(payload.value))
         for event in raised:

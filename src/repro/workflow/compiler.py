@@ -17,7 +17,7 @@ Two outputs are produced:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.middleware.qos import TopicQoS
 from repro.middleware.registry import DeviceRequirement
@@ -81,8 +81,8 @@ class CompiledScenarioApp(SupervisorApp):
         self._rule_engaged: Dict[str, bool] = {rule.name: False for rule in scenario.decision_rules}
 
     # ------------------------------------------------------------------ data
-    def on_data(self, topic: str, payload: Any, message: Message) -> None:
-        if type(payload) is not Reading or not payload.valid:
+    def on_data(self, topic: str, payload: Reading, message: Message) -> None:
+        if not payload.valid:
             return
         self._latest[topic] = float(payload.value)
 

@@ -13,7 +13,7 @@ messages, at the same times, in the same order.
 
 from __future__ import annotations
 
-from repro.middleware.bus import COMMAND_TOPIC_PREFIX, DeviceBus, Envelope
+from repro.middleware.bus import COMMAND_TOPIC_PREFIX, DeviceBus
 from repro.readings import Reading
 from repro.sim.channel import Channel, Message
 
@@ -26,15 +26,13 @@ class ReferenceBus(DeviceBus):
             super()._make_uplink(device_id).subscribe(self._on_uplink_message)
         return self._uplinks[device_id]
 
-    def publish(self, device_id: str, topic: str, payload, valid=True, time=None) -> None:
-        # Always delivered over the uplink, a sample boxed first: the
+    def publish(self, device_id: str, topic: str, value, valid, time) -> None:
+        # Always delivered over the uplink, the sample boxed first: the
         # production bus decides the uplink hop at publish instead, and
         # boxes only a routed sample.
         uplink = self._make_uplink(device_id)
         self.published_count += 1
-        if time is not None:
-            payload = Reading(payload, valid, time)
-        uplink.send(device_id, topic, payload)
+        uplink.send(device_id, topic, Reading(value, valid, time))
 
     def _on_uplink_message(self, message: Message) -> None:
         if message.topic.startswith(COMMAND_TOPIC_PREFIX):
@@ -53,10 +51,9 @@ class ReferenceBus(DeviceBus):
         for endpoint_id, _ in subscriptions:
             if endpoint_id not in endpoints:
                 endpoints[endpoint_id] = None
-        envelope = Envelope(message.payload, message.sent_at)
         for endpoint_id in endpoints:
             downlink = self._downlinks.get(endpoint_id)
             if downlink is None:
                 continue
             self._forwarded += 1
-            downlink.send(message.sender, message.topic, envelope)
+            downlink.send(message.sender, message.topic, message.payload)

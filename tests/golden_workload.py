@@ -184,7 +184,6 @@ def bus_workload() -> Dict[str, Any]:
     """
     from repro.devices.base import DeviceDescriptor, DeviceState, MedicalDevice
     from repro.middleware.bus import BusConfig, DeviceBus
-    from repro.readings import Reading
     from repro.sim.channel import ChannelConfig
     from repro.sim.kernel import Simulator
 
@@ -211,7 +210,7 @@ def bus_workload() -> Dict[str, Any]:
 
         def _tick(self):
             for topic in self._topics:
-                self.publish(topic, Reading(self.now, True, self.now))
+                self.publish_reading(topic, self.now)
 
     sim = Simulator()
     bus = DeviceBus(sim, BusConfig(

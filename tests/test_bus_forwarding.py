@@ -7,9 +7,9 @@ forward instant.  ``bus_reference.ReferenceBus`` keeps the old path (every
 sample is delivered over its uplink, one event per forward, subscribers
 looked up when it fires).  On random topologies, per-link channel configs,
 outage plans, commands and devices' publishes interleaved within an
-instant, samples sent through ``publish_reading`` (unboxed, so the
-production bus builds a ``Reading`` only for a routed topic) as well as
-``publish``, the two must agree on everything a subscriber or an analysis
+instant, and samples valid or not (sent unboxed through
+``publish_reading``, so the production bus builds a ``Reading`` only for a
+routed topic), the two must agree on everything a subscriber or an analysis
 can see: per-endpoint delivery order, sequence numbers and times, handler
 payloads, the forward count, every downlink's statistics, and every
 uplink's sends and drops.  Uplinks deliver commands only.
@@ -61,7 +61,7 @@ class _Sensor(MedicalDevice):
     def _tick(self):
         self.ticks += 1
         for topic in self._topics:
-            self.publish(topic, {"device": self.name, "tick": self.ticks})
+            self.publish_reading(topic, (self.name, self.ticks))
 
 
 class _EventNames:
@@ -115,13 +115,12 @@ def _scenarios(uplinks, downlinks, links, outage_count):
                                        st.sampled_from([0.5, 1.0, 1.5])), max_size=3),
         # Extra samples, one kernel event each, at instants the periodic
         # ticks also hit: devices' publishes interleave within an instant,
-        # subscribed topics or not, as payloads or as readings (None, or
-        # the reading's validity).
+        # subscribed topics or not, valid or not.
         "bursts": st.lists(
             st.tuples(st.sampled_from([0.5, 1.0, 1.5, 2.25]),
                       st.lists(st.tuples(st.integers(min_value=0, max_value=3),
                                          st.sampled_from(TOPICS),
-                                         st.sampled_from([None, True, False])),
+                                         st.booleans()),
                                min_size=1, max_size=5)),
             max_size=3),
         "seed": st.integers(min_value=0, max_value=2**16),
@@ -176,12 +175,8 @@ def _run(bus_class, scenario, until=3.0):
     for burst, (at, publishes) in enumerate(scenario["bursts"]):
         for target, topic, valid in publishes:
             device = devices[target % len(devices)]
-            if valid is None:
-                simulator.schedule_at(at, lambda d=device, t=topic, b=burst: d.publish(
-                    t, {"device": d.name, "burst": b}))
-            else:
-                simulator.schedule_at(at, lambda d=device, t=topic, b=burst, v=valid:
-                                      d.publish_reading(t, (d.name, b), valid=v))
+            simulator.schedule_at(at, lambda d=device, t=topic, b=burst, v=valid:
+                                  d.publish_reading(t, (d.name, b), valid=v))
 
     names = _EventNames()
     simulator.attach_profiler(names)
@@ -230,6 +225,7 @@ def _one_topic_bus(device_count=1, armed="listener", bus_class=DeviceBus, config
     for index in range(device_count):
         device = _Sensor(f"dev-{index}", ["t", "u"], period=1.0)
         bus.attach_device(device)
+        device.bind(simulator)  # a sample's time is read off the clock; no ticks yet
         devices.append(device)
     if armed is not None:
         bus.attach_endpoint(armed)
@@ -250,7 +246,7 @@ class TestForwardEvents:
         bus.subscribe("listener", "u", lambda t, p, m: None)
         names = _EventNames()
         simulator.attach_profiler(names)
-        device.publish("t", {"v": 1})
+        device.publish_reading("t", 1)
         simulator.run()
         assert bus.uplink("dev-0").sent == 1
         assert bus.uplink("dev-0").delivered == 0
@@ -262,14 +258,14 @@ class TestForwardEvents:
     def test_messages_at_one_instant_share_one_event(self, device_count, per_device):
         simulator, bus, devices = _one_topic_bus(device_count)
         received = []
-        bus.subscribe("listener", "t", lambda t, p, m: received.append(p["v"]))
+        bus.subscribe("listener", "t", lambda t, p, m: received.append(p.value))
         names = _EventNames()
         simulator.attach_profiler(names)
         sent = []
         for device in devices:
             for index in range(per_device):
                 value = f"{device.name}:{index}"
-                device.publish("t", {"v": value})
+                device.publish_reading("t", value)
                 sent.append(value)
         simulator.run()
         assert names.names.count("bus:forward") == 1
@@ -282,8 +278,8 @@ class TestForwardEvents:
         bus.subscribe("listener", "t", lambda t, p, m: None)
         names = _EventNames()
         simulator.attach_profiler(names)
-        device.publish("t", {"v": 1})
-        simulator.schedule(0.5, lambda: device.publish("t", {"v": 2}))
+        device.publish_reading("t", 1)
+        simulator.schedule(0.5, lambda: device.publish_reading("t", 2))
         simulator.run()
         assert names.names.count("bus:forward") == 2
 
@@ -312,13 +308,13 @@ class TestCompiledRoutes:
         names = _EventNames()
         simulator.attach_profiler(names)
         for device in devices:
-            device.publish("t", {"v": f"{device.name}:t"})
-            device.publish("u", {"v": f"{device.name}:u"})
+            device.publish_reading("t", f"{device.name}:t")
+            device.publish_reading("u", f"{device.name}:u")
         simulator.run()
         assert names.names == ["channel:downlink:both:deliver", "channel:downlink:only-t:deliver"]
-        assert [entry[1]["v"] for entry in both] == [
+        assert [entry[1].value for entry in both] == [
             f"{device.name}:{topic}" for device in devices for topic in ("t", "u")]
-        assert [entry[1]["v"] for entry in only_t] == [f"{device.name}:t" for device in devices]
+        assert [entry[1].value for entry in only_t] == [f"{device.name}:t" for device in devices]
         # Uplinks send every sample and deliver none of them.
         assert [(uplink.sent, uplink.delivered) for uplink in bus.channels[:3]] == [(2, 0)] * 3
         assert bus.forwarded_count == 9
@@ -337,7 +333,7 @@ class TestCompiledRoutes:
             return message_class(*args)
 
         monkeypatch.setattr(channel_module, "Message", counting_message)
-        device.publish("t", {"v": 1})
+        device.publish_reading("t", 1)
         assert simulator.pending() == 0
         assert created == []
         assert bus.published_count == 1
@@ -367,13 +363,13 @@ class TestCompiledRoutes:
             simulator, bus, devices = _one_topic_bus(3, armed=None, bus_class=bus_class)
             log = _publish_log(bus, "listener", "t", simulator)
             bus.send_command("sup", "dev-0", "ping", {})
-            devices[1].publish("t", {"v": "dev-1:a"})
-            devices[2].publish("t", {"v": "dev-2:a"})
-            devices[0].publish("t", {"v": "dev-0:a"})
-            devices[1].publish("t", {"v": "dev-1:b"})
+            devices[1].publish_reading("t", "dev-1:a")
+            devices[2].publish_reading("t", "dev-2:a")
+            devices[0].publish_reading("t", "dev-0:a")
+            devices[1].publish_reading("t", "dev-1:b")
             simulator.run()
             runs.append(log)
-        assert [entry[1]["v"] for entry in runs[1]] == ["dev-0:a", "dev-1:a", "dev-1:b", "dev-2:a"]
+        assert [entry[1].value for entry in runs[1]] == ["dev-0:a", "dev-1:a", "dev-1:b", "dev-2:a"]
         assert runs[0] == runs[1]
         assert [entry[3] for entry in runs[0]] == [0, 1, 2, 3]
 
@@ -385,12 +381,12 @@ class TestCompiledRoutes:
         for bus_class in (DeviceBus, ReferenceBus):
             simulator, bus, devices = _one_topic_bus(2, armed=None, bus_class=bus_class)
             log = _publish_log(bus, "listener", "t", simulator)
-            devices[0].publish("u", {"v": "dev-0:u"})
-            devices[1].publish("t", {"v": "dev-1:t"})
-            devices[0].publish("t", {"v": "dev-0:t"})
+            devices[0].publish_reading("u", "dev-0:u")
+            devices[1].publish_reading("t", "dev-1:t")
+            devices[0].publish_reading("t", "dev-0:t")
             simulator.run()
             runs.append(log)
-        assert [entry[1]["v"] for entry in runs[1]] == ["dev-0:t", "dev-1:t"]
+        assert [entry[1].value for entry in runs[1]] == ["dev-0:t", "dev-1:t"]
         assert runs[0] == runs[1]
         assert [entry[3] for entry in runs[0]] == [0, 1]
 
@@ -434,7 +430,7 @@ class TestCompiledRoutes:
                 armed=None, bus_class=bus_class, config=config)
             bus.subscribe("a", "t", lambda t, p, m: None)
             bus.subscribe("b", "t", lambda t, p, m: None)
-            simulator.schedule_at(publish_at, lambda: device.publish("t", {"v": 1}))
+            simulator.schedule_at(publish_at, lambda: device.publish_reading("t", 1))
             simulator.run(until=2.0)
             counts.append(bus.forwarded_count)
             simulator.run()
@@ -495,7 +491,7 @@ class TestCompiledRoutes:
         assert bus.downlink("other").deterministic
         names = _EventNames()
         simulator.attach_profiler(names)
-        device.publish("t", {"v": 1})
+        device.publish_reading("t", 1)
         simulator.run()
         assert names.names == ["bus:forward", "channel:downlink:other:deliver",
                                "channel:downlink:listener:deliver"]
@@ -552,33 +548,33 @@ class TestCompiledRoutes:
                 injector.register_channel(channel)
 
             def at_zero(devices=devices, injector=injector):
-                devices[0].publish("t", {"v": "dev-0:a"})
-                devices[1].publish("t", {"v": "dev-1:a"})
+                devices[0].publish_reading("t", "dev-0:a")
+                devices[1].publish_reading("t", "dev-1:a")
                 injector.add(FaultSpec(kind="channel_outage", start=1e6, duration=1.0,
                                        target="downlink:listener"))
-                devices[0].publish("t", {"v": "dev-0:b"})
+                devices[0].publish_reading("t", "dev-0:b")
 
             def at_one(devices=devices):
-                devices[1].publish("t", {"v": "dev-1:c"})
-                devices[0].publish("t", {"v": "dev-0:c"})
+                devices[1].publish_reading("t", "dev-1:c")
+                devices[0].publish_reading("t", "dev-0:c")
 
             simulator.schedule_at(0.0, at_zero)
             simulator.schedule_at(1.0, at_one)
             simulator.run()
             runs.append(log)
         production, reference = runs
-        assert [(entry[1]["v"], entry[3]) for entry in reference[:3]] == [
+        assert [(entry[1].value, entry[3]) for entry in reference[:3]] == [
             ("dev-0:a", 0), ("dev-0:b", 1), ("dev-1:a", 2)]
-        assert [(entry[1]["v"], entry[3]) for entry in production[:3]] == [
+        assert [(entry[1].value, entry[3]) for entry in production[:3]] == [
             ("dev-0:a", 1), ("dev-1:a", 2), ("dev-0:b", 0)]
 
         def unordered(entries):
-            return sorted((entry[1]["v"], entry[0], entry[2], entry[4], entry[5])
+            return sorted((entry[1].value, entry[0], entry[2], entry[4], entry[5])
                           for entry in entries)
 
         assert unordered(production[:3]) == unordered(reference[:3])
         assert production[3:] == reference[3:]
-        assert [entry[1]["v"] for entry in production[3:]] == ["dev-1:c", "dev-0:c"]
+        assert [entry[1].value for entry in production[3:]] == ["dev-1:c", "dev-0:c"]
 
     def test_arrival_order_map_forgets_past_instants(self):
         # A jittered uplink reaches the bus at a new instant with every
@@ -605,19 +601,20 @@ class TestCompiledRoutes:
             bus = bus_class(simulator, rng=np.random.default_rng(5))
             device = _Sensor("dev-0", ["t", "u"], period=1.0)
             bus.attach_device(device)
+            device.bind(simulator)
             log = _publish_log(bus, "listener", "t", simulator)
-            device.publish("t", {"v": 0})
+            device.publish_reading("t", 0)
 
             def turn_stochastic(bus=bus, device=device):
                 bus.uplink("dev-0").config = ChannelConfig(latency_s=0.02, jitter_s=0.004)
-                device.publish("u", {"v": 1})
+                device.publish_reading("u", 1)
 
             simulator.schedule_at(1.0, turn_stochastic)
-            simulator.schedule_at(2.0, lambda device=device: device.publish("t", {"v": 2}))
+            simulator.schedule_at(2.0, lambda device=device: device.publish_reading("t", 2))
             simulator.run()
             runs.append(log)
         assert runs[0] == runs[1]
-        assert [entry[1]["v"] for entry in runs[0]] == [0, 2]
+        assert [entry[1].value for entry in runs[0]] == [0, 2]
 
 
 @pytest.fixture

@@ -169,23 +169,6 @@ class TestPCASafetySupervisorLogic:
         supervisor.step(50.0)
         assert supervisor.pump_stopped
 
-    def test_only_readings_are_samples(self):
-        # Legacy value-dicts and bare numbers are not samples: a low SpO2
-        # in either shape never reaches the supervisor's state.
-        supervisor, host = make_supervisor()
-
-        class _Message:
-            sent_at = 10.0
-            delivered_at = 10.0
-
-        supervisor.on_data("spo2", {"value": 80.0, "valid": True, "time": 10.0}, _Message())
-        supervisor.on_data("spo2", 80.0, _Message())
-        supervisor.on_data("heart_rate", 75, _Message())
-        assert supervisor.latest("spo2") is None
-        assert supervisor.latest("heart_rate") is None
-        supervisor.on_data("spo2", Reading(80.0, True, 10.0), _Message())
-        assert supervisor.latest("spo2") == (10.0, 80.0, True)
-
     def test_resume_after_recovery_and_hold_time(self):
         supervisor, host = make_supervisor(resume_hold_time_s=100.0)
         feed(supervisor, 10.0, spo2=88.0, heart_rate=75.0, respiratory_rate=12.0)

@@ -92,7 +92,7 @@ sim.register(device)
 order = []
 for endpoint in {endpoints!r}:
     bus.subscribe(endpoint, "t", lambda t, p, m, e=endpoint: order.append(e))
-device.publish("t", {{"v": 1}})
+device.publish_reading("t", 1)
 sim.run()
 print(json.dumps(order))
 """
@@ -119,7 +119,7 @@ class TestForwardOrderDeterminism:
         for endpoint in ENDPOINTS:
             bus.subscribe(endpoint, "t",
                           lambda t, p, m, e=endpoint: order.append(e))
-        device.publish("t", {"v": 1})
+        device.publish_reading("t", 1)
         simulator.run()
         assert order == ENDPOINTS
 
@@ -128,7 +128,7 @@ class TestForwardOrderDeterminism:
         received = []
         bus.subscribe("listener", "t", lambda t, p, m: received.append("first"))
         bus.subscribe("listener", "t", lambda t, p, m: received.append("second"))
-        device.publish("t", {"v": 1})
+        device.publish_reading("t", 1)
         simulator.run()
         # One downlink send (dedup), fanned out to both handlers.
         assert bus.forwarded_count == 1
@@ -194,7 +194,7 @@ class TestCommandPathIsolation:
         bus.subscribe("listener", "t", lambda t, p, m: None)
         bus.send_command("supervisor", "dev-1", "ping", {"n": 1})
         bus.send_command("supervisor", "dev-1", "ping", {"n": 2})
-        device.publish("t", {"v": 1})
+        device.publish_reading("t", 1)
         simulator.run()
         # Commands reached the device...
         assert device.pings == [{"n": 1}, {"n": 2}]
@@ -215,7 +215,7 @@ class TestCommandPathIsolation:
         bus.subscribe("listener", "t", lambda t, p, m: None)
         bus.send_command("supervisor", "dev-1", "ping", {"n": 1})
         bus.send_command("supervisor", "dev-1", "ping", {"n": 2})
-        device.publish("t", {"v": 1})
+        device.publish_reading("t", 1)
         simulator.run()
         assert device.pings == [{"n": 1}, {"n": 2}]
         # The sample's uplink hop was decided at publish: one downlink

@@ -5,6 +5,7 @@ import pytest
 from repro.devices.base import DeviceDescriptor, DeviceState, MedicalDevice
 from repro.devices.pca_pump import PCAPrescription, PCAPump
 from repro.patient.model import PatientModel
+from repro.readings import Reading
 from repro.sim.kernel import Simulator
 from repro.sim.trace import TraceRecorder
 
@@ -76,19 +77,20 @@ class TestMedicalDeviceStateMachine:
 class TestMedicalDeviceCommandsAndPublish:
     def test_publish_requires_declared_topic(self):
         device = MedicalDevice(make_descriptor())
+        device.bind(Simulator())
         published = []
         device.attach_publisher(lambda topic, payload: published.append((topic, payload)))
-        device.publish("data", 1)
-        assert published == [("data", 1)]
+        device.publish_reading("data", 1)
+        assert published == [("data", Reading(1, True, 0.0))]
         with pytest.raises(ValueError):
-            device.publish("undeclared", 1)
+            device.publish_reading("undeclared", 1)
 
     def test_crashed_device_does_not_publish(self):
         device = MedicalDevice(make_descriptor())
         published = []
         device.attach_publisher(lambda topic, payload: published.append(topic))
         device.crash()
-        device.publish("data", 1)
+        device.publish_reading("data", 1)
         assert published == []
 
     def test_register_command_requires_declaration(self):
@@ -236,6 +238,23 @@ class TestPCAPump:
         pump.attach_publisher(lambda topic, payload: published.append(topic))
         simulator.run(until=35.0)
         assert published.count("pump_status") >= 3
+
+    def test_status_and_dose_are_samples(self, pump_setup):
+        # pump_status codes the actuation state (1.0 = stopped by the
+        # supervisor), dose_delivered the bolus in mg, each stamped with
+        # the instant it was published.
+        simulator, _, pump = pump_setup
+        published = []
+        pump.attach_publisher(lambda topic, payload: published.append((topic, payload)))
+        pump.request_bolus()
+        simulator.run(until=15.0)
+        pump.handle_command("stop")
+        simulator.run(until=25.0)
+        assert published == [
+            ("dose_delivered", Reading(1.0, True, 0.0)),
+            ("pump_status", Reading(0.0, True, 10.0)),
+            ("pump_status", Reading(1.0, True, 20.0)),
+        ]
 
     def test_delivered_in_window(self, pump_setup):
         simulator, _, pump = pump_setup

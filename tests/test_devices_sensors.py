@@ -184,7 +184,8 @@ class TestBloodPressureMonitorAndBed:
         bed.set_height(30.0)
         simulator.run(until=5.0)
         assert published and published[0][0] == "bed_height"
-        assert published[0][1]["height_cm"] == 30.0
+        assert published[0][1].value == 30.0
+        assert published[0][1].time == 1.0  # when the motion completed
 
     def test_bed_set_height_command(self, patient_sim):
         simulator, patient = patient_sim

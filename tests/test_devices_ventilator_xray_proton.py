@@ -97,9 +97,14 @@ class TestVentilator:
         ventilator.attach_publisher(lambda topic, payload: published.append((topic, payload)))
         simulator.register(ventilator)
         simulator.run(until=5.0)
-        phases = [p["phase"] for t, p in published if t == "breath_phase"]
-        assert len(phases) >= 8
-        assert "end_expiratory_pause" in phases
+        readings = [p for t, p in published if t == "breath_phase"]
+        assert len(readings) >= 8
+        # Valid only inside the end-expiratory pause, carrying the seconds
+        # of it that are left.
+        paused = [reading for reading in readings if reading.valid]
+        assert paused and len(paused) < len(readings)
+        assert all(0.0 <= reading.value <= ventilator.settings.pause_duration_s
+                   for reading in paused)
 
 
 class TestXRayMachine:

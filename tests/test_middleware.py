@@ -13,7 +13,6 @@ from repro.middleware import qos as qos_module
 from repro.middleware.qos import QoSMonitor, TopicQoS
 from repro.middleware.registry import DeviceRegistry, DeviceRequirement, RegistrationError
 from repro.middleware.supervisor_host import SupervisorApp, SupervisorHost
-from repro.readings import Reading
 from repro.sim.channel import ChannelConfig
 from repro.sim.kernel import Simulator
 
@@ -33,7 +32,7 @@ class _EchoDevice(MedicalDevice):
 
     def start(self):
         self.transition(DeviceState.RUNNING)
-        self.every(1.0, lambda: self.publish("tick", Reading(self.now, True, self.now)))
+        self.every(1.0, lambda: self.publish_reading("tick", self.now))
 
 
 @pytest.fixture
@@ -426,10 +425,10 @@ class TestSupervisorHost:
         simulator.run(until=3.0)
         assert not host.qos.is_stale("tick")
 
-    def test_qos_latency_of_untimed_payload_spans_both_hops(self):
-        # Payloads with no time of their own (a dict without "time", a bare
-        # value) are measured from the publish instant, so the QoS latency
-        # covers uplink + bus processing + downlink, as a Reading's does.
+    def test_qos_latency_of_every_sample_spans_both_hops(self):
+        # A sample is measured from its own time, the publish instant, valid
+        # or not and whatever it codes (a status, a count, a clock value),
+        # so the QoS latency covers uplink + bus processing + downlink.
         simulator = Simulator()
         bus = DeviceBus(simulator, BusConfig())
         device = _StatusDevice()
@@ -447,7 +446,7 @@ class TestSupervisorHost:
 
 
 class _StatusDevice(MedicalDevice):
-    """Publishes an untimed dict, a bare number and a Reading every second."""
+    """Publishes an invalid status sample, a count and a clock value every second."""
 
     def __init__(self):
         super().__init__(DeviceDescriptor(
@@ -460,9 +459,9 @@ class _StatusDevice(MedicalDevice):
         self.every(1.0, self._publish)
 
     def _publish(self):
-        self.publish("status", {"device_id": "status-1"})
-        self.publish("count", 7)
-        self.publish("tick", Reading(self.now, True, self.now))
+        self.publish_reading("status", 0.0, valid=False)
+        self.publish_reading("count", 7)
+        self.publish_reading("tick", self.now)
 
 
 class _StatusApp(SupervisorApp):

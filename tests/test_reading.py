@@ -114,55 +114,49 @@ class TestDeviceProducesReadings:
         assert samples, "publish_reading(record=...) recorded nothing"
 
 
-class TestPublishTimeInvariant:
-    """A sample's own time is the instant its bus envelope was published.
+class TestEveryBusMessageIsAReading:
+    """One payload type on the wire: status topics are samples too.
 
-    The supervisor host stamps QoS deliveries from the envelope alone; that
-    is only the same as the sample's own time because every producer stamps
-    both with ``simulator.now`` at publish.  A recorder subscribed to every
-    topic a device publishes checks it on each delivery.
+    A recorder subscribed to every topic every device declares sees only
+    Readings, each stamped no later than the bus forwarded it, the pump's
+    status among them.
     """
 
     @staticmethod
     def record_every_topic(bus, devices):
-        checked = {"reading": 0, "dict": 0}
+        arrived = []
 
         def _record(topic, payload, message):
-            if type(payload) is Reading:
-                own, kind = payload.time, "reading"
-            elif isinstance(payload, dict) and "time" in payload:
-                own, kind = payload["time"], "dict"
-            else:
-                return
-            assert own == message.payload.published_at, (topic, payload)
-            checked[kind] += 1
+            assert type(payload) is Reading, (topic, payload)
+            assert payload.time <= message.sent_at, (topic, payload)
+            arrived.append(topic)
 
-        for device in devices:
-            for topic in device.descriptor.published_topics:
-                bus.subscribe("recorder", topic, _record)
-        return checked
+        for topic in dict.fromkeys(topic for device in devices
+                                   for topic in device.descriptor.published_topics):
+            bus.subscribe("recorder", topic, _record)
+        return arrived
 
     def test_closed_loop_pca_system(self):
         from repro.core.loop import ClosedLoopPCASystem, PCASystemConfig
 
         system = ClosedLoopPCASystem(PCASystemConfig(seed=3, button_press_period_s=60.0))
         system.build()
-        checked = self.record_every_topic(
+        arrived = self.record_every_topic(
             system.bus, [system.pump, system.oximeter, system.capnograph])
         system.simulator.run(until=900.0)
-        assert checked["reading"] > 0
-        assert checked["dict"] > 0  # dose_delivered carries its own time
+        assert "pump_status" in arrived and "dose_delivered" in arrived
+        assert "spo2" in arrived
 
     def test_small_hospital_ward(self):
         from repro.topology import build_hospital, standard_hospital
 
         spec = standard_hospital(
-            "publish-time", wards=1, beds_per_ward=3,
+            "every-reading", wards=1, beds_per_ward=3,
             device_mix={"pulse_oximeter": 1.0, "capnograph": 1.0,
                         "bp_monitor": 1.0, "bed": 1.0, "pca_pump": 1.0})
         runtime = build_hospital(spec, 5)
         (ward,) = runtime.wards
-        checked = self.record_every_topic(
+        arrived = self.record_every_topic(
             ward.bus, [device for bed in ward.beds for device in bed.devices.values()])
         runtime.simulator.run(until=600.0)
-        assert checked["reading"] > 0
+        assert "pump_status" in arrived and "spo2" in arrived  # no bolus here

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.campaign.registry import get_scenario
+
 from repro.scenarios.bed_map import BedMapConfig, BedMapScenario
 from repro.scenarios.home import (
     DeteriorationEpisode,
@@ -24,10 +26,31 @@ class TestPCAFaultCampaign:
         assert any(fault.kind == "channel_outage" for fault in faults)
 
 
+def _campaign_run(scenario, seed, **params):
+    """One run through the scenario's campaign runner, defaults overlaid."""
+    spec = get_scenario(scenario)
+    return spec.runner(spec.resolved_params(params), seed)
+
+
 class TestXRayVentilatorScenario:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             XRayVentilatorConfig(mode="psychic").validate()
+
+    @pytest.mark.parametrize("timeout", [float("nan"), float("inf"), 0.0])
+    def test_apnea_watchdog_timeout_must_be_finite_and_positive(self, timeout):
+        # A NaN timeout is never exceeded: the watchdog would leave a
+        # forgotten ventilator paused for the whole run.
+        with pytest.raises(ValueError, match="apnea_watchdog_timeout_s"):
+            _campaign_run("xray_vent", 1, mode="manual", forget_restart_probability=1.0,
+                          image_requests=2, apnea_watchdog_enabled=True,
+                          apnea_watchdog_timeout_s=timeout)
+
+    @pytest.mark.parametrize("period", [float("nan"), float("inf")])
+    def test_request_period_must_be_finite(self, period):
+        # Rejected by the config, not by the kernel when it is scheduled.
+        with pytest.raises(ValueError, match="request_period_s"):
+            _campaign_run("xray_vent", 1, request_period_s=period)
 
     def test_state_broadcast_no_apnea_and_sharp_images(self):
         config = XRayVentilatorConfig(mode="state_broadcast", image_requests=5,
@@ -94,6 +117,12 @@ class TestBedMapScenario:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             BedMapConfig(duration_s=0.0).validate()
+
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), float("-inf")])
+    def test_map_alarm_threshold_must_be_finite(self, threshold):
+        # A NaN threshold compares false with every MAP: no alarm, ever.
+        with pytest.raises(ValueError, match="map_alarm_threshold_mmhg"):
+            _campaign_run("bed_map", 1, duration_s=3600.0, map_alarm_threshold_mmhg=threshold)
 
 
 class TestProtonSchedulingScenario:

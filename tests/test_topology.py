@@ -353,7 +353,7 @@ class TestHospitalEndToEnd:
         assert runtime.bus_stats()["published"] > 0
         assert len(runtime.beds()) == 8
 
-    def test_ward_safety_app_stops_only_on_readings(self):
+    def test_ward_safety_app_stops_only_on_valid_readings(self):
         from repro.readings import Reading
         from repro.topology.expand import WardSafetyApp
 
@@ -371,9 +371,6 @@ class TestHospitalEndToEnd:
         app = WardSafetyApp("ward-safety")
         app.host = _Host()
         app.watch("ox-1", "pump-1")
-        # Legacy value-dicts and bare numbers are not samples.
-        app.on_data("spo2", {"value": 70.0, "valid": True, "time": 1.0}, _Message())
-        app.on_data("spo2", 70.0, _Message())
         app.on_data("spo2", Reading(70.0, False, 1.0), _Message())  # invalid
         assert app.host.commands == []
         app.on_data("spo2", Reading(70.0, True, 2.0), _Message())

@@ -264,10 +264,9 @@ class TestCompiler:
         app.on_data("spo2", Reading(50.0, False, 0.0), _Message())
         assert app.observations == {"spo2": 97.0}
 
-    def test_compiled_app_tracks_only_readings(self, pca_spec):
-        # A Reading is the only sample shape: legacy value-dicts and bare
-        # numbers are not observations, and neither are command parameters
-        # or status payloads.
+    def test_compiled_app_tracks_valid_readings(self, pca_spec):
+        # Every delivery is a Reading; only a valid one is an observation.
+        # A status is a sample like any other: its coded value is observed.
         app = compile_scenario(pca_spec, {
             "analgesia_pump": "p", "spo2_source": "o", "respiration_source": "c",
         })
@@ -281,15 +280,5 @@ class TestCompiler:
         assert app.observations == {"spo2": 96.0}
         app.on_data("spo2", Reading(40.0, False, 2.0), message)  # invalid: kept out
         assert app.observations == {"spo2": 96.0}
-        app.on_data("spo2", {"value": 40.0, "valid": True, "time": 3.0}, message)
-        app.on_data("respiratory_rate", {"value": 11.0}, message)
-        app.on_data("respiratory_rate", 11, message)
-        app.on_data("respiratory_rate", 11.0, message)
-        assert app.observations == {"spo2": 96.0}
-
-        # Command/status topics carry non-reading payloads: never tracked.
-        app.on_data("pump_status", {"device_id": "p", "stopped": False}, message)
-        app.on_data("bed_height", {"height_cm": 30.0, "time": 5.0}, message)
-        app.on_data("__command__:p:stop", {"reason": "test"}, message)
-        app.on_data("probe_status", {"attached": True}, message)
-        assert app.observations == {"spo2": 96.0}
+        app.on_data("pump_status", Reading(1.0, True, 3.0), message)  # stopped
+        assert app.observations == {"spo2": 96.0, "pump_status": 1.0}
