@@ -5,7 +5,8 @@ factors, and the step length is the same for a whole run, so each factor
 sees one exponent almost every time.  :class:`ExpMemo` keeps the last
 exponent and its result; it holds one entry, so it needs no size cap.
 :func:`require_finite_non_negative` is the input check every step and dose
-entry point applies.
+entry point applies; it and :func:`require_finite_positive` are also the
+range checks of the parameter classes' ``validate()``.
 """
 
 from __future__ import annotations
@@ -48,3 +49,9 @@ def require_finite_non_negative(name: str, value: float) -> None:
     """
     if not 0 <= value < math.inf:
         raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
+
+
+def require_finite_positive(name: str, value: float) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``0 < value < inf`` (NaN fails)."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.patient.decay import ExpMemo, require_finite_non_negative
+from repro.patient.decay import ExpMemo, require_finite_non_negative, require_finite_positive
 from repro.sim.random import GaussianNoise
 
 # Hydrostatic pressure of a 1 cm blood column, in mmHg.  Raising the
@@ -33,12 +33,10 @@ class ArterialPressureParameters:
     hypotension_threshold_mmhg: float = 65.0
 
     def validate(self) -> None:
-        if self.baseline_map_mmhg <= 0:
-            raise ValueError("baseline_map_mmhg must be positive")
-        if self.noise_sd_mmhg < 0:
-            raise ValueError("noise_sd_mmhg must be non-negative")
-        if self.drift_time_constant_min <= 0:
-            raise ValueError("drift_time_constant_min must be positive")
+        require_finite_positive("baseline_map_mmhg", self.baseline_map_mmhg)
+        require_finite_non_negative("noise_sd_mmhg", self.noise_sd_mmhg)
+        require_finite_positive("drift_time_constant_min", self.drift_time_constant_min)
+        require_finite_non_negative("hypotension_threshold_mmhg", self.hypotension_threshold_mmhg)
 
 
 class ArterialPressureModel:

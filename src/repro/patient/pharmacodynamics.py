@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.patient.decay import ExpMemo, require_finite_non_negative
+from repro.patient.decay import ExpMemo, require_finite_non_negative, require_finite_positive
 
 
 @dataclass
@@ -52,21 +52,21 @@ class PDParameters:
     max_respiratory_depression: float = 0.98
 
     def validate(self) -> None:
-        if self.ec50_respiratory_mg_per_l <= 0:
-            raise ValueError("ec50_respiratory_mg_per_l must be positive")
-        if self.ec50_analgesia_mg_per_l <= 0:
-            raise ValueError("ec50_analgesia_mg_per_l must be positive")
-        if self.hill_respiratory <= 0 or self.hill_analgesia <= 0:
-            raise ValueError("Hill coefficients must be positive")
-        if self.ke0_per_min <= 0:
-            raise ValueError("ke0_per_min must be positive")
+        for name in (
+            "ec50_respiratory_mg_per_l",
+            "hill_respiratory",
+            "ec50_analgesia_mg_per_l",
+            "hill_analgesia",
+            "ke0_per_min",
+        ):
+            require_finite_positive(name, getattr(self, name))
         if not 0 < self.max_respiratory_depression <= 1:
-            raise ValueError("max_respiratory_depression must be in (0, 1]")
+            raise ValueError(
+                f"max_respiratory_depression must be in (0, 1], got {self.max_respiratory_depression!r}")
 
     def with_sensitivity(self, sensitivity: float) -> "PDParameters":
         """Scale EC50s for a patient ``sensitivity`` (>1 means more sensitive)."""
-        if sensitivity <= 0:
-            raise ValueError("sensitivity must be positive")
+        require_finite_positive("sensitivity", sensitivity)
         return PDParameters(
             ec50_respiratory_mg_per_l=self.ec50_respiratory_mg_per_l / sensitivity,
             hill_respiratory=self.hill_respiratory,

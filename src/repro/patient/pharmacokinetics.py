@@ -11,6 +11,15 @@ State variables are drug *amounts* (mg); concentrations are amounts divided
 by compartment volumes (mg/L).  Integration uses an exact matrix-exponential
 step for the linear system, so arbitrarily long steps remain stable, plus a
 simple sub-stepped Euler fallback kept for cross-checking in tests.
+
+The state is two Python floats.  A step uses numpy only where numpy decides
+the bits: the propagators (``np.exp`` inside :func:`_matrix_exponential`,
+once per distinct step length) and the homogeneous matvec ``e^{At} x`` of a
+non-empty patient, which stays BLAS because a scalar 2x2 formula rounds
+differently where BLAS fuses a multiply-add.  The forcing is ``[rate, 0]``,
+so its response is exactly ``F[:, 0] * rate``, two float products added
+only at a nonzero rate; an empty patient maps to a signed zero that the
+``max(0.0, .)`` clamp turns into 0.0, so an undosed step touches no array.
 """
 
 from __future__ import annotations
@@ -20,7 +29,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from repro.patient.decay import require_finite_non_negative
+from repro.patient.decay import require_finite_non_negative, require_finite_positive
 
 
 @dataclass
@@ -45,9 +54,7 @@ class PKParameters:
             "clearance_l_per_min",
             "distribution_clearance_l_per_min",
         ):
-            value = getattr(self, name)
-            if value <= 0:
-                raise ValueError(f"{name} must be positive, got {value!r}")
+            require_finite_positive(name, getattr(self, name))
 
     # Rate constants of the standard two-compartment model (per minute).
     @property
@@ -67,10 +74,8 @@ class PKParameters:
 
     def scaled_for_weight(self, weight_kg: float, clearance_multiplier: float = 1.0) -> "PKParameters":
         """Return parameters scaled allometrically for a patient of ``weight_kg``."""
-        if weight_kg <= 0:
-            raise ValueError("weight_kg must be positive")
-        if clearance_multiplier <= 0:
-            raise ValueError("clearance_multiplier must be positive")
+        require_finite_positive("weight_kg", weight_kg)
+        require_finite_positive("clearance_multiplier", clearance_multiplier)
         scale = weight_kg / 70.0
         return PKParameters(
             central_volume_l=self.central_volume_l * scale,
@@ -98,7 +103,7 @@ class TwoCompartmentPK:
         self._central_mg = 0.0
         self._peripheral_mg = 0.0
         self._system = self._build_system()
-        self._propagators: Dict[float, Tuple[np.ndarray, np.ndarray]] = {}
+        self._propagators: Dict[float, Tuple[np.ndarray, float, float]] = {}
 
     def _build_system(self) -> np.ndarray:
         p = self.parameters
@@ -147,24 +152,38 @@ class TwoCompartmentPK:
         if dt_min == 0:
             return self.plasma_concentration_mg_per_l
 
-        state = np.array([self._central_mg, self._peripheral_mg])
-        forcing = np.array([infusion_rate_mg_per_min, 0.0])
         # x' = A x + u  ->  x(t) = e^{At} x0 + A^{-1}(e^{At} - I) u
-        # A is invertible because k10 > 0.  The two propagator matrices
-        # depend only on (A, dt); steps are near-periodic, so cache them per
-        # exact dt — the cached product is the very array the recomputation
-        # would produce, keeping trajectories bit-identical.
+        # A is invertible because k10 > 0.  The propagators depend only on
+        # (A, dt); steps are near-periodic, so they are cached per exact dt,
+        # and computed on the first step of each dt even when nothing is
+        # dosed, so a bad parameter fails where it always has.  The forcing
+        # is u = [rate, 0]: only the first column F[:, 0] of the forced
+        # response is ever used, and F @ [r, 0] is exactly [F00*r, F10*r]
+        # because the second product is an exact zero.
         cached = self._propagators.get(dt_min)
         if cached is None:
             exp_at = _matrix_exponential(self._system * dt_min)
             a_inv = np.linalg.inv(self._system)
-            cached = (exp_at, a_inv @ (exp_at - np.eye(2)))
+            forced_response = a_inv @ (exp_at - np.eye(2))
+            cached = (exp_at, float(forced_response[0, 0]), float(forced_response[1, 0]))
             if len(self._propagators) < self._PROPAGATOR_CACHE_LIMIT:
                 self._propagators[dt_min] = cached
-        exp_at, forced_response = cached
-        new_state = exp_at @ state + forced_response @ forcing
-        self._central_mg = max(0.0, float(new_state[0]))
-        self._peripheral_mg = max(0.0, float(new_state[1]))
+        exp_at, f0, f1 = cached
+        central = self._central_mg
+        peripheral = self._peripheral_mg
+        # e^{At} @ 0 is a signed zero, which the clamp below turns into 0.0,
+        # so an empty patient skips the matvec.  A non-empty one keeps it in
+        # BLAS: a scalar 2x2 formula rounds differently where BLAS uses FMA.
+        if central or peripheral:
+            central, peripheral = (exp_at @ np.array([central, peripheral])).tolist()
+        else:
+            central = peripheral = 0.0  # not a np.float64 zero left by a numpy bolus
+        if infusion_rate_mg_per_min:
+            rate = float(infusion_rate_mg_per_min)
+            central += f0 * rate
+            peripheral += f1 * rate
+        self._central_mg = max(0.0, central)
+        self._peripheral_mg = max(0.0, peripheral)
         return self.plasma_concentration_mg_per_l
 
     def advance_euler(self, dt_min: float, infusion_rate_mg_per_min: float = 0.0, substeps: int = 100) -> float:

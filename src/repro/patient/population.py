@@ -17,6 +17,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro.patient.decay import require_finite_positive
 from repro.patient.pharmacodynamics import PDParameters
 from repro.patient.pharmacokinetics import PKParameters
 from repro.patient.vitals import VitalSignsParameters
@@ -39,18 +40,13 @@ class PatientParameters:
     tags: tuple = field(default_factory=tuple)
 
     def validate(self) -> None:
-        if self.weight_kg <= 0:
-            raise ValueError("weight_kg must be positive")
-        if self.age_years <= 0:
-            raise ValueError("age_years must be positive")
-        if self.opioid_sensitivity <= 0:
-            raise ValueError("opioid_sensitivity must be positive")
-        if self.clearance_multiplier <= 0:
-            raise ValueError("clearance_multiplier must be positive")
+        for name in ("weight_kg", "age_years", "opioid_sensitivity", "clearance_multiplier",
+                     "baseline_heart_rate_bpm", "baseline_respiratory_rate_bpm"):
+            require_finite_positive(name, getattr(self, name))
         if not 0 < self.baseline_spo2 <= 100:
-            raise ValueError("baseline_spo2 must be in (0, 100]")
+            raise ValueError(f"baseline_spo2 must be in (0, 100], got {self.baseline_spo2!r}")
         if not 0 <= self.initial_pain_level <= 10:
-            raise ValueError("initial_pain_level must be in [0, 10]")
+            raise ValueError(f"initial_pain_level must be in [0, 10], got {self.initial_pain_level!r}")
 
     # ------------------------------------------------------------- factories
     def pk_parameters(self, base: Optional[PKParameters] = None) -> PKParameters:

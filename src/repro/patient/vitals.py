@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.patient.decay import ExpMemo, require_finite_non_negative
+from repro.patient.decay import ExpMemo, require_finite_non_negative, require_finite_positive
 
 
 @dataclass(frozen=True)
@@ -62,20 +62,21 @@ class VitalSignsParameters:
     initial_pain_level: float = 7.0
 
     def validate(self) -> None:
-        if self.baseline_respiratory_rate_bpm <= 0:
-            raise ValueError("baseline_respiratory_rate_bpm must be positive")
-        if self.baseline_heart_rate_bpm <= 0:
-            raise ValueError("baseline_heart_rate_bpm must be positive")
+        for name in ("baseline_respiratory_rate_bpm", "baseline_heart_rate_bpm",
+                     "spo2_time_constant_min"):
+            require_finite_positive(name, getattr(self, name))
+        for name in ("heart_rate_hypoxia_gain", "heart_rate_pain_gain", "pain_decay_per_min"):
+            require_finite_non_negative(name, getattr(self, name))
         if not 0 < self.baseline_spo2 <= 100:
-            raise ValueError("baseline_spo2 must be in (0, 100]")
-        if self.min_spo2 <= 0 or self.min_spo2 >= self.baseline_spo2:
-            raise ValueError("min_spo2 must be positive and below baseline_spo2")
-        if self.spo2_time_constant_min <= 0:
-            raise ValueError("spo2_time_constant_min must be positive")
+            raise ValueError(f"baseline_spo2 must be in (0, 100], got {self.baseline_spo2!r}")
+        if not 0 < self.min_spo2 < self.baseline_spo2:
+            raise ValueError(
+                f"min_spo2 must be positive and below baseline_spo2, got {self.min_spo2!r}")
         if not 0 < self.hypoventilation_threshold <= 1:
-            raise ValueError("hypoventilation_threshold must be in (0, 1]")
+            raise ValueError(
+                f"hypoventilation_threshold must be in (0, 1], got {self.hypoventilation_threshold!r}")
         if not 0 <= self.initial_pain_level <= 10:
-            raise ValueError("initial_pain_level must be in [0, 10]")
+            raise ValueError(f"initial_pain_level must be in [0, 10], got {self.initial_pain_level!r}")
 
 
 class VitalSignsModel:

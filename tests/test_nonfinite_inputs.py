@@ -9,6 +9,7 @@ PCA campaign spec is refused before any run starts.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
@@ -17,11 +18,12 @@ from repro.campaign import CampaignSpec
 from repro.campaign.registry import CampaignError, get_scenario
 from repro.core.loop import ClosedLoopPCASystem, PCASystemConfig
 from repro.devices.pca_pump import PCAPrescription, PCAPump
-from repro.patient.map_model import ArterialPressureModel
+from repro.patient.map_model import ArterialPressureModel, ArterialPressureParameters
 from repro.patient.model import PatientModel
 from repro.patient.pharmacodynamics import PDParameters, RespiratoryDepressionPD
 from repro.patient.pharmacokinetics import PKParameters, TwoCompartmentPK
-from repro.patient.vitals import VitalSignsModel
+from repro.patient.population import DEFAULT_PATIENT
+from repro.patient.vitals import VitalSignsModel, VitalSignsParameters
 from repro.scenarios.bed_map import BedMapConfig
 from repro.scenarios.home import HomeMonitoringConfig
 from repro.scenarios.proton import ProtonSchedulingConfig
@@ -40,6 +42,47 @@ CAMPAIGN_PRESCRIPTION_PARAMS = ("bolus_dose_mg", "lockout_interval_s", "hourly_l
 def test_prescription_requires_finite_fields(name, bad):
     with pytest.raises(ValueError, match=name):
         PCAPrescription(**{name: bad}).validate()
+
+
+# A NaN parameter validated, and the run died later (a NaN PK volume inside
+# np.linalg.eig) or silently computed NaN physiology.  Every numeric field of
+# every patient parameter class is refused where its model is built.
+PARAMETER_MODELS = (
+    (PKParameters, TwoCompartmentPK),
+    (PDParameters, RespiratoryDepressionPD),
+    (VitalSignsParameters, VitalSignsModel),
+    (ArterialPressureParameters, ArterialPressureModel),
+)
+PARAMETER_FIELDS = [(parameters, model, field.name)
+                    for parameters, model in PARAMETER_MODELS
+                    for field in dataclasses.fields(parameters)]
+PATIENT_FIELDS = [field.name for field in dataclasses.fields(DEFAULT_PATIENT)
+                  if type(getattr(DEFAULT_PATIENT, field.name)) is float]
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+@pytest.mark.parametrize("parameters, model, name", PARAMETER_FIELDS,
+                         ids=[f"{p.__name__}.{name}" for p, _, name in PARAMETER_FIELDS])
+def test_model_rejects_non_finite_parameter(parameters, model, name, bad):
+    with pytest.raises(ValueError, match=name):
+        model(parameters(**{name: bad}))
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+@pytest.mark.parametrize("name", PATIENT_FIELDS)
+def test_patient_rejects_non_finite_parameter(name, bad):
+    with pytest.raises(ValueError, match=name):
+        PatientModel(dataclasses.replace(DEFAULT_PATIENT, **{name: bad}))
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_parameter_scaling_rejects_non_finite_factors(bad):
+    with pytest.raises(ValueError, match="weight_kg"):
+        PKParameters().scaled_for_weight(bad)
+    with pytest.raises(ValueError, match="clearance_multiplier"):
+        PKParameters().scaled_for_weight(70.0, bad)
+    with pytest.raises(ValueError, match="sensitivity"):
+        PDParameters().with_sensitivity(bad)
 
 
 @pytest.mark.parametrize("bad", NON_FINITE)
