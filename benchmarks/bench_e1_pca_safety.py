@@ -12,7 +12,6 @@ from conftest import emit
 from repro.analysis.metrics import aggregate_outcomes
 from repro.analysis.tables import Table
 from repro.core.loop import ClosedLoopPCASystem, PCASystemConfig
-from repro.core.pca import SupervisorConfig
 from repro.devices.pca_pump import PCAPrescription
 from repro.patient.population import PatientPopulation
 from repro.scenarios.pca_scenario import pca_fault_campaign
@@ -36,7 +35,7 @@ def _run_mode(mode, policy="fused"):
         faults = pca_fault_campaign(misprogramming_rate_multiplier=4.0) if index % 2 == 0 else []
         config = PCASystemConfig(
             mode=mode, duration_s=DURATION_S, patient=patient, prescription=prescription,
-            supervisor=SupervisorConfig(policy=policy), faults=faults, seed=500 + index,
+            policy=policy, faults=faults, seed=500 + index,
         )
         results.append(ClosedLoopPCASystem(config).run())
     return results

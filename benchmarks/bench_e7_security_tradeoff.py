@@ -11,7 +11,6 @@ from conftest import emit
 
 from repro.analysis.tables import Table
 from repro.core.loop import ClosedLoopPCASystem, PCASystemConfig
-from repro.core.pca import SupervisorConfig
 from repro.devices.pca_pump import PCAPrescription
 from repro.patient.population import PatientPopulation
 from repro.security.attacks import AttackCampaign, standard_reprogramming_campaign

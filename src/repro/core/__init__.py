@@ -7,7 +7,9 @@ of Figure 1 and the safety arguments around it:
 * :class:`~repro.core.pca.PCASafetySupervisor` -- the supervisor app that
   monitors pulse-oximeter (and optionally capnograph) data and stops the PCA
   pump on early signs of respiratory depression, with fail-safe behaviour on
-  stale data.
+  stale data.  Its one setting is the policy; each step's decision is the
+  pure function :func:`~repro.core.pca.decide`, tuned by the module
+  constants of :mod:`repro.core.pca`.
 * :class:`~repro.core.loop.ClosedLoopPCASystem` -- a builder that wires a
   patient, pump, sensors, bus, supervisor, and caregiver into a runnable
   scenario, in open-loop or closed-loop configuration.
@@ -18,15 +20,15 @@ of Figure 1 and the safety arguments around it:
   (the "human in the loop" the paper contrasts the supervisor with).
 """
 
-from repro.core.pca import PCASafetySupervisor, SupervisorConfig, SupervisorDecision
+from repro.core.pca import Observation, PCASafetySupervisor, decide
 from repro.core.loop import ClosedLoopPCASystem, PCASystemConfig, PCARunResult
 from repro.core.delays import DelayBudget, DelayComponent, loop_delay_budget
 from repro.core.caregiver import Caregiver, CaregiverConfig
 
 __all__ = [
     "PCASafetySupervisor",
-    "SupervisorConfig",
-    "SupervisorDecision",
+    "Observation",
+    "decide",
     "ClosedLoopPCASystem",
     "PCASystemConfig",
     "PCARunResult",

@@ -21,13 +21,13 @@ statistics.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional
 
 import numpy as np
 
 from repro.core.caregiver import Caregiver, CaregiverConfig
-from repro.core.pca import PCASafetySupervisor, SupervisorConfig
+from repro.core.pca import POLICIES, SPO2_STOP_THRESHOLD, PCASafetySupervisor
 from repro.devices.capnograph import Capnograph
 from repro.devices.pca_pump import PCAPrescription, PCAPump
 from repro.devices.pulse_oximeter import PulseOximeter, PulseOximeterConfig
@@ -54,7 +54,7 @@ class PCASystemConfig:
     duration_s: float = 4.0 * 3600.0
     patient: PatientParameters = field(default_factory=lambda: DEFAULT_PATIENT)
     prescription: PCAPrescription = field(default_factory=PCAPrescription)
-    supervisor: SupervisorConfig = field(default_factory=SupervisorConfig)
+    policy: str = "fused"
     caregiver: CaregiverConfig = field(default_factory=CaregiverConfig)
     bus: BusConfig = field(default_factory=BusConfig)
     oximeter: PulseOximeterConfig = field(default_factory=PulseOximeterConfig)
@@ -64,20 +64,18 @@ class PCASystemConfig:
     with_capnograph: bool = True
     seed: int = 0
     faults: List[FaultSpec] = field(default_factory=list)
-    alarm_spo2_threshold: float = 92.0
 
     def validate(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        if self.policy not in POLICIES:
+            raise ValueError(f"policy must be one of {POLICIES}, got {self.policy!r}")
         if not (math.isfinite(self.duration_s) and self.duration_s > 0):
             raise ValueError(f"duration_s must be finite and positive, got {self.duration_s!r}")
         if not (math.isfinite(self.button_press_period_s) and self.button_press_period_s > 0):
             raise ValueError(
                 f"button_press_period_s must be finite and positive, got {self.button_press_period_s!r}")
-        if not math.isfinite(self.alarm_spo2_threshold):
-            raise ValueError(f"alarm_spo2_threshold must be finite, got {self.alarm_spo2_threshold!r}")
         self.prescription.validate()
-        self.supervisor.validate()
         self.caregiver.validate()
 
 
@@ -140,13 +138,12 @@ class _PatientButton(Process):
 
 
 class _AlarmRelay(Process):
-    """Threshold alarm that notifies the caregiver (open-loop-monitored mode)."""
+    """SpO2 alarm at the supervisor's stop threshold that notifies the caregiver."""
 
-    def __init__(self, oximeter: PulseOximeter, caregiver: Caregiver, threshold: float) -> None:
+    def __init__(self, oximeter: PulseOximeter, caregiver: Caregiver) -> None:
         super().__init__(name="alarm_relay")
         self.oximeter = oximeter
         self.caregiver = caregiver
-        self.threshold = threshold
         self.alarms_raised = 0
 
     def start(self) -> None:
@@ -154,7 +151,7 @@ class _AlarmRelay(Process):
 
     def _check(self) -> None:
         spo2 = self.oximeter.current_spo2
-        if not np.isnan(spo2) and spo2 < self.threshold:
+        if not np.isnan(spo2) and spo2 < SPO2_STOP_THRESHOLD:
             self.alarms_raised += 1
             self.caregiver.notify_alarm("low_spo2")
 
@@ -242,12 +239,13 @@ class ClosedLoopPCASystem:
                 algorithm_delay_s=config.algorithm_delay_s,
                 trace=self.trace,
             )
-            supervisor_config = replace(config.supervisor, use_capnograph=config.with_capnograph)
-            self.supervisor = PCASafetySupervisor("pca-safety", "pca-pump-1", supervisor_config)
+            self.supervisor = PCASafetySupervisor(
+                "pca-safety", "pca-pump-1", policy=config.policy, use_capnograph=config.with_capnograph
+            )
             self.host.attach_app(self.supervisor)
             self.simulator.register(self.host)
         if config.mode in ("open_loop_monitored", "closed_loop"):
-            self._alarm_relay = _AlarmRelay(self.oximeter, self.caregiver, config.alarm_spo2_threshold)
+            self._alarm_relay = _AlarmRelay(self.oximeter, self.caregiver)
             self.simulator.register(self._alarm_relay)
 
         # Fault injection.

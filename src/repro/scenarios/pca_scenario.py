@@ -14,6 +14,9 @@ from typing import Any, Dict, List, Optional
 
 from repro.campaign.registry import CampaignError, campaign_scenario
 from repro.campaign.spec import patient_from_params
+from repro.core.loop import MODES, ClosedLoopPCASystem, PCASystemConfig
+from repro.core.pca import POLICIES, RESPIRATORY_RATE_STOP_THRESHOLD, SPO2_STOP_THRESHOLD
+from repro.devices.pca_pump import PCAPrescription
 from repro.sim.faults import FaultSpec, fault_plan_specs
 from repro.workflow.spec import (
     CaregiverRole,
@@ -25,13 +28,12 @@ from repro.workflow.spec import (
 )
 
 
-def build_pca_scenario_spec(
-    *,
-    spo2_stop_threshold: float = 92.0,
-    respiratory_rate_stop_threshold: float = 8.0,
-    include_capnograph: bool = True,
-) -> ClinicalScenario:
-    """The closed-loop PCA safety scenario as a clinical workflow specification."""
+def build_pca_scenario_spec() -> ClinicalScenario:
+    """The closed-loop PCA safety scenario as a clinical workflow specification.
+
+    Its decision rules stop the pump at the supervisor's own thresholds
+    (:mod:`repro.core.pca`).
+    """
     device_roles = [
         DeviceRole(
             role="analgesia_pump",
@@ -46,6 +48,12 @@ def build_pca_scenario_spec(
             required_topics=("spo2", "heart_rate"),
             description="pulse oximeter on the patient's finger",
         ),
+        DeviceRole(
+            role="respiration_source",
+            device_type="capnograph",
+            required_topics=("respiratory_rate",),
+            description="capnograph measuring respiratory rate",
+        ),
     ]
     data_flows = [
         DataFlow(source_role="spo2_source", topic="spo2", destination_role="supervisor",
@@ -54,40 +62,27 @@ def build_pca_scenario_spec(
                  max_latency_s=1.0, max_period_s=5.0),
         DataFlow(source_role="analgesia_pump", topic="pump_status", destination_role="supervisor",
                  max_latency_s=2.0, max_period_s=20.0),
+        DataFlow(source_role="respiration_source", topic="respiratory_rate",
+                 destination_role="supervisor", max_latency_s=1.0, max_period_s=10.0),
     ]
     decision_rules = [
         DecisionRule(
             name="stop_on_desaturation",
-            condition=lambda obs: obs["spo2"] < spo2_stop_threshold,
+            condition=lambda obs: obs["spo2"] < SPO2_STOP_THRESHOLD,
             target_role="analgesia_pump",
             command="stop",
             priority=10,
             description="stop the infusion when SpO2 falls below the safety threshold",
         ),
+        DecisionRule(
+            name="stop_on_hypoventilation",
+            condition=lambda obs: obs["respiratory_rate"] < RESPIRATORY_RATE_STOP_THRESHOLD,
+            target_role="analgesia_pump",
+            command="stop",
+            priority=9,
+            description="stop the infusion when the respiratory rate collapses",
+        ),
     ]
-    if include_capnograph:
-        device_roles.append(
-            DeviceRole(
-                role="respiration_source",
-                device_type="capnograph",
-                required_topics=("respiratory_rate",),
-                description="capnograph measuring respiratory rate",
-            )
-        )
-        data_flows.append(
-            DataFlow(source_role="respiration_source", topic="respiratory_rate",
-                     destination_role="supervisor", max_latency_s=1.0, max_period_s=10.0)
-        )
-        decision_rules.append(
-            DecisionRule(
-                name="stop_on_hypoventilation",
-                condition=lambda obs: obs["respiratory_rate"] < respiratory_rate_stop_threshold,
-                target_role="analgesia_pump",
-                command="stop",
-                priority=9,
-                description="stop the infusion when the respiratory rate collapses",
-            )
-        )
 
     caregiver_roles = [
         CaregiverRole(
@@ -253,10 +248,19 @@ def pca_fault_campaign(
 #: Campaign parameters that program the pump (:class:`PCAPrescription`).
 _PRESCRIPTION_PARAMS = ("bolus_dose_mg", "lockout_interval_s", "hourly_limit_mg",
                         "basal_rate_mg_per_hr")
+#: Fault workloads the ``faults`` parameter names (see :func:`pca_fault_campaign`).
+FAULT_PRESETS = ("none", "standard", "standard+outage")
 
 
 def _validate_pca_campaign(spec) -> None:
-    """Reject spec shapes that would silently mislead (caught before any run)."""
+    """Reject spec shapes that would silently mislead or fail (caught before any run)."""
+    for key, allowed in (("mode", MODES), ("policy", POLICIES), ("faults", FAULT_PRESETS)):
+        value = spec.parameters.get(key, [])
+        for candidate in value if isinstance(value, list) else (value,):
+            if candidate not in allowed:
+                raise CampaignError(
+                    f"parameter {key!r} must be one of {allowed}, got {candidate!r}"
+                )
     for key in _PRESCRIPTION_PARAMS:
         value = spec.parameters.get(key)
         for candidate in value if isinstance(value, list) else (value,):
@@ -311,10 +315,6 @@ def _validate_pca_campaign(spec) -> None:
 )
 def run_pca_campaign(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
     """Campaign runner: one closed-/open-loop PCA encounter, fully seeded."""
-    from repro.core.loop import ClosedLoopPCASystem, PCASystemConfig
-    from repro.core.pca import SupervisorConfig
-    from repro.devices.pca_pump import PCAPrescription
-
     patient = patient_from_params(
         params,
         sensitive_fraction=params["sensitive_fraction"],
@@ -350,7 +350,7 @@ def run_pca_campaign(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
             hourly_limit_mg=params["hourly_limit_mg"],
             basal_rate_mg_per_hr=params["basal_rate_mg_per_hr"],
         ),
-        supervisor=SupervisorConfig(policy=params["policy"]),
+        policy=params["policy"],
         with_capnograph=params["with_capnograph"],
         button_press_period_s=params["button_press_period_s"],
         faults=faults,

@@ -296,10 +296,32 @@ class TestEngine:
 
     def test_bad_parameter_value_surfaces_as_campaign_error(self):
         # Regression: an invalid *value* (names are checked at expansion)
-        # used to escape as a raw ValueError traceback.
-        spec = tiny_spec(parameters={"mode": "sideways_loop", **SHORT_PCA})
-        with pytest.raises(CampaignError, match="sideways_loop"):
+        # used to escape as a raw ValueError traceback.  A negative dose
+        # passes the spec checks and is refused by the run itself.
+        spec = tiny_spec(parameters={"bolus_dose_mg": -1.5, **SHORT_PCA})
+        with pytest.raises(CampaignError, match="of scenario 'pca' failed: bolus_dose_mg"):
             run_campaign(spec)
+
+    @pytest.mark.parametrize("key, bad", [
+        ("mode", "sideways_loop"), ("policy", "magic"), ("faults", "standard+flood"),
+    ])
+    @pytest.mark.parametrize("swept", [False, True])
+    def test_unknown_pca_setting_is_refused_at_spec_time(self, key, bad, swept):
+        # Regression: an unknown mode, policy or fault preset passed
+        # validate() and expand(), and failed only inside the run.
+        from repro.core.loop import MODES
+        from repro.core.pca import POLICIES
+
+        presets = ("none", "standard", "standard+outage")
+        allowed = {"mode": MODES, "policy": POLICIES, "faults": presets}[key]
+        value = [allowed[-1], bad] if swept else bad
+        spec = tiny_spec(parameters={key: value, **SHORT_PCA})
+        message = f"parameter {key!r} must be one of {allowed!r}, got {bad!r}"
+        with pytest.raises(CampaignError) as excinfo:
+            spec.expand()
+        assert str(excinfo.value) == message
+        with pytest.raises(CampaignError, match="must be one of"):
+            spec.validate()
 
     def test_unexpected_runner_error_keeps_its_traceback(self):
         # Config rejections stay one-line, but a programming error inside a
@@ -455,8 +477,7 @@ class TestEngineFailurePath:
     def test_finished_runs_survive_a_failing_run(self, tmp_path):
         # Runs that finished before one raised mid-campaign are on disk,
         # so resume skips finished work.
-        spec = tiny_spec(parameters={"mode": ["open_loop", "sideways_loop"],
-                                     **SHORT_PCA})
+        spec = tiny_spec(parameters={"bolus_dose_mg": [1.5, -1.5], **SHORT_PCA})
         with pytest.raises(CampaignError):
             run_campaign(spec, workers=1, directory=tmp_path)
         assert len(load_results(tmp_path)) > 0

@@ -14,7 +14,7 @@ from repro.core.delays import (
     required_threshold_margin,
 )
 from repro.core.loop import ClosedLoopPCASystem, PCASystemConfig
-from repro.core.pca import PCASafetySupervisor, SupervisorConfig, SupervisorDecision
+from repro.core.pca import RESUME_HOLD_TIME_S, PCASafetySupervisor
 from repro.devices.pca_pump import PCAPrescription
 from repro.patient.population import PatientPopulation
 from repro.readings import Reading
@@ -22,23 +22,17 @@ from repro.sim.faults import FaultSpec
 from repro.sim.kernel import Simulator
 
 
-class TestSupervisorConfig:
-    def test_defaults_validate(self):
-        SupervisorConfig().validate()
-
+class TestSupervisorPolicy:
     def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError):
-            SupervisorConfig(policy="magic").validate()
+        with pytest.raises(ValueError, match="policy must be one of"):
+            PCASafetySupervisor("app", "pump-1", policy="magic")
+        with pytest.raises(ValueError, match="policy must be one of"):
+            PCASystemConfig(policy="magic").validate()
 
-    def test_resume_below_stop_threshold_rejected(self):
-        with pytest.raises(ValueError):
-            SupervisorConfig(spo2_stop_threshold=95.0, spo2_resume_threshold=92.0).validate()
-
-    @pytest.mark.parametrize("limit", [float("nan"), float("inf"), 0.0, -1.0])
-    def test_staleness_limit_must_be_finite_and_positive(self, limit):
-        # A NaN limit made "age > limit" False forever: no fail-safe on outage.
-        with pytest.raises(ValueError, match="data_staleness_limit_s"):
-            SupervisorConfig(data_staleness_limit_s=limit).validate()
+    def test_without_capnograph_respiratory_rate_is_not_required(self):
+        supervisor = PCASafetySupervisor("app", "pump-1", use_capnograph=False)
+        assert supervisor.subscriptions == ("spo2", "heart_rate")
+        assert [contract.topic for contract in supervisor.qos_contracts] == ["spo2", "heart_rate"]
 
 
 class _FakeQoS:
@@ -61,8 +55,8 @@ class _FakeHost:
         return True
 
 
-def make_supervisor(**config_overrides):
-    supervisor = PCASafetySupervisor("app", "pump-1", SupervisorConfig(**config_overrides))
+def make_supervisor(policy="fused"):
+    supervisor = PCASafetySupervisor("app", "pump-1", policy=policy)
     host = _FakeHost()
     supervisor.host = host
     return supervisor, host
@@ -118,8 +112,7 @@ class TestPCASafetySupervisorLogic:
         assert not supervisor.pump_stopped
 
     def test_trend_policy_predicts_crossing(self):
-        supervisor, host = make_supervisor(policy="trend", trend_window_samples=8,
-                                            trend_arm_spo2=96.0)
+        supervisor, host = make_supervisor(policy="trend")
         # Falling SpO2 trend: 95.5 down to ~94, slope -0.15/ step of 2 s.
         for index in range(10):
             time = 2.0 * index
@@ -129,7 +122,7 @@ class TestPCASafetySupervisorLogic:
         assert "trend" in supervisor.events[0].reason
 
     def test_trend_not_armed_at_high_spo2(self):
-        supervisor, host = make_supervisor(policy="trend", trend_window_samples=8)
+        supervisor, host = make_supervisor(policy="trend")
         for index in range(10):
             feed(supervisor, 2.0 * index, spo2=99.0 - 0.1 * index, heart_rate=75.0, respiratory_rate=12.0)
         supervisor.step(20.0)
@@ -144,14 +137,14 @@ class TestPCASafetySupervisorLogic:
         assert "stale" in supervisor.events[0].reason
 
     def test_startup_grace_tolerates_missing_topics(self):
-        supervisor, host = make_supervisor(startup_grace_s=30.0)
+        supervisor, host = make_supervisor()
         host.qos.stale.add("respiratory_rate")  # capnograph has not reported yet
         feed(supervisor, 5.0, spo2=98.0, heart_rate=75.0)
         supervisor.step(5.0)
         assert not supervisor.pump_stopped
 
     def test_after_grace_missing_topic_stops(self):
-        supervisor, host = make_supervisor(startup_grace_s=30.0)
+        supervisor, host = make_supervisor()
         host.qos.stale.add("respiratory_rate")
         feed(supervisor, 40.0, spo2=98.0, heart_rate=75.0)
         supervisor.step(40.0)
@@ -170,25 +163,21 @@ class TestPCASafetySupervisorLogic:
         assert supervisor.pump_stopped
 
     def test_resume_after_recovery_and_hold_time(self):
-        supervisor, host = make_supervisor(resume_hold_time_s=100.0)
+        supervisor, host = make_supervisor()
         feed(supervisor, 10.0, spo2=88.0, heart_rate=75.0, respiratory_rate=12.0)
         supervisor.step(10.0)
         assert supervisor.pump_stopped
         feed(supervisor, 50.0, spo2=96.5, heart_rate=75.0, respiratory_rate=13.0)
         supervisor.step(50.0)
-        assert supervisor.pump_stopped  # hold time not yet elapsed
         feed(supervisor, 160.0, spo2=97.0, heart_rate=75.0, respiratory_rate=13.0)
         supervisor.step(160.0)
+        assert supervisor.pump_stopped  # hold time not yet elapsed
+        resume_at = 50.0 + RESUME_HOLD_TIME_S
+        feed(supervisor, resume_at, spo2=97.0, heart_rate=75.0, respiratory_rate=13.0)
+        supervisor.step(resume_at)
         assert not supervisor.pump_stopped
         assert supervisor.resume_count == 1
-
-    def test_resume_disabled(self):
-        supervisor, host = make_supervisor(resume_enabled=False)
-        feed(supervisor, 10.0, spo2=88.0, heart_rate=75.0, respiratory_rate=12.0)
-        supervisor.step(10.0)
-        feed(supervisor, 1000.0, spo2=99.0, heart_rate=75.0, respiratory_rate=14.0)
-        supervisor.step(1000.0)
-        assert supervisor.pump_stopped
+        assert host.commands == [("pump-1", "stop"), ("pump-1", "resume")]
 
 
 class TestDelayBudget:
