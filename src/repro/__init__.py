@@ -20,7 +20,7 @@ Subpackages
 ``repro.devices``
     Virtual medical devices (PCA pump, pulse oximeter, ventilator, ...).
 ``repro.middleware``
-    ICE-style interoperability: bus, registry, QoS, supervisor hosting.
+    ICE-style interoperability: bus, registry, clock sync, supervisor hosting.
 ``repro.core``
     Closed-loop PCA supervision (the paper's Figure 1 system).
 ``repro.control``

@@ -34,11 +34,6 @@ class RecertificationPlan:
             return 0.0
         return 1.0 - self.incremental_cost / self.full_recert_cost
 
-    @property
-    def affected_fraction_of_goals(self) -> float:
-        total = len(self.affected_goals) + len(self.untouched_goals)
-        return len(self.affected_goals) / total if total else 0.0
-
 
 class IncrementalCertifier:
     """Change-impact analysis over an assurance case and evidence store."""

@@ -23,11 +23,12 @@ Each step's decision is the pure function :func:`decide`;
 :meth:`PCASafetySupervisor.step` builds its :class:`Observation` and applies
 the command it returns.
 
-The supervisor is *fail-safe with respect to data staleness*: if its QoS
-monitor reports that a required topic has gone stale (communication failure,
-sensor crash), it stops the pump rather than keep infusing blind.  It also
-resumes the pump once the patient has recovered and data is fresh,
-modelling the full control loop rather than a one-shot trip.
+The supervisor is *fail-safe with respect to data staleness*: it records
+when each subscribed topic last reached it, and if a required topic has gone
+stale (communication failure, sensor crash), it stops the pump rather than
+keep infusing blind.  It also resumes the pump once the patient has
+recovered and data is fresh, modelling the full control loop rather than a
+one-shot trip.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from repro.middleware.qos import TopicQoS
 from repro.middleware.supervisor_host import SupervisorApp
 from repro.readings import Reading
 from repro.sim.channel import Message
@@ -60,7 +60,8 @@ TREND_WINDOW_SAMPLES = 20
 #: The trend rule arms only below this SpO2; above it, noise-driven slopes
 #: extrapolated over the horizon would trip the loop spuriously.
 TREND_ARM_SPO2 = 96.0
-#: A required topic older than this is stale: fail safe (stop the pump).
+#: A required topic last delivered longer ago than this is stale: fail safe
+#: (stop the pump).
 DATA_STALENESS_LIMIT_S = 15.0
 #: Until this time, topics that never delivered are not yet stale, so slow
 #: sensors (a capnograph with a long sample period) do not trip the loop.
@@ -71,8 +72,9 @@ class Observation(NamedTuple):
     """What one control step knows."""
 
     now: float
-    #: Required topics the QoS monitor reports stale, less those still
-    #: inside the start-up grace.
+    #: Required topics, in subscription order, last delivered more than
+    #: :data:`DATA_STALENESS_LIMIT_S` ago, or never delivered once the
+    #: start-up grace is over.
     stale: Sequence[str]
     #: Latest value of each topic, None if absent or invalid.
     spo2: Optional[float]
@@ -182,11 +184,9 @@ class PCASafetySupervisor(SupervisorApp):
         self.policy = policy
         self.pump_device_id = pump_device_id
         self.subscriptions = ("spo2", "heart_rate") + (("respiratory_rate",) if use_capnograph else ())
-        self.qos_contracts = tuple(
-            TopicQoS(topic=t, max_age_s=DATA_STALENESS_LIMIT_S) for t in self.subscriptions
-        )
         self._spo2_window: Deque[Tuple[float, float]] = deque(maxlen=TREND_WINDOW_SAMPLES)
         self._values: Dict[str, Optional[float]] = {}  # topic -> latest value, None if invalid
+        self._delivered_at: Dict[str, float] = {}  # topic -> its latest delivery instant
         self.pump_stopped = False
         self.stop_count = 0
         self.resume_count = 0
@@ -197,14 +197,16 @@ class PCASafetySupervisor(SupervisorApp):
     def on_data(self, topic: str, payload: Reading, message: Message) -> None:
         value = float(payload.value) if payload.valid else None
         self._values[topic] = value
+        self._delivered_at[topic] = message.delivered_at
         if value is not None and topic == "spo2":
             self._spo2_window.append((payload.time, value))
 
     def step(self, now: float) -> None:
         values = self._values
-        qos = self.qos
+        delivered_at = self._delivered_at
         stale = [topic for topic in self.subscriptions
-                 if qos.is_stale(topic) and (topic in values or now > STARTUP_GRACE_S)]
+                 if (now - delivered_at[topic] > DATA_STALENESS_LIMIT_S if topic in delivered_at
+                     else now > STARTUP_GRACE_S)]
         obs = Observation(now, stale, values.get("spo2"), values.get("heart_rate"),
                           values.get("respiratory_rate"), "spo2" in values, self._spo2_window)
         command, reason, self._cleared_at = decide(self.policy, obs, self.pump_stopped, self._cleared_at)

@@ -9,12 +9,11 @@ scenarios.  This package implements the ICE conceptual model in simulation:
   topic-based publish/subscribe bus built on lossy, delaying channels.
 * :class:`~repro.middleware.registry.DeviceRegistry` -- plug-and-play device
   registration and capability matching against scenario requirements.
-* :class:`~repro.middleware.qos.QoSMonitor` -- per-topic deadline / freshness
-  monitoring, the mechanism a supervisor uses to detect communication
-  failures in its control loop.
 * :class:`~repro.middleware.supervisor_host.SupervisorHost` -- hosts supervisor
   applications (the "supervisor" box of ICE / Figure 1), routing subscriptions
-  and commands with authorisation checks from :mod:`repro.security`.
+  and commands with authorisation checks from :mod:`repro.security`.  An app
+  detects a communication failure in its control loop from its own
+  deliveries (see :class:`repro.core.pca.PCASafetySupervisor`).
 * :class:`~repro.middleware.clock_sync.ClockSync` -- bounded-skew clock
   synchronisation between devices, needed by timing-sensitive coordination
   such as the X-ray/ventilator scenario.
@@ -22,7 +21,6 @@ scenarios.  This package implements the ICE conceptual model in simulation:
 
 from repro.middleware.bus import BusConfig, DeviceBus
 from repro.middleware.registry import DeviceRegistry, RegistrationError
-from repro.middleware.qos import QoSMonitor, TopicQoS
 from repro.middleware.supervisor_host import SupervisorApp, SupervisorHost
 from repro.middleware.clock_sync import ClockSync, DeviceClock
 
@@ -31,8 +29,6 @@ __all__ = [
     "DeviceBus",
     "DeviceRegistry",
     "RegistrationError",
-    "QoSMonitor",
-    "TopicQoS",
     "SupervisorApp",
     "SupervisorHost",
     "ClockSync",

@@ -48,18 +48,7 @@ class DeviceRequirement:
     max_risk_class: str = "III"
 
     def is_satisfied_by(self, descriptor: DeviceDescriptor) -> bool:
-        if self.device_type is not None and descriptor.device_type != self.device_type:
-            return False
-        if any(topic not in descriptor.published_topics for topic in self.required_topics):
-            return False
-        if any(cmd not in descriptor.accepted_commands for cmd in self.required_commands):
-            return False
-        if any(cap not in descriptor.capabilities for cap in self.required_capabilities):
-            return False
-        risk_order = {"I": 1, "II": 2, "III": 3}
-        if risk_order[descriptor.risk_class] > risk_order[self.max_risk_class]:
-            return False
-        return True
+        return not self.unmet_reasons(descriptor)
 
     def unmet_reasons(self, descriptor: DeviceDescriptor) -> List[str]:
         """Human-readable reasons this descriptor fails the requirement."""

@@ -4,9 +4,11 @@ A :class:`SupervisorApp` is an application (the closed-loop PCA safety app,
 a smart-alarm app, the X-ray coordinator) that subscribes to device topics
 and issues device commands.  The :class:`SupervisorHost` is the platform it
 runs on: it wires subscriptions through the device bus, enforces the
-security policy on outgoing commands (Section III(m) of the paper), tracks
-QoS, and gives apps a periodic execution slot with a modelled algorithm
-processing delay (the "Algorithm Processing time" of Figure 1).
+security policy on outgoing commands (Section III(m) of the paper), and
+gives apps a periodic execution slot with a modelled algorithm processing
+delay (the "Algorithm Processing time" of Figure 1).  An app that must
+fail safe on stale data keeps its own delivery record, from each
+delivery's ``message.delivered_at``.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.middleware.bus import DeviceBus
-from repro.middleware.qos import QoSMonitor, TopicQoS
 from repro.readings import Reading
 from repro.sim.channel import Message
 from repro.sim.kernel import PeriodicTask, Process, Simulator
@@ -26,15 +27,12 @@ from repro.sim.trace import TraceRecorder
 class SupervisorApp:
     """Base class for supervisor applications.
 
-    Subclasses declare the topics they consume via :attr:`subscriptions` and
-    the QoS contracts they need via :attr:`qos_contracts`, then implement
-    :meth:`on_data` and/or :meth:`step`.
+    Subclasses declare the topics they consume via :attr:`subscriptions`,
+    then implement :meth:`on_data` and/or :meth:`step`.
     """
 
     #: Topics this app subscribes to.
     subscriptions: Tuple[str, ...] = ()
-    #: QoS contracts the host should monitor for this app.
-    qos_contracts: Tuple[TopicQoS, ...] = ()
     #: Period of the app's control step in seconds (None = event-driven only).
     step_period_s: Optional[float] = 1.0
 
@@ -57,12 +55,6 @@ class SupervisorApp:
         if self.host is None:
             raise RuntimeError(f"app {self.app_id!r} is not attached to a host")
         return self.host.send_command(self, device_id, command, parameters)
-
-    @property
-    def qos(self) -> QoSMonitor:
-        if self.host is None:
-            raise RuntimeError(f"app {self.app_id!r} is not attached to a host")
-        return self.host.qos
 
 
 @dataclass
@@ -151,7 +143,6 @@ class SupervisorHost(Process):
         self.host_id = host_id
         self.algorithm_delay_s = algorithm_delay_s
         self.trace = trace
-        self.qos = QoSMonitor(bus.simulator)
         self._apps: Dict[str, SupervisorApp] = {}
         self._command_authoriser = command_authoriser
         self.command_log: List[CommandRecord] = []
@@ -165,22 +156,10 @@ class SupervisorHost(Process):
         endpoint_id = f"{self.host_id}:{app.app_id}"
         self.bus.attach_endpoint(endpoint_id)
         for topic in app.subscriptions:
-            self.bus.subscribe(endpoint_id, topic, self._make_handler(app))
-        for contract in app.qos_contracts:
-            self.qos.add_contract(contract)
+            self.bus.subscribe(endpoint_id, topic, app.on_data)
         app.on_attached()
         if self._simulator is not None:
             self._schedule_app(app)
-
-    def _make_handler(self, app: SupervisorApp):
-        def _handler(topic: str, payload: Reading, message: Message) -> None:
-            # The publish instant is the sample's own time: `message.sent_at`
-            # is the bus forward instant, so it would leave the uplink hop
-            # out of the latency.
-            self.qos.record_delivery(topic, published_at=payload.time,
-                                     delivered_at=message.delivered_at)
-            app.on_data(topic, payload, message)
-        return _handler
 
     @property
     def apps(self) -> List[SupervisorApp]:

@@ -45,9 +45,6 @@ class CommandAuthorizationPolicy:
     def mark_authenticated(self, principal: str) -> None:
         self.authenticated_principals.add(principal)
 
-    def revoke_authentication(self, principal: str) -> None:
-        self.authenticated_principals.discard(principal)
-
     # ------------------------------------------------------------ evaluation
     def authorise(self, principal: str, device_id: str, command: str) -> Tuple[bool, str]:
         """Return (allowed, reason); also records the decision."""

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.middleware.qos import TopicQoS
 from repro.middleware.registry import DeviceRequirement
 from repro.middleware.supervisor_host import SupervisorApp
 from repro.readings import Reading
@@ -60,7 +59,6 @@ class CompiledScenarioApp(SupervisorApp):
         role_assignments: Dict[str, str],
         *,
         step_period_s: float = 2.0,
-        data_staleness_limit_s: float = 30.0,
     ) -> None:
         super().__init__(app_id=f"compiled:{scenario.name}")
         missing = {
@@ -72,10 +70,6 @@ class CompiledScenarioApp(SupervisorApp):
         self.role_assignments = dict(role_assignments)
         self.step_period_s = step_period_s
         self.subscriptions = tuple(scenario.topics_consumed)
-        self.qos_contracts = tuple(
-            TopicQoS(topic=flow.topic, max_age_s=max(flow.max_period_s * 3.0, data_staleness_limit_s))
-            for flow in scenario.data_flows
-        )
         self._latest: Dict[str, float] = {}
         self.fired_rules: List[FiredRule] = []
         self._rule_engaged: Dict[str, bool] = {rule.name: False for rule in scenario.decision_rules}

@@ -134,9 +134,6 @@ class ClinicalScenario:
     def initial_steps(self) -> List[ProcedureStep]:
         return [step for step in self.procedure if step.is_initial]
 
-    def steps_for_role(self, role: str) -> List[ProcedureStep]:
-        return [step for step in self.procedure if step.role == role]
-
     def sorted_decision_rules(self) -> List[DecisionRule]:
         return sorted(self.decision_rules, key=lambda rule: -rule.priority)
 

@@ -10,22 +10,28 @@ the same instants and honour the same cancel semantics.
 
 :class:`ReferencePCASupervisor` is the PCA safety supervisor as it was
 before its decision became the pure :func:`repro.core.pca.decide`: one
-``_evaluate`` that reads the host's QoS monitor and updates the resume
-timer in place, ``_danger``, and a ``step`` that checks the believed pump
-state again, at the old ``SupervisorConfig`` defaults (written out below,
-so a changed constant in ``repro.core.pca`` shows).
-``tests/test_pca_decide.py`` drives it and the production supervisor with
-the same random deliveries, stale sets and command outcomes.
+``_evaluate`` that reads a freshness monitor and updates the resume timer
+in place, ``_danger``, and a ``step`` that checks the believed pump state
+again, at the old ``SupervisorConfig`` defaults (written out below, so a
+changed constant in ``repro.core.pca`` shows).
+
+:class:`ReferenceFreshness` is the freshness rule the supervisor host kept
+for its apps before each app judged its own: the last delivery instant of
+each topic, and a contracted topic is stale once ``now`` minus that instant
+exceeds its limit (always, before its first delivery).
+``tests/test_pca_decide.py`` drives the reference and the production
+supervisor with the same random deliveries, delivery instants, step times
+and command outcomes.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Tuple
 
-from repro.middleware.qos import TopicQoS
 from repro.middleware.supervisor_host import SupervisorApp, SupervisorHost
 
 
@@ -39,6 +45,25 @@ class ReferenceSupervisorHost(SupervisorHost):
 
     def _run_step(self, app: SupervisorApp) -> None:
         self.after(self.algorithm_delay_s, lambda: app.step(self.now))
+
+
+class ReferenceFreshness:
+    """Per-topic freshness from delivery instants, against per-topic limits."""
+
+    def __init__(self, max_age_s: Dict[str, float]) -> None:
+        self.max_age_s = dict(max_age_s)
+        self.last_delivery: Dict[str, float] = {}
+
+    def record_delivery(self, topic: str, delivered_at: float) -> None:
+        self.last_delivery[topic] = delivered_at
+
+    def age(self, topic: str, now: float) -> float:
+        last = self.last_delivery.get(topic)
+        return math.inf if last is None else now - last
+
+    def is_stale(self, topic: str, now: float) -> bool:
+        limit = self.max_age_s.get(topic)
+        return limit is not None and self.age(topic, now) > limit
 
 
 class SupervisorDecision(enum.Enum):
@@ -80,10 +105,8 @@ class ReferencePCASupervisor(SupervisorApp):
         self.subscriptions = ("spo2", "heart_rate") + (
             ("respiratory_rate",) if use_capnograph else ()
         )
-        self.qos_contracts = tuple(
-            TopicQoS(topic=t, max_age_s=self.data_staleness_limit_s)
-            for t in self.subscriptions
-        )
+        self.freshness = ReferenceFreshness(
+            {topic: self.data_staleness_limit_s for topic in self.subscriptions})
         self._spo2_history: Deque[Tuple[float, float]] = deque(maxlen=self.trend_window_samples)
         self._latest: Dict[str, Tuple[float, float, bool]] = {}
         self.pump_stopped = False
@@ -94,6 +117,8 @@ class ReferencePCASupervisor(SupervisorApp):
         self.first_stop_time: Optional[float] = None
 
     def on_data(self, topic, payload, message) -> None:
+        # The host recorded every delivery before it called the app.
+        self.freshness.record_delivery(topic, message.delivered_at)
         time, value, valid = payload.time, float(payload.value), payload.valid
         self._latest[topic] = (time, value, valid)
         if topic == "spo2" and valid:
@@ -122,7 +147,7 @@ class ReferencePCASupervisor(SupervisorApp):
         values: Dict[str, float] = {}
         stale = []
         for topic in self.subscriptions:
-            if self.qos.is_stale(topic):
+            if self.freshness.is_stale(topic, now):
                 never_seen = topic not in self._latest
                 if never_seen and now <= self.startup_grace_s:
                     continue

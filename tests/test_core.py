@@ -14,8 +14,14 @@ from repro.core.delays import (
     required_threshold_margin,
 )
 from repro.core.loop import ClosedLoopPCASystem, PCASystemConfig
-from repro.core.pca import RESUME_HOLD_TIME_S, PCASafetySupervisor
+from repro.core.pca import (
+    DATA_STALENESS_LIMIT_S,
+    RESUME_HOLD_TIME_S,
+    STARTUP_GRACE_S,
+    PCASafetySupervisor,
+)
 from repro.devices.pca_pump import PCAPrescription
+from repro.middleware.supervisor_host import SupervisorApp
 from repro.patient.population import PatientPopulation
 from repro.readings import Reading
 from repro.sim.faults import FaultSpec
@@ -31,23 +37,17 @@ class TestSupervisorPolicy:
 
     def test_without_capnograph_respiratory_rate_is_not_required(self):
         supervisor = PCASafetySupervisor("app", "pump-1", use_capnograph=False)
+        supervisor.host = host = _FakeHost()
         assert supervisor.subscriptions == ("spo2", "heart_rate")
-        assert [contract.topic for contract in supervisor.qos_contracts] == ["spo2", "heart_rate"]
-
-
-class _FakeQoS:
-    def __init__(self):
-        self.stale = set()
-
-    def is_stale(self, topic):
-        return topic in self.stale
+        feed(supervisor, 2 * STARTUP_GRACE_S, spo2=98.0, heart_rate=75.0)
+        supervisor.step(2 * STARTUP_GRACE_S)
+        assert host.commands == []
 
 
 class _FakeHost:
     """Captures supervisor commands without a full middleware stack."""
 
     def __init__(self):
-        self.qos = _FakeQoS()
         self.commands = []
 
     def send_command(self, app, device_id, command, parameters=None):
@@ -131,24 +131,47 @@ class TestPCASafetySupervisorLogic:
     def test_stale_data_fails_safe(self):
         supervisor, host = make_supervisor()
         feed(supervisor, 10.0, spo2=98.0, heart_rate=75.0, respiratory_rate=14.0)
-        host.qos.stale.add("spo2")
-        supervisor.step(100.0)
+        supervisor.step(10.0 + DATA_STALENESS_LIMIT_S)  # exactly at the limit: still fresh
+        assert not supervisor.pump_stopped
+        feed(supervisor, 20.0, heart_rate=75.0, respiratory_rate=14.0)
+        supervisor.step(26.0)
         assert supervisor.pump_stopped
-        assert "stale" in supervisor.events[0].reason
+        assert supervisor.events[0].reason == "stale data on spo2"
 
     def test_startup_grace_tolerates_missing_topics(self):
         supervisor, host = make_supervisor()
-        host.qos.stale.add("respiratory_rate")  # capnograph has not reported yet
-        feed(supervisor, 5.0, spo2=98.0, heart_rate=75.0)
-        supervisor.step(5.0)
+        # The capnograph has not reported yet.
+        feed(supervisor, STARTUP_GRACE_S, spo2=98.0, heart_rate=75.0)
+        supervisor.step(STARTUP_GRACE_S)
         assert not supervisor.pump_stopped
 
     def test_after_grace_missing_topic_stops(self):
         supervisor, host = make_supervisor()
-        host.qos.stale.add("respiratory_rate")
         feed(supervisor, 40.0, spo2=98.0, heart_rate=75.0)
         supervisor.step(40.0)
         assert supervisor.pump_stopped
+        assert supervisor.events[0].reason == "stale data on respiratory_rate"
+
+    def test_another_apps_deliveries_do_not_freshen_a_lost_downlink(self):
+        # A second app on the supervisor's host subscribes to the same
+        # vitals.  Cutting only the supervisor's own downlink must still
+        # trip its staleness fail-safe, as it does when the supervisor is
+        # the host's only app.
+        class _Listener(SupervisorApp):
+            subscriptions = ("spo2", "heart_rate", "respiratory_rate")
+            step_period_s = None
+
+        outage = FaultSpec(kind="channel_outage", start=200.0, duration=120.0,
+                           target="downlink:supervisor_host:pca-safety")
+        stops = []
+        for with_listener in (False, True):
+            system = ClosedLoopPCASystem(PCASystemConfig(duration_s=600.0, seed=3, faults=[outage]))
+            system.build()
+            if with_listener:
+                system.host.attach_app(_Listener("listener"))
+            system.simulator.run(until=600.0)
+            stops.append([(event.time, event.command, event.reason) for event in system.supervisor.events])
+        assert stops[0] == stops[1] == [(210.1, "stop", "stale data on respiratory_rate")]
 
     def test_invalid_spo2_fails_safe(self):
         supervisor, host = make_supervisor()

@@ -1,4 +1,4 @@
-"""Tests for the ICE middleware: bus, registry, QoS, clock sync, supervisor host."""
+"""Tests for the ICE middleware: bus, registry, clock sync, supervisor host."""
 
 import json
 
@@ -9,8 +9,6 @@ from golden_workload import GOLDEN_PATH, bus_workload
 from repro.devices.base import DeviceDescriptor, DeviceState, MedicalDevice
 from repro.middleware.bus import BusConfig, DeviceBus
 from repro.middleware.clock_sync import ClockSync, DeviceClock
-from repro.middleware import qos as qos_module
-from repro.middleware.qos import QoSMonitor, TopicQoS
 from repro.middleware.registry import DeviceRegistry, DeviceRequirement, RegistrationError
 from repro.middleware.supervisor_host import SupervisorApp, SupervisorHost
 from repro.sim.channel import ChannelConfig
@@ -217,110 +215,6 @@ class TestDeviceRegistry:
         assert any("capability" in reason for reason in reasons)
 
 
-class TestQoSMonitor:
-    def test_contract_validation(self):
-        with pytest.raises(ValueError):
-            TopicQoS(topic="spo2", max_age_s=0.0)
-
-    def test_nan_deadlines_rejected_naming_the_field(self):
-        # A NaN deadline is never exceeded: the topic could never go stale.
-        with pytest.raises(ValueError, match="max_age_s"):
-            TopicQoS(topic="spo2", max_age_s=float("nan"))
-        with pytest.raises(ValueError, match="max_latency_s"):
-            TopicQoS(topic="spo2", max_age_s=5.0, max_latency_s=float("nan"))
-        assert TopicQoS(topic="spo2", max_age_s=5.0).max_latency_s == float("inf")
-
-    def test_age_infinite_before_any_delivery(self):
-        monitor = QoSMonitor(Simulator())
-        monitor.add_contract(TopicQoS(topic="spo2", max_age_s=5.0))
-        assert monitor.age("spo2") == float("inf")
-        assert monitor.is_stale("spo2")
-
-    def test_delivery_freshens_topic(self):
-        simulator = Simulator()
-        monitor = QoSMonitor(simulator)
-        monitor.add_contract(TopicQoS(topic="spo2", max_age_s=5.0))
-        simulator.schedule(1.0, lambda: monitor.record_delivery("spo2", published_at=0.9))
-        simulator.run()
-        assert not monitor.is_stale("spo2")
-        assert monitor.age("spo2") == pytest.approx(0.0)
-
-    def test_staleness_after_silence(self):
-        simulator = Simulator()
-        monitor = QoSMonitor(simulator)
-        monitor.add_contract(TopicQoS(topic="spo2", max_age_s=5.0))
-        simulator.schedule(1.0, lambda: monitor.record_delivery("spo2", published_at=1.0))
-        simulator.schedule(10.0, lambda: None)
-        simulator.run()
-        assert monitor.is_stale("spo2")
-        assert monitor.stale_topics() == ["spo2"]
-        assert monitor.any_stale()
-
-    def test_latency_deadline_violations(self):
-        simulator = Simulator()
-        monitor = QoSMonitor(simulator)
-        monitor.add_contract(TopicQoS(topic="spo2", max_age_s=10.0, max_latency_s=0.5))
-        simulator.schedule(2.0, lambda: monitor.record_delivery("spo2", published_at=1.0))
-        simulator.run()
-        assert monitor.stats("spo2").deadline_violations == 1
-        assert monitor.max_latency("spo2") == pytest.approx(1.0)
-
-    def test_uncontracted_topic_never_stale(self):
-        monitor = QoSMonitor(Simulator())
-        assert not monitor.is_stale("anything")
-
-    def test_summary_structure(self):
-        simulator = Simulator()
-        monitor = QoSMonitor(simulator)
-        monitor.add_contract(TopicQoS(topic="spo2", max_age_s=5.0))
-        monitor.record_delivery("spo2", published_at=0.0)
-        summary = monitor.summary()
-        assert "spo2" in summary and summary["spo2"]["deliveries"] == 1.0
-
-    def test_latency_statistics_are_streamed(self):
-        monitor = QoSMonitor(Simulator())
-        assert monitor.mean_latency("spo2") == 0.0 and monitor.max_latency("spo2") == 0.0
-        latencies = [0.25, 1.5, 0.0, 0.75]
-        for latency in latencies:
-            monitor.record_delivery("spo2", published_at=0.0, delivered_at=latency)
-        # A clock-skewed delivery counts as zero latency, as before.
-        monitor.record_delivery("spo2", published_at=2.0, delivered_at=1.0)
-        stats = monitor.stats("spo2")
-        assert (stats.latency_count, stats.latency_sum, stats.latency_max) == (5, 2.5, 1.5)
-        assert monitor.mean_latency("spo2") == 2.5 / 5
-        assert monitor.max_latency("spo2") == 1.5
-        assert not hasattr(stats, "latencies")
-
-    def test_records_and_reads_build_a_topics_stats_once(self, monkeypatch):
-        built = []
-        topic_stats = qos_module.TopicStats
-
-        def counting_stats():
-            built.append(None)
-            return topic_stats()
-
-        monkeypatch.setattr(qos_module, "TopicStats", counting_stats)
-        simulator = Simulator()
-        monitor = QoSMonitor(simulator)
-        monitor.add_contract(TopicQoS(topic="spo2", max_age_s=5.0, max_latency_s=0.5))
-        stats = monitor.stats("spo2")
-        for index in range(1000):
-            monitor.record_delivery("spo2", published_at=index - 0.25 * (index % 4),
-                                    delivered_at=float(index))
-        assert monitor.stats("spo2") is stats
-        assert stats.deliveries == 1000
-        summary = {"spo2": {"deliveries": 1000.0, "deadline_violations": 250.0,
-                            "mean_latency": 0.375, "max_latency": 0.75, "age": -999.0}}
-        assert monitor.summary() == summary
-        assert monitor.summary() == summary
-        assert len(built) == 1
-        # An uncontracted topic gets its stats at its first read or record.
-        assert monitor.stats("etco2") is monitor.stats("etco2")
-        monitor.record_delivery("etco2", published_at=0.0)
-        assert monitor.stats("etco2").deliveries == 1
-        assert len(built) == 2
-
-
 class TestClockSync:
     def test_clocks_drift_without_sync(self):
         clock = DeviceClock("dev", drift_ppm=100.0, offset_s=0.5)
@@ -354,7 +248,6 @@ class TestClockSync:
 
 class _RecordingApp(SupervisorApp):
     subscriptions = ("tick",)
-    qos_contracts = (TopicQoS(topic="tick", max_age_s=5.0),)
     step_period_s = 1.0
 
     def __init__(self):
@@ -419,30 +312,26 @@ class TestSupervisorHost:
         with pytest.raises(ValueError, match="algorithm_delay_s"):
             SupervisorHost(DeviceBus(Simulator(), BusConfig()), algorithm_delay_s=delay)
 
-    def test_qos_contract_registered(self):
-        simulator, host, app, device = self._build()
-        assert host.qos.contract("tick") is not None
-        simulator.run(until=3.0)
-        assert not host.qos.is_stale("tick")
-
-    def test_qos_latency_of_every_sample_spans_both_hops(self):
-        # A sample is measured from its own time, the publish instant, valid
-        # or not and whatever it codes (a status, a count, a clock value),
-        # so the QoS latency covers uplink + bus processing + downlink.
+    def test_every_sample_reaches_the_app_after_both_hops(self):
+        # A sample keeps its own time, the publish instant, valid or not and
+        # whatever it codes (a status, a count, a clock value), so the app
+        # sees uplink + bus processing + downlink between that time and the
+        # delivery instant it may judge freshness by.
         simulator = Simulator()
         bus = DeviceBus(simulator, BusConfig())
         device = _StatusDevice()
         bus.attach_device(device)
         simulator.register(device)
         host = SupervisorHost(bus)
-        host.attach_app(_StatusApp())
+        app = _StatusApp()
+        host.attach_app(app)
         simulator.register(host)
         simulator.run(until=5.5)
         end_to_end = 0.02 + 0.005 + 0.02
         for topic in ("status", "count", "tick"):
-            assert host.qos.stats(topic).deliveries == 5
-            assert host.qos.mean_latency(topic) == pytest.approx(end_to_end)
-            assert host.qos.max_latency(topic) == pytest.approx(end_to_end)
+            latencies = [delivered_at - published_at
+                         for name, published_at, delivered_at in app.deliveries if name == topic]
+            assert latencies == pytest.approx([end_to_end] * 5)
 
 
 class _StatusDevice(MedicalDevice):
@@ -470,6 +359,7 @@ class _StatusApp(SupervisorApp):
 
     def __init__(self):
         super().__init__("status-app")
+        self.deliveries = []
 
     def on_data(self, topic, payload, message):
-        pass
+        self.deliveries.append((topic, payload.time, message.delivered_at))

@@ -2,11 +2,13 @@
 
 :func:`repro.core.pca.decide` is the whole decision of one control step.
 ``supervisor_reference.ReferencePCASupervisor`` is the supervisor before
-that split; both are driven with the same random deliveries (valid or not),
-stale sets, step times on both sides of the start-up grace and command
-outcomes, and must send the same commands and keep the same belief,
-counters and events.  The other tests call :func:`decide` directly, and
-check the declared PCA scenario's decision rules against it.
+that split, judging freshness by the rule the supervisor host applied for
+it.  Both are driven with the same random deliveries (valid or not), with
+gaps on both sides of the staleness limit, step times on both sides of the
+start-up grace, and command outcomes; they must send the same commands and
+keep the same belief, counters and events.  The other tests call
+:func:`decide` directly, and check the declared PCA scenario's decision
+rules against it.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from hypothesis import strategies as st
 from supervisor_reference import ReferencePCASupervisor, SupervisorDecision
 
 from repro.core.pca import (
+    DATA_STALENESS_LIMIT_S,
     POLICIES,
     RESPIRATORY_RATE_STOP_THRESHOLD,
     RESUME_HOLD_TIME_S,
@@ -37,19 +40,10 @@ TOPICS = ("spo2", "heart_rate", "respiratory_rate")
 COMMAND = {SupervisorDecision.STOP_PUMP: "stop", SupervisorDecision.RESUME_PUMP: "resume"}
 
 
-class _QoS:
-    def __init__(self):
-        self.stale = frozenset()
-
-    def is_stale(self, topic):
-        return topic in self.stale
-
-
 class _Host:
     """Records commands; each one is issued or denied as scripted."""
 
     def __init__(self, outcomes):
-        self.qos = _QoS()
         self.outcomes = list(outcomes)
         self.commands = []
 
@@ -60,7 +54,8 @@ class _Host:
 
 
 class _Message:
-    sent_at = delivered_at = 0.0
+    def __init__(self, delivered_at):
+        self.sent_at = self.delivered_at = delivered_at
 
 
 def state(supervisor, events):
@@ -75,52 +70,58 @@ vitals = st.one_of(
                      44.0, 45.0, 7.9, 8.0, 12.0, 0.0, math.nan)),
     st.floats(0.0, 120.0),
 )
-deliveries = st.tuples(st.just("deliver"), st.sampled_from(TOPICS), st.booleans(), vitals)
-# A step ``dt`` after the last one, with this stale set.  Steps of 2 s walk
-# the trend window; 300 s lands exactly on the resume hold.
-steps = st.tuples(
-    st.just("step"),
-    st.one_of(st.sampled_from((0.0, 2.0, 10.0, 28.0, 100.0, RESUME_HOLD_TIME_S)),
-              st.floats(0.0, 400.0)),
-    st.frozensets(st.sampled_from(TOPICS)),
+# Each operation first advances the clock by its ``dt``.  Delivery gaps
+# straddle the staleness limit; step times land on and around the start-up
+# grace (28 + 2 = 30); 2 s steps walk the trend window; 300 s lands exactly
+# on the resume hold.
+gaps = st.one_of(
+    st.sampled_from((0.0, 0.5, 2.0, 10.0, DATA_STALENESS_LIMIT_S - 1.0, DATA_STALENESS_LIMIT_S,
+                     DATA_STALENESS_LIMIT_S + 1.0, 28.0, STARTUP_GRACE_S, 100.0, RESUME_HOLD_TIME_S)),
+    st.floats(0.0, 400.0),
 )
+deliveries = st.tuples(st.just("deliver"), gaps, st.sampled_from(TOPICS), st.booleans(), vitals)
+steps = st.tuples(st.just("step"), gaps)
 operations = st.lists(st.one_of(deliveries, steps), max_size=60)
 
-_STOP_AND_RECOVER = [
-    ("step", 40.0, frozenset()),
-    ("deliver", "spo2", True, 88.0),
-    ("step", 2.0, frozenset()),
-    ("deliver", "spo2", True, 97.0),
-    ("step", 2.0, frozenset()),
-    ("step", RESUME_HOLD_TIME_S, frozenset()),
-]
+
+def _deliver_all(dt, spo2):
+    return [("deliver", dt, "spo2", True, spo2), ("deliver", 0.0, "heart_rate", True, 75.0),
+            ("deliver", 0.0, "respiratory_rate", True, 14.0)]
+
+
+_STOP_AND_RECOVER = [*_deliver_all(40.0, 88.0), ("step", 0.0), *_deliver_all(2.0, 97.0), ("step", 0.0)]
+# The pump is resumed only if every topic stays fresh through the hold.
+_HOLD = [step for _ in range(int(RESUME_HOLD_TIME_S / 10.0))
+         for step in (*_deliver_all(10.0, 97.0), ("step", 0.0))]
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from(POLICIES), st.booleans(), operations, st.lists(st.booleans(), max_size=8))
 # The resume fires exactly when the hold has elapsed, and again after a
 # denied resume restarted the hold.
-@example("fused", True,
-         _STOP_AND_RECOVER + [("step", 2.0, frozenset()), ("step", RESUME_HOLD_TIME_S, frozenset())],
-         [True, False, True])
+@example("fused", True, _STOP_AND_RECOVER + _HOLD + [("step", 2.0)] + _HOLD, [True, False, True])
+# Topics delivered exactly the staleness limit ago are still fresh; one
+# never delivered is not stale at the end of the start-up grace.
+@example("threshold", True,
+         [*_deliver_all(10.0, 97.0), ("step", DATA_STALENESS_LIMIT_S)], [])
+@example("threshold", True,
+         [("deliver", 20.0, "spo2", True, 97.0), ("deliver", 0.0, "heart_rate", True, 75.0),
+          ("step", STARTUP_GRACE_S - 20.0), ("step", 2.0)], [])
 def test_supervisor_matches_pre_refactor_oracle(policy, capnograph, sequence, outcomes):
     supervisor = PCASafetySupervisor("app", "pump-1", policy=policy, use_capnograph=capnograph)
     reference = ReferencePCASupervisor("app", "pump-1", policy, capnograph)
     for app in (supervisor, reference):
         app.host = _Host(outcomes)
     assert supervisor.subscriptions == reference.subscriptions
-    assert supervisor.qos_contracts == reference.qos_contracts
     now = 0.0
     for operation in sequence:
+        now += operation[1]
         if operation[0] == "deliver":
-            _, topic, valid, value = operation
+            _, _, topic, valid, value = operation
             for app in (supervisor, reference):
-                app.on_data(topic, Reading(value, valid, now), _Message())
+                app.on_data(topic, Reading(value, valid, now), _Message(now))
         else:
-            _, dt, stale = operation
-            now += dt
             for app in (supervisor, reference):
-                app.host.qos.stale = stale
                 app.step(now)
             assert state(supervisor, [(e.time, e.command, e.reason) for e in supervisor.events]) == state(
                 reference, [(e.time, COMMAND[e.decision], e.reason) for e in reference.events])
