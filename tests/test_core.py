@@ -152,6 +152,64 @@ class TestPCASafetySupervisorLogic:
         assert supervisor.pump_stopped
         assert supervisor.events[0].reason == "stale data on respiratory_rate"
 
+    @pytest.mark.parametrize("silent", ["spo2", "heart_rate", "respiratory_rate"])
+    def test_each_required_topic_going_silent_stops_naming_it(self, silent):
+        supervisor, host = make_supervisor()
+        vitals = dict(spo2=98.0, heart_rate=75.0, respiratory_rate=14.0)
+        feed(supervisor, 10.0, **vitals)
+        feed(supervisor, 20.0, **{topic: value for topic, value in vitals.items() if topic != silent})
+        supervisor.step(10.0 + DATA_STALENESS_LIMIT_S)
+        assert not supervisor.pump_stopped
+        supervisor.step(10.5 + DATA_STALENESS_LIMIT_S)
+        assert supervisor.events[0].reason == f"stale data on {silent}"
+
+    def test_every_silent_topic_is_named_in_sorted_order(self):
+        supervisor, host = make_supervisor()
+        feed(supervisor, 10.0, spo2=98.0, heart_rate=75.0, respiratory_rate=14.0)
+        supervisor.step(26.0)
+        assert supervisor.events[0].reason == "stale data on heart_rate, respiratory_rate, spo2"
+
+    def test_freshness_runs_from_the_delivery_not_the_sample_time(self):
+        # A sample taken at 0 s that arrives at 20 s is fresh until 35 s.
+        supervisor, host = make_supervisor()
+
+        class _Message:
+            sent_at = 20.0
+            delivered_at = 20.0
+
+        supervisor.on_data("respiratory_rate", Reading(14.0, True, 0.0), _Message())
+        feed(supervisor, 35.0, spo2=98.0, heart_rate=75.0)
+        supervisor.step(35.0)
+        assert not supervisor.pump_stopped
+        supervisor.step(35.5)
+        assert supervisor.events[0].reason == "stale data on respiratory_rate"
+
+    def test_an_invalid_reading_still_freshens_its_topic(self):
+        # Freshness says the link works; validity is judged separately.
+        supervisor, host = make_supervisor()
+
+        class _Message:
+            sent_at = 40.0
+            delivered_at = 40.0
+
+        supervisor.on_data("respiratory_rate", Reading(0.0, False, 40.0), _Message())
+        feed(supervisor, 40.0, spo2=98.0, heart_rate=75.0)
+        supervisor.step(40.0)
+        assert host.commands == []
+
+    def test_an_unsubscribed_topic_neither_freshens_nor_goes_stale(self):
+        supervisor, host = make_supervisor()
+        assert "pump_status" not in supervisor.subscriptions
+
+        class _Message:
+            sent_at = 40.0
+            delivered_at = 40.0
+
+        supervisor.on_data("pump_status", Reading(1.0, True, 40.0), _Message())
+        feed(supervisor, 40.0, spo2=98.0, heart_rate=75.0)
+        supervisor.step(40.0)
+        assert supervisor.events[0].reason == "stale data on respiratory_rate"
+
     def test_another_apps_deliveries_do_not_freshen_a_lost_downlink(self):
         # A second app on the supervisor's host subscribes to the same
         # vitals.  Cutting only the supervisor's own downlink must still

@@ -214,6 +214,29 @@ class TestDeviceRegistry:
         reasons = requirement.unmet_reasons(descriptor)
         assert any("capability" in reason for reason in reasons)
 
+    @pytest.mark.parametrize("overrides, requirement, unmet", [
+        ({}, DeviceRequirement(role="pump", device_type="pca_pump", required_topics=("pump_status",),
+                               required_commands=("stop", "resume"), required_capabilities=("infusion",),
+                               max_risk_class="II"), None),
+        ({"device_type": "syringe_pump"}, DeviceRequirement(role="pump", device_type="pca_pump"), "type"),
+        ({"published_topics": ()}, DeviceRequirement(role="pump", required_topics=("pump_status",)),
+         "missing published topic 'pump_status'"),
+        ({"accepted_commands": ("stop",)}, DeviceRequirement(role="pump", required_commands=("resume",)),
+         "missing accepted command 'resume'"),
+        ({"capabilities": ()}, DeviceRequirement(role="pump", required_capabilities=("infusion",)),
+         "missing capability 'infusion'"),
+        ({"risk_class": "III"}, DeviceRequirement(role="pump", max_risk_class="II"), "risk class III exceeds II"),
+        ({"risk_class": "I"}, DeviceRequirement(role="pump", max_risk_class="I"), None),
+    ], ids=["all-met", "type", "topic", "command", "capability", "risk-above", "risk-at-limit"])
+    def test_satisfied_exactly_when_no_reason_is_unmet(self, overrides, requirement, unmet):
+        descriptor = self._descriptor(**overrides)
+        reasons = requirement.unmet_reasons(descriptor)
+        assert requirement.is_satisfied_by(descriptor) is (unmet is None)
+        if unmet is None:
+            assert reasons == []
+        else:
+            assert len(reasons) == 1 and unmet in reasons[0]
+
 
 class TestClockSync:
     def test_clocks_drift_without_sync(self):
@@ -333,6 +356,23 @@ class TestSupervisorHost:
                          for name, published_at, delivered_at in app.deliveries if name == topic]
             assert latencies == pytest.approx([end_to_end] * 5)
 
+    def test_two_apps_on_one_host_each_receive_every_sample(self):
+        # The host subscribes each app's own handler: a second app on the
+        # same topics neither takes deliveries from the first nor doubles them.
+        simulator = Simulator()
+        bus = DeviceBus(simulator, BusConfig())
+        device = _StatusDevice()
+        bus.attach_device(device)
+        simulator.register(device)
+        host = SupervisorHost(bus)
+        first, second = _StatusApp("status-app-1"), _StatusApp("status-app-2")
+        host.attach_app(first)
+        host.attach_app(second)
+        simulator.register(host)
+        simulator.run(until=5.5)
+        assert len(first.deliveries) == 15
+        assert first.deliveries == second.deliveries
+
 
 class _StatusDevice(MedicalDevice):
     """Publishes an invalid status sample, a count and a clock value every second."""
@@ -357,8 +397,8 @@ class _StatusApp(SupervisorApp):
     subscriptions = ("status", "count", "tick")
     step_period_s = 10.0
 
-    def __init__(self):
-        super().__init__("status-app")
+    def __init__(self, app_id="status-app"):
+        super().__init__(app_id)
         self.deliveries = []
 
     def on_data(self, topic, payload, message):
