@@ -212,11 +212,11 @@ class MedicalDevice(Process):
         """
         if self.crashed:
             return
-        if not self.descriptor.publishes(topic):
+        if topic not in self.descriptor.published_topics:
             raise ValueError(
                 f"device {self.descriptor.device_id!r} tried to publish undeclared topic {topic!r}"
             )
-        now = self.now
+        now = (self._simulator or self.simulator).now  # Process.now, inlined
         bus = self._bus
         if bus is not None:
             bus.publish(self.descriptor.device_id, topic, value, valid, now)

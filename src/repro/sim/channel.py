@@ -14,7 +14,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from types import MappingProxyType
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.obs.metrics import channel_instruments
 from repro.sim.kernel import Simulator
@@ -83,6 +84,10 @@ class ChannelConfig:
             )
 
 
+#: The dispatch table of every channel with no subscriber: shared, read-only.
+_NO_HANDLERS = MappingProxyType({None: ()})
+
+
 class Channel:
     """A lossy, delaying message channel.
 
@@ -101,6 +106,9 @@ class Channel:
     mean/max latency) are the channel's one latency record, kept for the
     delay-budget analyses in :mod:`repro.core.delays`; a caller that needs
     each message's latency subscribes and reads ``delivered_at - sent_at``.
+    Dispatch is one lookup per message in a table rebuilt on (un)subscribe:
+    topic -> its handlers in subscription order (key None: all-topic ones).
+    A handler's (un)subscribe mid-batch applies from the batch's next message.
 
     A config that demands randomness (jitter or loss) without an ``rng`` is
     rejected at construction time: silently degrading to a deterministic
@@ -134,7 +142,7 @@ class Channel:
         self.config = config
         self._rng = rng
         self._subscribers: List[Tuple[Optional[str], Callable[[Message], None]]] = []
-        self._snapshot: Tuple[Tuple[Optional[str], Callable[[Message], None]], ...] = ()
+        self._dispatch: Mapping[Optional[str], Tuple[Callable[[Message], None], ...]] = _NO_HANDLERS
         self._sequence = itertools.count()
         self._outages: List[Tuple[float, float]] = []
         # Set when a channel_outage fault is planned against this link, so
@@ -170,11 +178,17 @@ class Channel:
     def subscribe(self, handler: Callable[[Message], None], topic: Optional[str] = None) -> None:
         """Register ``handler`` for every message (or only ``topic`` if given)."""
         self._subscribers.append((topic, handler))
-        self._snapshot = tuple(self._subscribers)
+        self._rebuild_dispatch()
 
     def unsubscribe(self, handler: Callable[[Message], None]) -> None:
         self._subscribers = [(t, h) for t, h in self._subscribers if h is not handler]
-        self._snapshot = tuple(self._subscribers)
+        self._rebuild_dispatch()
+
+    def _rebuild_dispatch(self) -> None:
+        subscribers = self._subscribers
+        # dict.fromkeys, not a set: the order must not depend on hashing.
+        self._dispatch = {key: tuple(h for t, h in subscribers if t is None or t == key)
+                          for key in dict.fromkeys([None] + [t for t, _ in subscribers])}
 
     # ---------------------------------------------------------------- outages
     def add_outage(self, start: float, end: float) -> None:
@@ -190,9 +204,10 @@ class Channel:
         self._outages.append((start, end))
 
     def in_outage(self, time: float) -> bool:
-        if not self._outages:
-            return False
-        return any(start <= time < end for start, end in self._outages)
+        for start, end in self._outages:
+            if start <= time < end:
+                return True
+        return False
 
     @property
     def deterministic(self) -> bool:
@@ -222,10 +237,8 @@ class Channel:
         """
         now = self.simulator.now
         self._sent += 1
-        # Inlined guards: the common case (no outages, no loss, no jitter)
-        # must not pay method calls per message on the hottest messaging
-        # path.  The loud _require_rng failure on mutated configs is
-        # preserved.  Loss is only sampled outside an outage window.
+        # Inlined guards: the common case (no outages, loss or jitter) pays
+        # no method call.  Loss is only sampled outside an outage window.
         config = self.config
         obs = self._obs
         if obs is not None:
@@ -313,10 +326,8 @@ class Channel:
                    for batch in self._pending.values() for message in batch)
 
     def _require_rng(self):
-        # The constructor rejects random configs without an rng; this can
-        # only trip if the config was mutated after construction.  Raising
-        # beats the old silent fallback, which quietly ran loss/jitter
-        # experiments on a deterministic link.
+        # The constructor rejects random configs without an rng; this trips
+        # only on a config mutated after construction.
         rng = self._rng
         if rng is None:
             raise ValueError(
@@ -326,45 +337,36 @@ class Channel:
         return rng
 
     def _deliver_batch(self) -> None:  # repro-lint: hot
-        # The kernel fires this event at exactly the pending key's time (the
-        # queue entry and the key are the same float object), so `now` IS the
-        # batch key — no per-schedule closure needed to carry it.  Pop before
-        # draining: a handler that sends another zero-remaining-latency
-        # message for this same instant must get a fresh kernel event
-        # (scheduled at now, running after this one), exactly as it did when
-        # every message had its own event.
-        batch = self._pending.pop(self.simulator.now)
+        # `now` IS the batch key: the kernel fires this event at exactly that
+        # float.  Pop before draining: a handler's zero-latency send for this
+        # instant must get a fresh event, run after this one.
+        now = self.simulator.now
+        batch = self._pending.pop(now)
         size = len(batch)
+        obs = self._obs
         if size > self.max_batch:
             self.max_batch = size
         if size > 1:
             self.coalesced_ticks += 1
-            obs = self._obs
             if obs is not None:
                 obs.coalesced_ticks.value += 1
                 obs.max_batch.set_max(size)
-        deliver = self._deliver
+        sequence = self._sequence
         for message in batch:
-            deliver(message)
-
-    def _deliver(self, message: Message) -> None:  # repro-lint: hot
-        now = self.simulator.now
-        message.delivered_at = now
-        if message.sequence < 0:
-            message.sequence = next(self._sequence)
-        self.delivered += 1
-        latency = now - message.sent_at
-        self._latency_sum += latency
-        if latency > self._latency_max:
-            self._latency_max = latency
-        obs = self._obs
-        if obs is not None:
-            obs.delivered.value += 1
-            obs.latency.observe(latency)
-        # Iterate a pre-built snapshot (updated on (un)subscribe) so handlers
-        # mutating subscriptions cannot disturb the in-flight delivery.
-        for topic, handler in self._snapshot:
-            if topic is None or topic == message.topic:
+            message.delivered_at = now
+            if message.sequence < 0:
+                message.sequence = next(sequence)
+            self.delivered += 1
+            latency = now - message.sent_at
+            self._latency_sum += latency
+            if latency > self._latency_max:
+                self._latency_max = latency
+            if obs is not None:
+                obs.delivered.value += 1
+                obs.latency.observe(latency)
+            # Read per message: an (un)subscribe applies from the next one on.
+            dispatch = self._dispatch
+            for handler in dispatch[message.topic if message.topic in dispatch else None]:
                 handler(message)
 
     # ------------------------------------------------------------- statistics

@@ -15,7 +15,8 @@ its own sequence number and fires exactly where its own event would have.
 The simulator tracks the live (queued, not cancelled) event and task count
 incrementally, which keeps :meth:`Simulator.pending` O(1) and lets
 :meth:`Simulator.peek` lazily discard cancelled heads instead of scanning
-the queue.
+the queue.  The clock, ``Simulator.now``, is a plain attribute (every send
+and sample reads it) that only the kernel writes, and never backwards.
 """
 
 from __future__ import annotations
@@ -51,14 +52,13 @@ class Event:
         sequence: int,
         callback: Callable[[], None],
         name: str = "",
-        cancelled: bool = False,
     ) -> None:
         self.time = time
         self.priority = priority
         self.sequence = sequence
         self.callback = callback
         self.name = name
-        self.cancelled = cancelled
+        self.cancelled = False
         self._sim: Optional["Simulator"] = None
         self._in_queue = False
 
@@ -121,7 +121,8 @@ class Simulator:
     """
 
     def __init__(self, start_time: float = 0.0) -> None:
-        self._now = float(start_time)
+        #: Current simulated time in seconds; only the kernel writes it.
+        self.now = float(start_time)
         self._queue: List[_QueueEntry] = []
         self._sequence = itertools.count()
         self._running = False
@@ -139,11 +140,6 @@ class Simulator:
         self._profiler = None
 
     # ------------------------------------------------------------------ time
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
-
     @property
     def event_count(self) -> int:
         """Number of events executed so far (useful for cost accounting)."""
@@ -165,7 +161,7 @@ class Simulator:
         # Inlined push (rather than delegating to schedule_at): this is the
         # single hottest call in every simulation.  delay >= 0 makes the
         # past-check redundant; only finiteness can still fail.
-        time = self._now + delay
+        time = self.now + delay
         if not math.isfinite(time):
             raise SimulationError(f"cannot schedule event at non-finite time {time!r}")
         sequence = next(self._sequence)
@@ -193,9 +189,9 @@ class Simulator:
         """Schedule ``callback`` at absolute simulated ``time``."""
         if not math.isfinite(time):
             raise SimulationError(f"cannot schedule event at non-finite time {time!r}")
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule event in the past (now={self._now}, requested={time})"
+                f"cannot schedule event in the past (now={self.now}, requested={time})"
             )
         time = float(time)
         sequence = next(self._sequence)
@@ -228,12 +224,12 @@ class Simulator:
         as its last act.  Every firing counts as one event.
         """
         task = PeriodicTask(self, period, callback, name=name)
-        first = self._now + period if start is None else start
+        first = self.now + period if start is None else start
         if not math.isfinite(first):
             raise SimulationError(f"cannot schedule event at non-finite time {first!r}")
-        if first < self._now:
+        if first < self.now:
             raise SimulationError(
-                f"cannot schedule event in the past (now={self._now}, requested={first})"
+                f"cannot schedule event in the past (now={self.now}, requested={first})"
             )
         self._enqueue(task, float(first))
         return task
@@ -280,8 +276,10 @@ class Simulator:
         """
         if self._running:
             raise SimulationError("simulator is already running")
-        if until is not None and math.isnan(until):
-            raise SimulationError("cannot run until a NaN time")
+        if until is not None and not until >= self.now:
+            raise SimulationError(f"cannot run until {until!r}: NaN, or before now={self.now!r}")
+        if until == math.inf:
+            until = None  # no bound: the clock stays at the last event
         self._running = True
         self._stopped = False
         queue = self._queue
@@ -298,7 +296,7 @@ class Simulator:
         metrics = self._metrics
         if metrics is not None:
             fired_before = self._event_count
-            sim_before = self._now
+            sim_before = self.now
             wall_before = perf_counter()
         try:
             while queue:
@@ -309,7 +307,7 @@ class Simulator:
                 entry = queue[0]
                 time = entry[0]
                 if time > time_bound:
-                    self._now = until
+                    self.now = until
                     break
                 pop(queue)
                 item = entry[3]
@@ -318,7 +316,7 @@ class Simulator:
                     if item.cancelled:
                         continue
                     self._live -= 1
-                    self._now = time
+                    self.now = time
                     self._event_count += 1
                     if profiler is None:
                         item.callback()
@@ -330,7 +328,7 @@ class Simulator:
                 # next task) to stop(), max_events, or any entry that sorts
                 # before that task, e.g. an event a callback scheduled now.
                 # A cancelled task is passed over under the same checks.
-                self._now = time
+                self.now = time
                 self._firing = item
                 tasks = item.tasks
                 index = item.head
@@ -370,8 +368,8 @@ class Simulator:
                 self._firing = None
                 self._park(item)
             else:
-                if until is not None and self._now < until:
-                    self._now = until
+                if until is not None and self.now < until:
+                    self.now = until
         finally:
             self._running = False
             firing = self._firing
@@ -381,9 +379,9 @@ class Simulator:
                 self._park(firing)
             if metrics is not None:
                 metrics.flush_run(self._event_count - fired_before,
-                                  self._now - sim_before,
+                                  self.now - sim_before,
                                   perf_counter() - wall_before)
-        return self._now
+        return self.now
 
     def step(self) -> bool:
         """Execute exactly one pending event.  Returns False if none remain.
@@ -487,7 +485,7 @@ class PeriodicTask:
         self._simulator = simulator
         self.period = period
         self.name = name
-        self._event: Optional[Event] = Event(math.nan, 0, -1, callback, name)
+        self._event = Event(math.nan, 0, -1, callback, name)
         self._event._sim = simulator
         self._cancelled = False
         self.run_count = 0
@@ -498,8 +496,7 @@ class PeriodicTask:
         A callback already running is not interrupted.
         """
         self._cancelled = True
-        if self._event is not None:
-            self._event.cancel()
+        self._event.cancel()
 
     @property
     def cancelled(self) -> bool:
@@ -535,7 +532,8 @@ class Process:
 
     @property
     def now(self) -> float:
-        return self.simulator.now
+        # One read of the bound simulator's clock; unbound, the property raises.
+        return (self._simulator or self.simulator).now
 
     def after(self, delay: float, callback: Callable[[], None], **kwargs: Any) -> Event:
         return self.simulator.schedule(delay, callback, name=f"{self.name}:{callback.__name__}", **kwargs)

@@ -59,5 +59,5 @@ class ReferenceSimulator(Simulator):
         if period <= 0:
             raise SimulationError(f"period must be positive, got {period!r}")
         task = ReferencePeriodicTask(self, period, callback, name=name)
-        task.start(self._now + period if start is None else start)
+        task.start(self.now + period if start is None else start)
         return task

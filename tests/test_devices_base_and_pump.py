@@ -6,7 +6,7 @@ from repro.devices.base import DeviceDescriptor, DeviceState, MedicalDevice
 from repro.devices.pca_pump import PCAPrescription, PCAPump
 from repro.patient.model import PatientModel
 from repro.readings import Reading
-from repro.sim.kernel import Simulator
+from repro.sim.kernel import SimulationError, Simulator
 from repro.sim.trace import TraceRecorder
 
 
@@ -84,6 +84,14 @@ class TestMedicalDeviceCommandsAndPublish:
         assert published == [("data", Reading(1, True, 0.0))]
         with pytest.raises(ValueError):
             device.publish_reading("undeclared", 1)
+
+    def test_unbound_device_cannot_publish(self):
+        device = MedicalDevice(make_descriptor())
+        published = []
+        device.attach_publisher(lambda topic, payload: published.append(topic))
+        with pytest.raises(SimulationError, match="not bound"):
+            device.publish_reading("data", 1)
+        assert published == []
 
     def test_crashed_device_does_not_publish(self):
         device = MedicalDevice(make_descriptor())

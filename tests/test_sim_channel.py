@@ -141,6 +141,89 @@ class TestDelivery:
         assert (channel.sent, channel.dropped, channel.delivered) == (2, 1, 0)
 
 
+class TestDispatch:
+    """Which handlers a delivered message reaches, and in what order."""
+
+    def _recorder(self, calls, label):
+        return lambda message: calls.append((label, message.payload))
+
+    def test_all_topic_and_per_topic_handlers_run_in_subscription_order(self, sim):
+        channel = make_channel(sim)
+        calls = []
+        channel.subscribe(self._recorder(calls, "all-1"))
+        channel.subscribe(self._recorder(calls, "spo2-1"), topic="spo2")
+        channel.subscribe(self._recorder(calls, "hr"), topic="hr")
+        channel.subscribe(self._recorder(calls, "all-2"), topic=None)
+        channel.subscribe(self._recorder(calls, "spo2-2"), topic="spo2")
+        for topic in ("spo2", "hr", "rr"):
+            channel.send("ox", topic, topic)
+        sim.run()
+        assert calls == [
+            ("all-1", "spo2"), ("spo2-1", "spo2"), ("all-2", "spo2"), ("spo2-2", "spo2"),
+            ("all-1", "hr"), ("hr", "hr"), ("all-2", "hr"),
+            ("all-1", "rr"), ("all-2", "rr"),
+        ]
+
+    def test_a_handler_subscribed_twice_runs_twice(self, sim):
+        channel = make_channel(sim)
+        calls = []
+        handler = self._recorder(calls, "h")
+        channel.subscribe(handler, topic="spo2")
+        channel.subscribe(handler)
+        channel.send("ox", "spo2", 1)
+        channel.send("ox", "hr", 2)
+        sim.run()
+        assert calls == [("h", 1), ("h", 1), ("h", 2)]
+        channel.unsubscribe(handler)
+        channel.send("ox", "spo2", 3)
+        sim.run()
+        assert calls == [("h", 1), ("h", 1), ("h", 2)]
+
+    def test_subscribing_mid_batch_reaches_the_next_message_on(self, sim):
+        channel = make_channel(sim, latency_s=0.5)
+        calls = []
+        late_all = self._recorder(calls, "late-all")
+        late_spo2 = self._recorder(calls, "late-spo2")
+
+        def first(message):
+            calls.append(("first", message.payload))
+            if message.payload == 1:
+                channel.subscribe(late_all)
+                channel.subscribe(late_spo2, topic="spo2")
+
+        channel.subscribe(first)
+        for payload in (1, 2, 3):
+            channel.send("ox", "spo2", payload)
+        sim.run()
+        assert channel.max_batch == 3 and channel.coalesced_ticks == 1
+        assert calls == [
+            ("first", 1),
+            ("first", 2), ("late-all", 2), ("late-spo2", 2),
+            ("first", 3), ("late-all", 3), ("late-spo2", 3),
+        ]
+
+    def test_unsubscribing_mid_batch_stops_at_the_next_message(self, sim):
+        channel = make_channel(sim, latency_s=0.5)
+        calls = []
+        later = self._recorder(calls, "later")
+
+        def first(message):
+            calls.append(("first", message.payload))
+            if message.payload == 1:
+                channel.unsubscribe(later)
+            if message.payload == 2:
+                channel.unsubscribe(first)
+
+        channel.subscribe(first, topic="spo2")
+        channel.subscribe(later, topic="spo2")
+        for payload in (1, 2, 3):
+            channel.send("ox", "spo2", payload)
+        sim.run()
+        assert channel.max_batch == 3
+        # The message being delivered still reaches every handler it started with.
+        assert calls == [("first", 1), ("later", 1), ("first", 2)]
+
+
 class TestLossAndOutages:
     def test_full_loss_drops_everything(self, sim):
         channel = make_channel(sim, loss_probability=1.0, rng=np.random.default_rng(0))

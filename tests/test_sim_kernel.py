@@ -258,6 +258,34 @@ class TestPeriodicTasks:
         simulator.call_every(1.0, lambda: None)
         assert simulator.run(until=math.inf, max_events=10) == 10.0
 
+    def test_run_until_inf_on_a_draining_queue_is_run_to_empty(self, simulator):
+        # An infinite bound is no bound: the clock stays at the last event,
+        # as with until=None, and later scheduling still works.
+        simulator.schedule(3.0, lambda: None)
+        assert simulator.run(until=math.inf) == 3.0
+        assert simulator.now == 3.0
+        simulator.schedule(1.0, lambda: None)
+        assert simulator.run() == 4.0
+
+    @pytest.mark.parametrize("later_event", (True, False))
+    def test_run_until_before_now_rejected(self, simulator, later_event):
+        # The clock never runs backwards, whether or not an event is queued
+        # beyond the bound.
+        simulator.run(until=10.0)
+        fired = []
+        if later_event:
+            simulator.schedule(10.0, lambda: fired.append(simulator.now))
+        with pytest.raises(SimulationError, match="before now"):
+            simulator.run(until=5.0)
+        assert simulator.now == 10.0
+        assert simulator.pending() == int(later_event)
+        simulator.run()
+        assert fired == ([20.0] if later_event else [])
+
+    def test_run_until_now_is_allowed(self, simulator):
+        simulator.run(until=10.0)
+        assert simulator.run(until=10.0) == 10.0
+
 
 class _CountingProcess(Process):
     def __init__(self):
@@ -290,6 +318,17 @@ class TestProcess:
         process = _CountingProcess()
         with pytest.raises(SimulationError):
             _ = process.simulator
+
+    def test_unbound_process_has_no_clock(self):
+        process = _CountingProcess()
+        with pytest.raises(SimulationError, match="'counter' is not bound"):
+            _ = process.now
+
+    def test_process_reads_the_simulator_clock(self, simulator):
+        process = _CountingProcess()
+        simulator.register(process)
+        simulator.run(until=2.5)
+        assert process.now == simulator.now == 2.5
 
     def test_cancel_all_stops_tasks(self, simulator):
         process = _CountingProcess()
