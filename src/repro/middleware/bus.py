@@ -15,17 +15,19 @@ the copy a subscriber gets carries everything end-to-end latency needs.
 One route: a device's sample enters the bus in one call,
 :meth:`DeviceBus.publish`, with its value, validity and time unboxed.  Its
 uplink hop is decided then (:meth:`~repro.sim.channel.Channel.fate`
-applies outages, loss, jitter and the bandwidth cap), so the bus takes the
-subscribers then, builds the sample's :class:`~repro.readings.Reading`
-only if there are any, and queues each copy for its forward instant
+applies outages, loss and jitter), so the bus takes the subscribers then,
+builds the sample's :class:`~repro.readings.Reading` only if there are
+any, and queues each copy for its forward instant
 ``arrival + processing_delay_s``.  A
 :attr:`~repro.sim.channel.Channel.deterministic` downlink gets the copy at
 once through :meth:`~repro.sim.channel.Channel.send_at`; any other downlink
 gets it from the one ``bus:forward`` event of that instant, where it draws
-the copy's fate.  Both take copies in the order they reach the bus: by
-arrival instant, then by the order in which their uplinks' messages first
-reached the bus at that instant (the order of the uplinks' delivery
-batches on the per-message path), then in publish order.
+the copy's fate.  An outage armed against a downlink later takes back its
+copies queued for a forward instant still to come, and the bus forwards
+them from ``bus:forward`` too.  Both take copies in the order they reach
+the bus: by arrival instant, then by the order in which their uplinks'
+messages first reached the bus at that instant (the order of the uplinks'
+delivery batches on the per-message path), then in publish order.
 """
 
 from __future__ import annotations
@@ -132,12 +134,13 @@ class DeviceBus:
     def attach_endpoint(self, endpoint_id: str) -> None:
         """Attach a non-device endpoint (supervisor, logger) for subscriptions."""
         if endpoint_id not in self._downlinks:
-            self._downlinks[endpoint_id] = Channel(
+            downlink = self._downlinks[endpoint_id] = Channel(
                 self.simulator,
                 name=f"downlink:{endpoint_id}",
                 config=self.config.downlink,
                 rng=self._rng,
             )
+            downlink.reroute = self._reroute
 
     def _make_uplink(self, device_id: str) -> Channel:
         if device_id not in self._uplinks:
@@ -252,6 +255,20 @@ class DeviceBus:
         self._ranked[uplink] = order
         return order
 
+    def _reroute(self, downlink: Channel, copies: List[Message]) -> None:
+        """Forward ``copies``, which ``downlink`` took back when an outage was
+        armed against it, from the ``bus:forward`` of their send times, by
+        order key: as if queued there at publish."""
+        self._forwarded -= len(copies)
+        if self._obs is not None:
+            self._obs.forwarded.value -= len(copies)
+        for message in copies:
+            batch = self._pending_forwards.setdefault(message.sent_at, [])
+            if not batch:
+                self.simulator.schedule_at(message.sent_at, self._forward_batch_cb, name="bus:forward")
+            batch.append((message.order, message.sender, message.topic, message.payload, [downlink]))
+            batch.sort(key=lambda forward: forward[0])
+
     def _forward_batch(self) -> None:  # repro-lint: hot
         # The kernel fires this event at exactly the pending key's time, so
         # `now` IS the key.  Pop before sending, as Channel._deliver_batch
@@ -337,12 +354,3 @@ class DeviceBus:
             channel.enqueue(arrival_at, Message(sender_id, command_topic, parameters or {},
                                                self.simulator.now, -1))
         return True
-
-    # ------------------------------------------------------------ statistics
-    def stats(self) -> Dict[str, Any]:
-        return {
-            "published": self.published_count,
-            "forwarded": self.forwarded_count,
-            "uplinks": {name: ch.stats() for name, ch in self._uplinks.items()},
-            "downlinks": {name: ch.stats() for name, ch in self._downlinks.items()},
-        }

@@ -14,7 +14,7 @@ delivery's ``message.delivered_at``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.middleware.bus import DeviceBus
@@ -111,7 +111,6 @@ class _StepTask(PeriodicTask):
             self._event = simulator.schedule_at(next_tick + self.delay, self._tick, name=self.name)
         else:
             self._event = None
-        self.run_count += 1
         self._step(simulator.now)
 
     def cancel(self) -> None:

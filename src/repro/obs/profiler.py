@@ -2,7 +2,7 @@
 
 The kernel stamps ``"<process>:<method>"`` and ``"channel:<link>:deliver"``
 names on its hot paths, and a bus adds ``"bus:forward"`` for copies to a
-downlink with jitter, loss, a bandwidth cap or an outage.  :func:`owner_of`
+downlink with jitter, loss or an outage.  :func:`owner_of`
 maps such a name to its owner; a dispatcher attached with
 :meth:`~repro.sim.kernel.Simulator.attach_profiler` uses it to charge each
 event to a device, channel or middleware component.

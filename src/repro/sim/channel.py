@@ -41,12 +41,6 @@ class Message:
     delivered_at: Optional[float] = None
     order: Optional[Tuple[float, int]] = field(default=None, compare=False, repr=False)
 
-    @property
-    def latency(self) -> Optional[float]:
-        if self.delivered_at is None:
-            return None
-        return self.delivered_at - self.sent_at
-
 
 @dataclass
 class ChannelConfig:
@@ -58,15 +52,11 @@ class ChannelConfig:
         Half-width of a uniform jitter added to the latency.
     loss_probability:
         Probability that an individual message is silently dropped.
-    bandwidth_msgs_per_s:
-        If set, messages are additionally serialised at this rate
-        (models a shared low-bandwidth medical device bus).
     """
 
     latency_s: float = 0.05
     jitter_s: float = 0.0
     loss_probability: float = 0.0
-    bandwidth_msgs_per_s: Optional[float] = None
 
     def validate(self) -> None:
         # A NaN passes every ``< 0`` test, so bounds are checked as
@@ -77,11 +67,6 @@ class ChannelConfig:
             raise ValueError(f"jitter_s must be finite and non-negative, got {self.jitter_s!r}")
         if not 0.0 <= self.loss_probability <= 1.0:
             raise ValueError("loss_probability must be within [0, 1]")
-        bandwidth = self.bandwidth_msgs_per_s
-        if bandwidth is not None and not (math.isfinite(bandwidth) and bandwidth > 0):
-            raise ValueError(
-                f"bandwidth_msgs_per_s must be finite and positive when set, got {bandwidth!r}"
-            )
 
 
 #: The dispatch table of every channel with no subscriber: shared, read-only.
@@ -98,14 +83,12 @@ class Channel:
     its per-tick queue, and the event drains the queue in FIFO send order.
     On the zero-jitter fast path (fixed latency, multi-topic device ticks)
     this halves-or-better the kernel events per sample without reordering
-    any deliveries within a channel; :attr:`coalesced_ticks` and
-    :attr:`max_batch` stream how often and how large those shared ticks
-    are.  A message is delivered in place: the record :meth:`send` returns
-    is the object handlers receive, and delivery stamps its
-    ``delivered_at``.  Streaming statistics (sent/delivered/dropped counts,
-    mean/max latency) are the channel's one latency record, kept for the
-    delay-budget analyses in :mod:`repro.core.delays`; a caller that needs
-    each message's latency subscribes and reads ``delivered_at - sent_at``.
+    any deliveries within a channel.  A message is delivered in place: the
+    record :meth:`send` returns is the object handlers receive, and
+    delivery stamps its ``delivered_at``.  The channel counts sends,
+    deliveries and drops; the :mod:`repro.obs` bundle is its one record of
+    shared ticks and latency, and a caller that needs each message's
+    latency subscribes and reads ``delivered_at - sent_at``.
     Dispatch is one lookup per message in a table rebuilt on (un)subscribe:
     topic -> its handlers in subscription order (key None: all-topic ones).
     A handler's (un)subscribe mid-batch applies from the batch's next message.
@@ -116,9 +99,9 @@ class Channel:
 
     :meth:`send` is :meth:`fate` (the delivery instant, or None for a
     drop) then :meth:`enqueue`.  A :attr:`deterministic` link (no jitter,
-    loss, bandwidth cap, outage window, or outage armed against it by the
-    fault injector, :attr:`outage_armed`) also accepts :meth:`send_at`, a
-    send stamped with a later send time.
+    loss, outage window, or outage armed against it by the fault injector,
+    :attr:`outage_armed`) also accepts :meth:`send_at`, a send stamped with
+    a later send time.
     """
 
     def __init__(
@@ -148,7 +131,9 @@ class Channel:
         # Set when a channel_outage fault is planned against this link, so
         # it counts as non-deterministic before the outage window opens.
         self.outage_armed = False
-        self._busy_until = 0.0
+        # reroute(channel, copies) sends again the send_at copies that
+        # arm_outage takes back; whoever queues them (a device bus) sets it.
+        self.reroute: Optional[Callable[["Channel", List[Message]], None]] = None
         self._deliver_name = f"channel:{name}:deliver"
         # Same-tick coalescing: delivery-time -> FIFO queue of in-flight
         # messages sharing one kernel event.  Keyed by exact float time, so
@@ -162,17 +147,9 @@ class Channel:
         self._sent = 0
         self.delivered: int = 0
         self.dropped: int = 0
-        # Streaming coalescing counters (always on — they cost one compare
-        # per *kernel event*, not per message): how many delivery ticks
-        # carried more than one message, and the largest such batch.
-        self.coalesced_ticks: int = 0
-        self.max_batch: int = 0
         # Registry-backed metrics; None unless repro.obs was enabled when
         # this channel was constructed.
         self._obs = channel_instruments()
-        # Latency statistics stream (count is `delivered`).
-        self._latency_sum = 0.0
-        self._latency_max = 0.0
 
     # ----------------------------------------------------------- subscription
     def subscribe(self, handler: Callable[[Message], None], topic: Optional[str] = None) -> None:
@@ -209,16 +186,38 @@ class Channel:
                 return True
         return False
 
+    def arm_outage(self) -> None:
+        """Mark a ``channel_outage`` planned against this link (:attr:`outage_armed`).
+
+        Each copy :meth:`send_at` queued is settled now: one already sent
+        takes its sequence number, ahead of any later send; one with a send
+        time still to come goes back, uncounted, to :attr:`reroute`, to be
+        sent again then (a batch left empty delivers nothing).
+        """
+        self.outage_armed = True
+        now = self.simulator.now
+        queued = [message for time in sorted(self._pending) for message in self._pending[time]]
+        withdrawn = [message for message in queued if message.sent_at > now]
+        for message in queued:
+            if message.sequence < 0 and message.sent_at <= now:
+                message.sequence = next(self._sequence)
+        if withdrawn:
+            for time, batch in self._pending.items():
+                self._pending[time] = [message for message in batch if message.sent_at <= now]
+            self._sent -= len(withdrawn)
+            if self._obs is not None:
+                self._obs.sent.value -= len(withdrawn)
+            self.reroute(self, withdrawn)
+
     @property
     def deterministic(self) -> bool:
         """Whether every send's delivery time is fixed when it is sent.
 
         Read from the live config on each call, so a config mutated to
-        jitter, loss or a bandwidth cap stops qualifying at once.
+        jitter or loss stops qualifying at once.
         """
         config = self.config
         return (config.jitter_s == 0.0 and config.loss_probability == 0.0
-                and config.bandwidth_msgs_per_s is None
                 and not self._outages and not self.outage_armed)
 
     # ---------------------------------------------------------------- sending
@@ -233,7 +232,7 @@ class Channel:
     def fate(self) -> Optional[float]:  # repro-lint: hot
         """Count one send now; returns its delivery instant, or None if dropped.
 
-        The one place outages, loss, jitter and the bandwidth cap apply.
+        The one place outages, loss and jitter apply.
         """
         now = self.simulator.now
         self._sent += 1
@@ -260,13 +259,7 @@ class Channel:
             latency += self._require_rng().uniform(-config.jitter_s, config.jitter_s)
             if latency < 0.0:
                 latency = 0.0
-        delivery_time = now + latency
-        if config.bandwidth_msgs_per_s is not None:
-            service_time = 1.0 / config.bandwidth_msgs_per_s
-            start_service = max(delivery_time, self._busy_until)
-            delivery_time = start_service + service_time
-            self._busy_until = delivery_time
-        return delivery_time
+        return now + latency
 
     def send_at(  # repro-lint: hot
         self,
@@ -282,8 +275,8 @@ class Channel:
         message is stamped ``sent_at`` and joins the delivery batch at
         ``sent_at + latency_s``, the time a send at ``sent_at`` computes,
         in ``order`` (see :meth:`enqueue`).  It takes its sequence number
-        when it is delivered: on a fixed-latency link, delivery order is
-        send order.
+        when it is delivered (on a fixed-latency link, delivery order is
+        send order), or when an outage is armed (:meth:`arm_outage`).
         """
         message = Message(sender, topic, payload, sent_at, -1, None, order)
         self._sent += 1
@@ -342,28 +335,19 @@ class Channel:
         # instant must get a fresh event, run after this one.
         now = self.simulator.now
         batch = self._pending.pop(now)
-        size = len(batch)
         obs = self._obs
-        if size > self.max_batch:
-            self.max_batch = size
-        if size > 1:
-            self.coalesced_ticks += 1
-            if obs is not None:
-                obs.coalesced_ticks.value += 1
-                obs.max_batch.set_max(size)
+        if obs is not None and len(batch) > 1:
+            obs.coalesced_ticks.value += 1
+            obs.max_batch.set_max(len(batch))
         sequence = self._sequence
         for message in batch:
             message.delivered_at = now
             if message.sequence < 0:
                 message.sequence = next(sequence)
             self.delivered += 1
-            latency = now - message.sent_at
-            self._latency_sum += latency
-            if latency > self._latency_max:
-                self._latency_max = latency
             if obs is not None:
                 obs.delivered.value += 1
-                obs.latency.observe(latency)
+                obs.latency.observe(now - message.sent_at)
             # Read per message: an (un)subscribe applies from the next one on.
             dispatch = self._dispatch
             for handler in dispatch[message.topic if message.topic in dispatch else None]:
@@ -374,32 +358,3 @@ class Channel:
     def sent(self) -> int:
         """Messages sent so far; a :meth:`send_at` counts from its send time."""
         return self._sent - self.queued_after(self.simulator.now)
-
-    @property
-    def loss_rate(self) -> float:
-        sent = self.sent
-        if sent == 0:
-            return 0.0
-        return self.dropped / sent
-
-    @property
-    def mean_latency(self) -> float:
-        if self.delivered == 0:
-            return 0.0
-        return self._latency_sum / self.delivered
-
-    @property
-    def max_latency(self) -> float:
-        return self._latency_max
-
-    def stats(self) -> Dict[str, float]:
-        return {
-            "sent": float(self.sent),
-            "delivered": float(self.delivered),
-            "dropped": float(self.dropped),
-            "loss_rate": self.loss_rate,
-            "mean_latency": self.mean_latency,
-            "max_latency": self.max_latency,
-            "coalesced_ticks": float(self.coalesced_ticks),
-            "max_batch": float(self.max_batch),
-        }

@@ -153,7 +153,7 @@ class FaultInjector:
         self._channels[channel.name] = channel
         if any(spec.kind == "channel_outage" and spec.target == channel.name
                for spec in self._specs):
-            channel.outage_armed = True
+            channel.arm_outage()
 
     def register_device(self, name: str, device: Any) -> None:
         self._devices[name] = device
@@ -166,9 +166,10 @@ class FaultInjector:
         """Register one fault; scheduled now if the injector is already armed.
 
         A ``channel_outage`` marks its target channel
-        (:attr:`~repro.sim.channel.Channel.outage_armed`) at once, or when
+        (:meth:`~repro.sim.channel.Channel.arm_outage`) at once, or when
         the channel is registered: a device bus then stops queueing copies
-        on a marked downlink at publish, so the outage applies to them.
+        on a marked downlink at publish, and takes back those it queued
+        there before, so the outage applies to them.
         Before :meth:`arm` this otherwise only records the spec.  After
         :meth:`arm` the spec is scheduled immediately — previously it was
         silently dropped, the worst possible failure mode for a fault
@@ -176,7 +177,7 @@ class FaultInjector:
         """
         self._specs.append(spec)
         if spec.kind == "channel_outage" and spec.target in self._channels:
-            self._channels[spec.target].outage_armed = True
+            self._channels[spec.target].arm_outage()
         if self._armed:
             self._schedule(spec)
 

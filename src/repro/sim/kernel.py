@@ -127,7 +127,6 @@ class Simulator:
         self._sequence = itertools.count()
         self._running = False
         self._stopped = False
-        self._processes: List["Process"] = []
         self._event_count = 0
         self._live = 0  # queued and not cancelled; kept exact incrementally
         # The instant of every time some periodic task is queued at, and the
@@ -345,7 +344,6 @@ class Simulator:
                     event._in_queue = False
                     self._live -= 1
                     self._event_count += 1
-                    task.run_count += 1
                     if profiler is None:
                         event.callback()
                     else:
@@ -452,13 +450,8 @@ class Simulator:
     # ------------------------------------------------------------- processes
     def register(self, process: "Process") -> None:
         """Attach a process to this simulator and call its ``start`` hook."""
-        self._processes.append(process)
         process.bind(self)
         process.start()
-
-    @property
-    def processes(self) -> List["Process"]:
-        return list(self._processes)
 
 
 class PeriodicTask:
@@ -468,8 +461,7 @@ class PeriodicTask:
     requeues the task ``period`` seconds later, unless the task was cancelled
     meanwhile.  The task keeps one :class:`Event` for its whole life; it
     carries the task's name, callback and current queue position, and is
-    what a profiler's ``dispatch`` receives.  ``run_count`` is the number of
-    times the callback has been called.
+    what a profiler's ``dispatch`` receives.
     """
 
     def __init__(
@@ -488,7 +480,6 @@ class PeriodicTask:
         self._event = Event(math.nan, 0, -1, callback, name)
         self._event._sim = simulator
         self._cancelled = False
-        self.run_count = 0
 
     def cancel(self) -> None:
         """Stop future calls: a queued firing is dropped and none is requeued.

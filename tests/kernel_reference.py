@@ -28,7 +28,6 @@ class ReferencePeriodicTask:
         self.name = name
         self._event: Optional[Event] = None
         self._cancelled = False
-        self.run_count = 0
 
     def start(self, first_time: float) -> None:
         self._event = self._simulator.schedule_at(first_time, self._tick, name=self.name)
@@ -36,7 +35,6 @@ class ReferencePeriodicTask:
     def _tick(self) -> None:
         if self._cancelled:
             return
-        self.run_count += 1
         self._callback()
         if not self._cancelled:
             self._event = self._simulator.schedule(self.period, self._tick, name=self.name)

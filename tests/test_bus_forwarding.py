@@ -6,13 +6,14 @@ any other downlink gets it from the one ``bus:forward`` kernel event of its
 forward instant.  ``bus_reference.ReferenceBus`` keeps the old path (every
 sample is delivered over its uplink, one event per forward, subscribers
 looked up when it fires).  On random topologies, per-link channel configs,
-outage plans, commands and devices' publishes interleaved within an
-instant, and samples valid or not (sent unboxed through
-``publish_reading``, so the production bus builds a ``Reading`` only for a
-routed topic), the two must agree on everything a subscriber or an analysis
-can see: per-endpoint delivery order, sequence numbers and times, handler
-payloads, the forward count, every downlink's statistics, and every
-uplink's sends and drops.  Uplinks deliver commands only.
+outage plans (some added mid-run), commands and devices' publishes
+interleaved within an instant, and samples valid or not (sent unboxed
+through ``publish_reading``, so the production bus builds a ``Reading``
+only for a routed topic), the two must agree on everything a subscriber or
+an analysis can see: per-endpoint delivery order, sequence numbers and
+times, handler payloads, the forward count, every downlink's sends,
+deliveries and drops, and every uplink's sends and drops.  Uplinks deliver
+commands only.
 """
 
 import numpy as np
@@ -80,7 +81,6 @@ channel_configs = st.builds(
     latency_s=st.sampled_from([0.0, 0.003, 0.01, 0.02]),
     jitter_s=st.sampled_from([0.0, 0.0, 0.004]),
     loss_probability=st.sampled_from([0.0, 0.0, 0.2]),
-    bandwidth_msgs_per_s=st.sampled_from([None, None, 40.0, 400.0]),
 )
 
 #: Per-link replacements: deterministic ones (an uplink of its own latency
@@ -90,11 +90,10 @@ deterministic_links = [ChannelConfig(latency_s=0.01), ChannelConfig(latency_s=0.
 link_configs = st.sampled_from(deterministic_links + [
     ChannelConfig(latency_s=0.01, jitter_s=0.004),
     ChannelConfig(latency_s=0.01, loss_probability=0.2),
-    ChannelConfig(latency_s=0.01, bandwidth_msgs_per_s=40.0),
 ])
 
 
-def _scenarios(uplinks, downlinks, links, outage_count):
+def _scenarios(uplinks, downlinks, links, outage_count, late_outage_count):
     return st.fixed_dictionaries({
         "uplink": uplinks,
         "downlink": downlinks,
@@ -111,6 +110,19 @@ def _scenarios(uplinks, downlinks, links, outage_count):
                       st.sampled_from([0.0, 0.5, 1.0, 1.25]),
                       st.sampled_from([0.25, 0.6, 2.0])),
             max_size=outage_count),
+        # Outages a kernel event adds to the armed injector mid-run:
+        # (target, add at, start, duration); a start before the add is
+        # clamped to it.  Each add lands a few ms after a sample instant,
+        # while that instant's copies are still queued for their forward
+        # instants.  No add or start shares an instant with a forward: there
+        # the per-message path drops or keeps a copy by the kernel order of
+        # its per-hop events (test_outage_at_a_forward_instant_follows_kernel_order).
+        "late_outages": st.lists(
+            st.tuples(st.integers(min_value=0, max_value=7),
+                      st.sampled_from([0.502, 1.0125, 1.507]),
+                      st.sampled_from([0.0, 0.502, 1.0125, 1.9]),
+                      st.sampled_from([0.25, 0.6, 2.0])),
+            max_size=late_outage_count),
         "commands": st.lists(st.tuples(st.integers(min_value=0, max_value=3),
                                        st.sampled_from([0.5, 1.0, 1.5])), max_size=3),
         # Extra samples, one kernel event each, at instants the periodic
@@ -129,13 +141,18 @@ def _scenarios(uplinks, downlinks, links, outage_count):
 
 #: Half the examples draw any links and outage plan (mostly with some
 #: ``bus:forward`` traffic); the other half draw deterministic links and no
-#: outage, where every copy is queued at publish.
+#: planned outage, where every copy is queued at publish until an outage
+#: added mid-run takes back a downlink's queued copies.
 scenarios = st.one_of(
-    _scenarios(channel_configs, channel_configs, link_configs, 3),
+    _scenarios(channel_configs, channel_configs, link_configs, 3, 2),
     _scenarios(st.builds(ChannelConfig, latency_s=st.sampled_from([0.003, 0.01, 0.02])),
                st.builds(ChannelConfig, latency_s=st.sampled_from([0.0, 0.003, 0.01, 0.02])),
-               st.sampled_from(deterministic_links), 0),
+               st.sampled_from(deterministic_links), 0, 2),
 )
+
+
+def _counts(channel):
+    return channel.sent, channel.delivered, channel.dropped
 
 
 def _run(bus_class, scenario, until=3.0):
@@ -169,6 +186,10 @@ def _run(bus_class, scenario, until=3.0):
         injector.add(FaultSpec(kind="channel_outage", start=start, duration=duration,
                                target=channels[target % len(channels)].name))
     injector.arm()
+    for target, at, start, duration in scenario["late_outages"]:
+        spec = FaultSpec(kind="channel_outage", start=start, duration=duration,
+                         target=channels[target % len(channels)].name)
+        simulator.schedule_at(at, lambda spec=spec: injector.add(spec))
     for target, at in scenario["commands"]:
         device_id = f"dev-{target % len(devices)}"
         simulator.schedule_at(at, lambda d=device_id: bus.send_command("sup", d, "ping", {"at": d}))
@@ -183,11 +204,11 @@ def _run(bus_class, scenario, until=3.0):
     simulator.run(until=until)
     return {
         "deliveries": deliveries,
-        "downlinks": {name: bus.downlink(name).stats() for name in sorted(deliveries)},
+        "downlinks": {name: _counts(bus.downlink(name)) for name in sorted(deliveries)},
         "published": bus.published_count,
         "forwarded": bus.forwarded_count,
         "pings": [device.pings for device in devices],
-    }, {device.descriptor.device_id: bus.uplink(device.descriptor.device_id).stats()
+    }, {device.descriptor.device_id: _counts(bus.uplink(device.descriptor.device_id))
         for device in devices}, names.names
 
 
@@ -202,14 +223,12 @@ class TestAgainstPerMessageReference:
         forwards = names.count("bus:forward")
         assert forwards <= sum(name.startswith("bus:forward:") for name in reference_names)
         event("some bus:forward" if forwards else "every copy queued at publish")
-        # Uplinks: the same sends, drops and loss rate as the reference;
-        # they deliver the commands a device received, and nothing else.
-        assert {device_id: (stats["sent"], stats["dropped"], stats["loss_rate"])
-                for device_id, stats in uplinks.items()} == {
-            device_id: (stats["sent"], stats["dropped"], stats["loss_rate"])
-            for device_id, stats in reference_uplinks.items()}
-        assert [stats["delivered"] for stats in uplinks.values()] == [
-            float(len(pings)) for pings in observed["pings"]]
+        # Uplinks: the same sends and drops as the reference; they deliver
+        # the commands a device received, and nothing else.
+        assert {device_id: (sent, dropped) for device_id, (sent, _, dropped) in uplinks.items()} == {
+            device_id: (sent, dropped) for device_id, (sent, _, dropped) in reference_uplinks.items()}
+        assert [delivered for _, delivered, _ in uplinks.values()] == [
+            len(pings) for pings in observed["pings"]]
 
 
 def _one_topic_bus(device_count=1, armed="listener", bus_class=DeviceBus, config=None):
@@ -464,6 +483,43 @@ class TestCompiledRoutes:
                 obsm.disable()
         assert totals == [(18, 18, 0), (18, 18, 3)]
 
+    def test_obs_counters_settle_after_a_mid_run_outage(self):
+        # The obs counters count a queued copy at publish; an outage added
+        # while copies are queued takes them back, and each is counted
+        # again when bus:forward sends it.  Once nothing is in flight the
+        # registry agrees with the bus and every channel.
+        was_enabled = obsm.enabled()
+        obsm.enable()
+        obsm.registry().reset()
+        try:
+            simulator, bus, devices = _one_topic_bus(2, armed=None)
+            for endpoint in ("a", "b"):
+                bus.subscribe(endpoint, "t", lambda t, p, m: None)
+            for device in devices:
+                simulator.register(device)
+            injector = FaultInjector(simulator)
+            for channel in bus.channels:
+                injector.register_channel(channel)
+            injector.arm()
+            simulator.schedule_at(2.01, lambda: injector.add(FaultSpec(
+                "channel_outage", start=2.0, duration=1.0, target="downlink:b")))
+            simulator.run(until=4.5)
+            registry = obsm.registry()
+            counts = [sum(getattr(channel, name) for channel in bus.channels)
+                      for name in ("sent", "delivered", "dropped")]
+            observed = [registry.counter(f"channel.{name}").value
+                        for name in ("sent", "delivered", "dropped")]
+            forwarded = (registry.counter("bus.forwarded").value, bus.forwarded_count)
+        finally:
+            obsm.registry().reset()
+            if not was_enabled:
+                obsm.disable()
+        assert observed == counts
+        # Each device's 2.0 sample is forwarded to b at 2.025, inside the
+        # outage [2.0, 3.0), and dropped there.
+        assert bus.downlink("b").dropped == 2
+        assert forwarded == (16, 16)
+
     @pytest.mark.parametrize("register_first", [True, False])
     def test_planned_outage_reroutes_only_a_downlink(self, register_first):
         # However the injector learns of a channel, an outage planned
@@ -497,17 +553,16 @@ class TestCompiledRoutes:
                                "channel:downlink:listener:deliver"]
         assert bus.forwarded_count == 2
 
-    def test_outage_added_mid_run_applies_to_samples_published_after_the_add(self):
+    def test_outage_added_mid_run_applies_to_copies_already_queued(self):
         # Uplink, processing and downlink take 0.25 s each; dev-0 publishes
         # every 0.5 s.  At 0.75 an outage [0.75, 1.75) is added against the
         # downlink.  The sample published at 0.5 is forwarded at 1.0, inside
-        # the window, but its copy was queued at publish, before the add, so
-        # it is delivered; the per-message path drops it.  Copies of samples
-        # published after the add go through bus:forward, where the outage
-        # applies: 1.0 (forwarded at 1.5) is dropped.
+        # the window: its copy was queued at publish, before the add, and
+        # the add takes it back, so it is dropped as on the per-message
+        # path.  So is 1.0 (forwarded at 1.5), which goes through bus:forward.
         config = BusConfig(uplink=ChannelConfig(latency_s=0.25),
                            downlink=ChannelConfig(latency_s=0.25), processing_delay_s=0.25)
-        logs = []
+        runs = []
         for bus_class in (DeviceBus, ReferenceBus):
             simulator = Simulator()
             bus = bus_class(simulator, config)
@@ -522,23 +577,92 @@ class TestCompiledRoutes:
             simulator.schedule_at(0.75, lambda injector=injector: injector.add(FaultSpec(
                 kind="channel_outage", start=0.75, duration=1.0, target="downlink:listener")))
             simulator.run(until=3.0)
-            logs.append([(entry[0], entry[4]) for entry in log])
-        production, reference = logs
-        assert production[0] == (1.25, 1.0)
-        assert production[1:] == reference
-        assert reference[0] == (2.25, 2.0)
+            downlink = bus.downlink("listener")
+            runs.append(([(entry[0], entry[4]) for entry in log],
+                         (downlink.sent, downlink.delivered, downlink.dropped), bus.forwarded_count))
+        production, reference = runs
+        assert production == reference
+        assert reference[0][0] == (2.25, 2.0)
+        assert reference[1][2] == 2
 
-    def test_order_not_pinned_where_downlink_turns_stochastic(self):
+    @pytest.mark.parametrize("until", [1.0, 1.03, 3.0])
+    def test_outage_added_after_a_sample_drops_its_queued_copy(self, until):
+        # A sensor publishes every 0.5 s on the default links (0.02 s up and
+        # down, 0.005 s processing).  At 1.0, after that instant's sample,
+        # an outage [1.0, 1.9) is added against the subscriber's downlink.
+        # The sample's copy was queued at publish for its forward instant
+        # 1.025, inside the window, so it is dropped there, and counts as
+        # sent and dropped from 1.025 on, not from the add.
+        runs = []
+        for bus_class in (DeviceBus, ReferenceBus):
+            simulator = Simulator()
+            bus = bus_class(simulator)
+            device = _Sensor("dev-0", ["t"], period=0.5)
+            bus.attach_device(device)
+            simulator.register(device)
+            log = _publish_log(bus, "sup", "t", simulator)
+            injector = FaultInjector(simulator)
+            for channel in bus.channels:
+                injector.register_channel(channel)
+            injector.arm()
+            simulator.run(until=1.0)
+            injector.add(FaultSpec("channel_outage", start=1.0, duration=0.9, target="downlink:sup"))
+            simulator.run(until=until)
+            downlink = bus.downlink("sup")
+            runs.append(([(entry[0], entry[4]) for entry in log],
+                         (downlink.sent, downlink.delivered, downlink.dropped), bus.forwarded_count))
+        production, reference = runs
+        assert production == reference
+        forwarded_at = [sent_at for _, sent_at in reference[0]]
+        assert (forwarded_at, reference[1]) == {
+            1.0: ([0.525], (1, 1, 0)),
+            1.03: ([0.525], (2, 1, 1)),
+            3.0: ([0.525, 2.025, 2.525], (5, 3, 2)),
+        }[until]
+
+    @pytest.mark.parametrize("armed", [False, True])
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 11: an outage opening at a copy's forward instant drops it on the "
+        "per-message path only if its forward event was scheduled after the fault event"))
+    def test_outage_at_a_forward_instant_follows_kernel_order(self, armed):
+        # No uplink, processing or downlink delay: the sample published at
+        # 0.5 is forwarded at 0.5.  A kernel event at 0.5, scheduled before
+        # the run, adds an outage that is already open.  The per-message
+        # path forwards the sample from an event the uplink's delivery
+        # schedules after that add, so after the fault event, and drops it.
+        # The bus forwarded it at publish and delivers it, whether the
+        # downlink was deterministic or already armed.
+        config = BusConfig(uplink=ChannelConfig(latency_s=0.0),
+                           downlink=ChannelConfig(latency_s=0.0), processing_delay_s=0.0)
+        logs = []
+        for bus_class in (DeviceBus, ReferenceBus):
+            simulator = Simulator()
+            bus = bus_class(simulator, config)
+            device = _Sensor("dev-0", ["t"], period=0.5)
+            bus.attach_device(device)
+            simulator.register(device)
+            log = _publish_log(bus, "sup", "t", simulator)
+            injector = FaultInjector(simulator)
+            for channel in bus.channels:
+                injector.register_channel(channel)
+            if armed:
+                injector.add(FaultSpec("channel_outage", start=1e6, duration=1.0, target="downlink:sup"))
+            injector.arm()
+            simulator.schedule_at(0.5, lambda injector=injector: injector.add(FaultSpec(
+                "channel_outage", start=0.0, duration=0.6, target="downlink:sup")))
+            simulator.run(until=1.0)
+            logs.append([entry[4] for entry in log])
+        production, reference = logs
+        assert reference == [1.0]
+        assert production == reference
+
+    def test_order_kept_where_downlink_turns_stochastic(self):
         # dev-0 and dev-1 publish at 0 and their copies are queued on the
         # listener's deterministic downlink.  Then an outage far in the
         # future is armed against that downlink and dev-0 publishes again
-        # at 0.  That copy goes through bus:forward, and the downlink sends
-        # it at its forward instant, behind the copies already queued; the
-        # reference lets it join dev-0's uplink batch, ahead of dev-1's.
-        # Queued copies keep their place and take their sequence numbers
-        # at delivery, so only that instant's order and sequence numbers
-        # differ: what is delivered, and when, agrees, and from the next
-        # instant on everything does.
+        # at 0.  The add takes the queued copies back into bus:forward,
+        # where the new copy joins them by its order key: it rides dev-0's
+        # uplink batch, ahead of dev-1's, as on the per-message path.
         runs = []
         for bus_class in (DeviceBus, ReferenceBus):
             simulator, bus, devices = _one_topic_bus(2, armed=None, bus_class=bus_class)
@@ -563,18 +687,9 @@ class TestCompiledRoutes:
             simulator.run()
             runs.append(log)
         production, reference = runs
-        assert [(entry[1].value, entry[3]) for entry in reference[:3]] == [
-            ("dev-0:a", 0), ("dev-0:b", 1), ("dev-1:a", 2)]
-        assert [(entry[1].value, entry[3]) for entry in production[:3]] == [
-            ("dev-0:a", 1), ("dev-1:a", 2), ("dev-0:b", 0)]
-
-        def unordered(entries):
-            return sorted((entry[1].value, entry[0], entry[2], entry[4], entry[5])
-                          for entry in entries)
-
-        assert unordered(production[:3]) == unordered(reference[:3])
-        assert production[3:] == reference[3:]
-        assert [entry[1].value for entry in production[3:]] == ["dev-1:c", "dev-0:c"]
+        assert production == reference
+        assert [(entry[1].value, entry[3]) for entry in reference] == [
+            ("dev-0:a", 0), ("dev-0:b", 1), ("dev-1:a", 2), ("dev-1:c", 3), ("dev-0:c", 4)]
 
     def test_arrival_order_map_forgets_past_instants(self):
         # A jittered uplink reaches the bus at a new instant with every

@@ -5,9 +5,10 @@ event whose per-tick queue drains in FIFO send order.  These tests pin:
 
 * the event-count saving itself (one event per coalesced tick),
 * FIFO order within a tick and the new cross-channel grouping semantics,
-* ``latencies``/``stats()`` equivalence with the PR 3 one-event-per-message
-  behaviour (same floats, same order),
-* the jitter (random delivery time) vs zero-jitter paths, and
+* equivalence with one event per message: the same latencies, in the same
+  order, and the same send, delivery and drop counts,
+* the jitter (random delivery time) vs zero-jitter paths,
+* the obs metrics that record coalescing and latency, and
 * hash-seed independence of coalesced delivery order (subprocess check).
 """
 
@@ -20,6 +21,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.obs import metrics as obsm
+from repro.obs.spans import tracer
 from repro.sim.channel import Channel, ChannelConfig
 from repro.sim.kernel import Simulator
 
@@ -36,6 +39,10 @@ def collect_latencies(channel):
     latencies = []
     channel.subscribe(lambda m: latencies.append(m.delivered_at - m.sent_at))
     return latencies
+
+
+def counts(channel):
+    return channel.sent, channel.delivered, channel.dropped
 
 
 class TestEventCoalescing:
@@ -137,22 +144,9 @@ class TestEventCoalescing:
         sim.run()
         assert channel.delivered == 2
 
-    def test_bandwidth_serialisation_unaffected(self):
-        # Bandwidth-limited sends get distinct service slots, so nothing
-        # coalesces and the serialisation timing contract is unchanged.
-        sim = Simulator()
-        channel = make_channel(sim, latency_s=0.0, bandwidth_msgs_per_s=1.0)
-        received = []
-        channel.subscribe(lambda m: received.append(m.delivered_at))
-        for _ in range(3):
-            channel.send("a", "t", 0)
-        assert sim.pending() == 3
-        sim.run()
-        assert received == pytest.approx([1.0, 2.0, 3.0])
-
 
 class TestStatsEquivalence:
-    """Coalescing must not move any latency statistic vs PR 3 behaviour."""
+    """Coalescing moves no latency and no count vs one event per message."""
 
     def test_zero_jitter_stats_match_unbatched_reference(self):
         # Reference: the same five messages sent at five distinct ticks
@@ -172,18 +166,10 @@ class TestStatsEquivalence:
         sim.run()
 
         assert coalesced_latencies == ref_latencies == [0.25] * 5
-        # Latency statistics are identical; only the coalescing counters
-        # (which exist precisely to tell these two schedules apart) differ.
-        coalescing_keys = {"coalesced_ticks", "max_batch"}
-        strip = lambda stats: {k: v for k, v in stats.items()
-                               if k not in coalescing_keys}
-        assert strip(coalesced.stats()) == strip(ref.stats())
-        assert coalesced.stats()["coalesced_ticks"] == 1.0
-        assert coalesced.stats()["max_batch"] == 5.0
-        assert ref.stats()["coalesced_ticks"] == 0.0
-        assert ref.stats()["max_batch"] == 1.0
-        assert coalesced.mean_latency == ref.mean_latency
-        assert coalesced.max_latency == ref.max_latency
+        assert counts(coalesced) == counts(ref) == (5, 5, 0)
+        # Only the schedule differs: one delivery event against five.
+        assert sim.event_count == 1
+        assert sim_ref.event_count == 10
 
     def test_jitter_latencies_match_rng_draw_order(self):
         # With jitter, per-message latencies are sampled in send order
@@ -202,12 +188,10 @@ class TestStatsEquivalence:
         for _ in range(20):
             channel.send("a", "t", 0)
         sim.run()
-        assert channel.delivered == 20
+        assert counts(channel) == (20, 20, 0)
         # Deliveries happen in delivery-time order, so the subscriber sees
         # the sorted rng draws.
         assert latencies == pytest.approx(expected)
-        assert channel.mean_latency == pytest.approx(sum(expected) / 20)
-        assert channel.max_latency == pytest.approx(max(expected))
 
     def test_jitter_coalesces_only_bit_identical_times(self):
         # Random latencies virtually never collide, so the jitter path keeps
@@ -235,19 +219,39 @@ class TestStatsEquivalence:
         assert channel.delivered == 0
 
 
-class TestCoalescingCounters:
-    """The streaming coalesced_ticks / max_batch counters and stats() keys."""
+@pytest.fixture
+def channel_metrics():
+    """Observability on for the channels a test builds; the switch, the
+    registry and the tracer are restored afterwards."""
+    was_enabled = obsm.enabled()
+    obsm.enable()
+    obsm.registry().reset()
+    tracer().reset()
+    try:
+        yield obsm.registry()
+    finally:
+        obsm.registry().reset()
+        tracer().reset()
+        if not was_enabled:
+            obsm.disable()
 
-    def test_counters_start_at_zero(self):
+
+def coalescing_record(registry):
+    """The obs record of shared delivery ticks: (coalesced_ticks, max_batch)."""
+    return (registry.counter("channel.coalesced_ticks").value,
+            registry.gauge("channel.max_batch", agg="max").value)
+
+
+class TestObsCoalescingRecord:
+    """The obs bundle is the channel's one record of coalescing and latency."""
+
+    def test_record_starts_at_zero(self, channel_metrics):
         sim = Simulator()
         channel = make_channel(sim, latency_s=0.05)
-        assert channel.coalesced_ticks == 0
-        assert channel.max_batch == 0
-        stats = channel.stats()
-        assert stats["coalesced_ticks"] == 0.0
-        assert stats["max_batch"] == 0.0
+        channel.send("a", "t", 0)
+        assert coalescing_record(channel_metrics) == (0, 0.0)
 
-    def test_single_message_ticks_never_count_as_coalesced(self):
+    def test_single_message_ticks_never_count_as_coalesced(self, channel_metrics):
         sim = Simulator()
         channel = make_channel(sim, latency_s=0.05)
         channel.subscribe(lambda m: None)
@@ -255,13 +259,12 @@ class TestCoalescingCounters:
             sim.schedule(tick * 1.0, lambda: channel.send("a", "t", 0))
         sim.run()
         assert channel.delivered == 4
-        assert channel.coalesced_ticks == 0
-        assert channel.max_batch == 1
+        assert coalescing_record(channel_metrics) == (0, 0.0)
 
-    def test_counters_track_ticks_and_largest_batch(self):
+    def test_record_tracks_ticks_and_largest_batch(self, channel_metrics):
         sim = Simulator()
         channel = make_channel(sim, latency_s=0.05)
-        channel.subscribe(lambda m: None)
+        latencies = collect_latencies(channel)
         # Tick 1: batch of 3; tick 2: batch of 2; tick 3: single message.
         for _ in range(3):
             channel.send("a", "t", 0)
@@ -269,13 +272,12 @@ class TestCoalescingCounters:
         sim.schedule(2.0, lambda: channel.send("a", "t", 0))
         sim.run()
         assert channel.delivered == 6
-        assert channel.coalesced_ticks == 2
-        assert channel.max_batch == 3
-        stats = channel.stats()
-        assert stats["coalesced_ticks"] == 2.0
-        assert stats["max_batch"] == 3.0
+        assert coalescing_record(channel_metrics) == (2, 3.0)
+        histogram = channel_metrics.histogram("channel.latency_s", obsm.LATENCY_BOUNDS_S)
+        assert histogram.count == channel_metrics.counter("channel.delivered").value == 6
+        assert histogram.sum == sum(latencies)
 
-    def test_max_batch_is_monotone_across_ticks(self):
+    def test_max_batch_is_monotone_across_ticks(self, channel_metrics):
         sim = Simulator()
         channel = make_channel(sim, latency_s=0.05)
         channel.subscribe(lambda m: None)
@@ -283,8 +285,26 @@ class TestCoalescingCounters:
         sim.schedule(1.0, lambda: [channel.send("a", "t", 0) for _ in range(2)])
         sim.run()
         # The later, smaller batch must not shrink the recorded maximum.
-        assert channel.max_batch == 4
-        assert channel.coalesced_ticks == 2
+        assert coalescing_record(channel_metrics) == (2, 4.0)
+
+    def test_jittered_channel_coalesces_only_clamped_draws(self, channel_metrics):
+        # Jitter wider than the latency clamps every negative draw to zero
+        # latency: those messages share the delivery instant "now", and
+        # every other one gets an instant of its own.
+        clamped = sum(np.random.default_rng(11).uniform(-0.2, 0.2, 20) <= 0.0)
+        assert 1 < clamped < 20
+        sim = Simulator()
+        channel = make_channel(sim, latency_s=0.0, jitter_s=0.2, rng=np.random.default_rng(11))
+        latencies = collect_latencies(channel)
+        for _ in range(20):
+            channel.send("a", "t", 0)
+        sim.run()
+        assert counts(channel) == (20, 20, 0)
+        assert coalescing_record(channel_metrics) == (1, float(clamped))
+        histogram = channel_metrics.histogram("channel.latency_s", obsm.LATENCY_BOUNDS_S)
+        assert histogram.count == channel_metrics.counter("channel.delivered").value == 20
+        assert histogram.sum == sum(latencies)
+        assert latencies[:clamped] == [0.0] * clamped
 
 
 #: Two devices publish two topics each at coinciding ticks to endpoints whose

@@ -101,13 +101,12 @@ class TestDeviceBus:
         simulator, bus, device = bus_setup
         assert not bus.send_command("supervisor", "ghost", "ping")
 
-    def test_stats_counts(self, bus_setup):
+    def test_published_and_forwarded_counts(self, bus_setup):
         simulator, bus, device = bus_setup
         bus.subscribe("listener", "tick", lambda t, p, m: None)
         simulator.run(until=4.5)
-        stats = bus.stats()
-        assert stats["published"] == 4
-        assert stats["forwarded"] == 4
+        assert bus.published_count == 4
+        assert bus.forwarded_count == 4
 
     @pytest.mark.parametrize("delay", [float("nan"), float("inf"), -0.001])
     def test_bad_processing_delay_rejected_naming_the_field(self, delay):

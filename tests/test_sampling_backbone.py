@@ -112,11 +112,17 @@ class TestSamplingLoop:
         device = MedicalDevice(DeviceDescriptor(device_id="dev-1", device_type="probe"),
                                trace=trace)
         simulator.register(device)
-        task = device.sample_every(1.0, lambda: device._writer.record(device.now, "v", 0.0))
+        calls = []
+
+        def sample():
+            calls.append(device.now)
+            device._writer.record(device.now, "v", 0.0)
+
+        task = device.sample_every(1.0, sample)
         simulator.schedule(3.5, device.crash)
         simulator.run(until=10.0)
         assert task.cancelled
-        assert task.run_count == 3
+        assert calls == [1.0, 2.0, 3.0]
         # Samples taken before the crash still reach the recorder at the barrier.
         assert trace.times("dev-1:v").tolist() == [1.0, 2.0, 3.0]
 

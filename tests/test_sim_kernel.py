@@ -187,12 +187,13 @@ class TestKernelEdgeCases:
         assert order == ["a1", "a2", "b1", "b2", "c"]
 
     def test_cancelled_periodic_task_leaves_no_pending_event(self, simulator):
-        task = simulator.call_every(1.0, lambda: None)
+        calls = []
+        task = simulator.call_every(1.0, lambda: calls.append(simulator.now))
         simulator.run(until=2.5)
         task.cancel()
         assert simulator.pending() == 0
         simulator.run(until=10.0)
-        assert task.run_count == 2
+        assert calls == [1.0, 2.0]
 
     def test_periodic_task_cancelling_itself_stops_rescheduling(self, simulator):
         ticks = []
@@ -228,11 +229,6 @@ class TestPeriodicTasks:
         simulator.run(until=10.0)
         assert ticks == [1.0, 2.0]
         assert task.cancelled
-
-    def test_run_count(self, simulator):
-        task = simulator.call_every(1.0, lambda: None)
-        simulator.run(until=3.5)
-        assert task.run_count == 3
 
     def test_zero_period_rejected(self, simulator):
         with pytest.raises(SimulationError):
@@ -336,11 +332,6 @@ class TestProcess:
         simulator.schedule(2.5, process.cancel_all)
         simulator.run(until=10.0)
         assert process.count == 2
-
-    def test_processes_listed(self, simulator):
-        process = _CountingProcess()
-        simulator.register(process)
-        assert process in simulator.processes
 
 
 class TestQueueIntrospection:
