@@ -151,7 +151,7 @@ class _AlarmRelay(Process):
 
     def _check(self) -> None:
         spo2 = self.oximeter.current_spo2
-        if not np.isnan(spo2) and spo2 < SPO2_STOP_THRESHOLD:
+        if spo2 < SPO2_STOP_THRESHOLD:  # an empty window's NaN compares false
             self.alarms_raised += 1
             self.caregiver.notify_alarm("low_spo2")
 

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from repro.readings import Reading
 from repro.sim.kernel import PeriodicTask, Process
-from repro.sim.sampler import BatchedTraceWriter
+from repro.sim.sampler import BatchedTraceWriter, SignalBatch
 from repro.sim.trace import TraceRecorder
 
 if TYPE_CHECKING:
@@ -125,21 +125,24 @@ class MedicalDevice(Process):
     def trace(self, trace: Optional[TraceRecorder]) -> None:
         # Fixed-rate sampling backbone: signal samples go through a batched
         # writer whose full names are precomputed at declare time, and event
-        # names are cached — no per-sample f-strings anywhere.  Assigning
-        # `trace` (at construction or later) rebuilds the writer so a trace
-        # attached after __init__ records signals exactly like one passed in:
-        # the old writer is flushed and unregistered from its recorder.
+        # names are cached — no per-sample f-strings anywhere.  The device
+        # holds each declared signal's batch, so a publish appends to it
+        # directly.  Assigning `trace` (at construction or later) rebuilds
+        # the writer and the batches, so a trace attached after __init__
+        # records signals exactly like one passed in: the old writer is
+        # flushed and unregistered from its recorder.
         old_writer = getattr(self, "_writer", None)
         if old_writer is not None:
             old_writer.detach()
         self._trace = trace
+        self._batches: Dict[str, SignalBatch] = {}
         if trace is None:
             self._writer: Optional[BatchedTraceWriter] = None
         else:
             self._writer = BatchedTraceWriter(
                 trace, prefix=self.descriptor.device_id, source=self.name)
             for signal in self._declared_signals:
-                self._writer.declare(signal)
+                self._batches[signal] = self._writer.declare(signal)
 
     # --------------------------------------------------------------- states
     def transition(self, new_state: DeviceState) -> bool:
@@ -206,9 +209,11 @@ class MedicalDevice(Process):
         simulated time.  It enters the bus unboxed, in one
         :meth:`DeviceBus.publish` call, and the bus builds its ``Reading``
         only for a topic with a subscriber; a publisher function gets the
-        ``Reading`` itself.  ``record`` optionally names a declared trace
-        signal to record ``value`` under in the same call (the
-        publish+record pair every sensor tick performs).
+        ``Reading`` itself.  ``record`` optionally names a trace signal to
+        record ``value`` under in the same call (the publish+record pair
+        every sensor tick performs), appended straight to that signal's
+        batch, which is declared on first use if the device did not declare
+        it.
         """
         if self.crashed:
             return
@@ -223,7 +228,11 @@ class MedicalDevice(Process):
         elif self._publisher is not None:
             self._publisher(topic, Reading(value, valid, now))
         if record is not None and self._writer is not None:
-            self._writer.record(now, record, value)
+            batch = self._batches.get(record)
+            if batch is None:
+                batch = self._batches[record] = self._writer.declare(record)
+            batch.times.append(now)
+            batch.values.append(value)
 
     def register_command(self, command: str, handler: Callable[[Dict[str, Any]], Any]) -> None:
         if not self.descriptor.accepts(command):
@@ -265,7 +274,7 @@ class MedicalDevice(Process):
         self._declared_signals.extend(signals)
         if self._writer is not None:
             for signal in signals:
-                self._writer.declare(signal)
+                self._batches[signal] = self._writer.declare(signal)
 
     def _declare_events(self, *kinds: str) -> None:
         """Pre-warm the event-name cache for the device's known event kinds."""

@@ -22,6 +22,8 @@ from repro.sim.trace import TraceRecorder
 # proportion to the drop in alveolar ventilation.
 BASELINE_ETCO2_MMHG = 38.0
 MAX_ETCO2_MMHG = 90.0
+#: The ventilation fraction at which EtCO2 reaches its maximum.
+_MIN_VENTILATION_FRACTION = BASELINE_ETCO2_MMHG / MAX_ETCO2_MMHG
 
 
 @dataclass
@@ -72,22 +74,34 @@ class Capnograph(MedicalDevice):
         self.transition(DeviceState.RUNNING)
         self.sample_every(self.config.sample_period_s, self._sample)
 
-    def _sample(self) -> None:
+    def _sample(self) -> None:  # repro-lint: hot
         if not self.is_operational:
             return
-        vitals = self.patient.vital_signs
-        rr = vitals.respiratory_rate_bpm
+        rr = self.patient.vital_signs.respiratory_rate_bpm
         noise = self._noise
         if noise is not None:
             rr += noise(self.config.respiratory_rate_noise_sd)
-        rr = max(0.0, rr)
+        # The clamps are comparisons that keep the builtins' choice:
+        # max(a, b) is a unless b > a, and min(a, b) is a unless b < a.
+        if not rr > 0.0:
+            rr = 0.0
 
         baseline_rr = self.patient.parameters.baseline_respiratory_rate_bpm
-        ventilation_fraction = min(1.0, rr / baseline_rr) if baseline_rr > 0 else 1.0
-        etco2 = BASELINE_ETCO2_MMHG / max(ventilation_fraction, BASELINE_ETCO2_MMHG / MAX_ETCO2_MMHG)
+        if baseline_rr > 0:
+            ventilation_fraction = rr / baseline_rr
+            if not ventilation_fraction < 1.0:
+                ventilation_fraction = 1.0
+        else:
+            ventilation_fraction = 1.0
+        if _MIN_VENTILATION_FRACTION > ventilation_fraction:
+            ventilation_fraction = _MIN_VENTILATION_FRACTION
+        etco2 = BASELINE_ETCO2_MMHG / ventilation_fraction
         if noise is not None:
             etco2 += noise(self.config.etco2_noise_sd)
-        etco2 = float(min(max(etco2, 0.0), MAX_ETCO2_MMHG))
+        if 0.0 > etco2:
+            etco2 = 0.0
+        if MAX_ETCO2_MMHG < etco2:
+            etco2 = MAX_ETCO2_MMHG
 
         if self._frozen:
             if self._frozen_rr is None:

@@ -61,8 +61,9 @@ class _RollingMean:
     calls on Python scalars cost more than the arithmetic.  The mean
     replicates numpy's summation order (a sequential sum below 8 samples,
     numpy's 8-accumulator pairwise blocks from 8), so it is bit-identical
-    to ``np.mean`` over the same window.  It is computed at most once per
-    appended sample.
+    to ``np.mean`` over the same window.  :meth:`push` appends a sample and
+    returns the new mean; :attr:`mean` recomputes it only after
+    :meth:`bias` or :meth:`clear`.
     """
 
     __slots__ = ("_size", "_samples", "_mean")
@@ -75,12 +76,27 @@ class _RollingMean:
     def __len__(self) -> int:
         return len(self._samples)
 
-    def append(self, value: float) -> None:
+    def push(self, value: float) -> float:  # repro-lint: hot
+        """Append a float ``value`` and return the window's new mean.
+
+        The mean is cached for the next :attr:`mean` read.
+        """
         samples = self._samples
-        if len(samples) == self._size:
+        count = len(samples)
+        if count == self._size:
             del samples[0]
-        samples.append(float(value))
-        self._mean = None
+        else:
+            count += 1
+        samples.append(value)
+        if count < 8:
+            # numpy's sequential sum from 0.0, which is never -0.0.
+            total = 0.0
+            for sample in samples:
+                total += sample
+        else:
+            total = 0.0 + _pairwise_sum(samples)
+        mean = self._mean = total / count
+        return mean
 
     @property
     def mean(self) -> float:
@@ -177,7 +193,7 @@ class PulseOximeter(MedicalDevice):
         self.transition(DeviceState.RUNNING)
         self.sample_every(self.config.sample_period_s, self._sample)
 
-    def _sample(self) -> None:
+    def _sample(self) -> None:  # repro-lint: hot
         if not self.is_operational:
             return
         if self._probe_off:
@@ -196,15 +212,23 @@ class PulseOximeter(MedicalDevice):
         if noise is not None:
             spo2 += noise(self.config.spo2_noise_sd)
             heart_rate += noise(self.config.heart_rate_noise_sd)
-        self._spo2_window.append(min(max(spo2, 0.0), 100.0))
-        self._hr_window.append(max(0.0, heart_rate))
+        # min(max(spo2, 0.0), 100.0) and max(0.0, heart_rate), as comparisons
+        # that keep the builtins' choice: max(a, b) is a unless b > a.
+        if 0.0 > spo2:
+            spo2 = 0.0
+        if 100.0 < spo2:
+            spo2 = 100.0
+        if not heart_rate > 0.0:
+            heart_rate = 0.0
+        mean_spo2 = self._spo2_window.push(spo2)
+        mean_hr = self._hr_window.push(heart_rate)
 
         if self._frozen:
             if self._frozen_values is None:
-                self._frozen_values = (self.current_spo2, self.current_heart_rate)
+                self._frozen_values = (mean_spo2, mean_hr)
             reported_spo2, reported_hr = self._frozen_values
         else:
-            reported_spo2, reported_hr = self.current_spo2, self.current_heart_rate
+            reported_spo2, reported_hr = mean_spo2, mean_hr
 
         self.readings_published += 1
         self.publish_reading("spo2", reported_spo2, record="spo2_reading")

@@ -11,6 +11,7 @@ can quantify the false alarms caused -- and suppressed -- by bed motion.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -85,12 +86,14 @@ class ArterialPressureModel:
         """Raise (+) or lower (-) the bed / transducer by ``offset_cm``."""
         self._bed_height_offset_cm = float(offset_cm)
 
-    def advance(self, dt_min: float) -> float:
+    def advance(self, dt_min: float) -> float:  # repro-lint: hot
         """Advance the true-MAP drift by ``dt_min`` minutes; returns true MAP."""
-        require_finite_non_negative("dt_min", dt_min)
-        decay = self._decay(-dt_min / self.parameters.drift_time_constant_min)
-        self._true_map = float(self._target_map + (self._true_map - self._target_map) * decay)
-        return self._true_map
+        if not 0 <= dt_min < math.inf:
+            require_finite_non_negative("dt_min", dt_min)
+        decay = self._decay(-float(dt_min) / self.parameters.drift_time_constant_min)
+        target = self._target_map
+        true_map = self._true_map = target + (self._true_map - target) * decay
+        return true_map
 
     # -------------------------------------------------------------- analysis
     def is_truly_hypotensive(self) -> bool:

@@ -99,7 +99,7 @@ class PatientModel(Process):
             self.update_period_s, self._advance, name=f"{self.name}:sampler"))
 
     def _advance(self) -> None:
-        now = self.now
+        now = self._simulator.now
         if self._last_update_time is None:
             self._last_update_time = now
             return
@@ -107,28 +107,41 @@ class PatientModel(Process):
         self._last_update_time = now
         self.advance_by(dt_min, record_time=now)
 
-    def advance_by(self, dt_min: float, record_time: Optional[float] = None) -> VitalSigns:
+    def advance_by(self, dt_min: float, record_time: Optional[float] = None) -> VitalSigns:  # repro-lint: hot
         """Advance the physiology ``dt_min`` minutes (also usable standalone)."""
-        plasma = self.pk.advance(dt_min, self._infusion_rate_mg_per_min)
-        self.total_drug_delivered_mg += self._infusion_rate_mg_per_min * dt_min
-        effect_site = self.pd.advance(dt_min, plasma)
-        drive = self.pd.respiratory_drive(effect_site)
-        analgesia = self.pd.analgesia(effect_site)
-        vitals = self.vitals_model.advance(dt_min, drive, analgesia)
-        self.map_model.advance(dt_min)
-        if record_time is not None and self.trace is not None:
-            self._record(record_time, plasma, effect_site, vitals)
+        rate = self._infusion_rate_mg_per_min
+        plasma = self.pk.advance(dt_min, rate)
+        self.total_drug_delivered_mg += rate * dt_min
+        pd = self.pd
+        effect_site = pd.advance(dt_min, plasma)
+        vitals = self.vitals_model.advance(
+            dt_min, pd.respiratory_drive(effect_site), pd.analgesia(effect_site))
+        true_map = self.map_model.advance(dt_min)
+        if record_time is not None and self._writer is not None:
+            # The seven ground-truth rows, appended to the declared batches.
+            batch = self._sig_plasma
+            batch.times.append(record_time)
+            batch.values.append(plasma)
+            batch = self._sig_effect_site
+            batch.times.append(record_time)
+            batch.values.append(effect_site)
+            batch = self._sig_spo2
+            batch.times.append(record_time)
+            batch.values.append(vitals.spo2_percent)
+            batch = self._sig_heart_rate
+            batch.times.append(record_time)
+            batch.values.append(vitals.heart_rate_bpm)
+            batch = self._sig_respiratory_rate
+            batch.times.append(record_time)
+            batch.values.append(vitals.respiratory_rate_bpm)
+            batch = self._sig_pain
+            batch.times.append(record_time)
+            batch.values.append(vitals.pain_level)
+            batch = self._sig_true_map
+            batch.times.append(record_time)
+            batch.values.append(true_map)
         self._update_failure_tracking(record_time)
         return vitals
-
-    def _record(self, time: float, plasma: float, effect_site: float, vitals: VitalSigns) -> None:
-        self._sig_plasma.append(time, plasma)
-        self._sig_effect_site.append(time, effect_site)
-        self._sig_spo2.append(time, vitals.spo2_percent)
-        self._sig_heart_rate.append(time, vitals.heart_rate_bpm)
-        self._sig_respiratory_rate.append(time, vitals.respiratory_rate_bpm)
-        self._sig_pain.append(time, vitals.pain_level)
-        self._sig_true_map.append(time, self.map_model.true_map_mmhg)
 
     def _update_failure_tracking(self, time: Optional[float]) -> None:
         in_failure = self.vitals_model.is_in_respiratory_failure()

@@ -19,6 +19,7 @@ cover.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.patient.decay import ExpMemo, require_finite_non_negative, require_finite_positive
@@ -101,23 +102,24 @@ class RespiratoryDepressionPD:
     def reset(self) -> None:
         self._effect_site_mg_per_l = 0.0
 
-    def advance(self, dt_min: float, plasma_concentration_mg_per_l: float) -> float:
+    def advance(self, dt_min: float, plasma_concentration_mg_per_l: float) -> float:  # repro-lint: hot
         """Advance the effect-site compartment ``dt_min`` minutes.
 
         Uses the exact solution of the first-order equilibration ODE for a
         plasma concentration held constant over the step, and returns the new
         effect-site concentration.
         """
-        require_finite_non_negative("dt_min", dt_min)
-        require_finite_non_negative("plasma_concentration_mg_per_l", plasma_concentration_mg_per_l)
+        if not 0 <= dt_min < math.inf:
+            require_finite_non_negative("dt_min", dt_min)
+        plasma = plasma_concentration_mg_per_l
+        if not 0 <= plasma < math.inf:
+            require_finite_non_negative("plasma_concentration_mg_per_l", plasma)
         if dt_min == 0:
             return self._effect_site_mg_per_l
-        decay = self._decay(-self.parameters.ke0_per_min * dt_min)
-        self._effect_site_mg_per_l = (
-            plasma_concentration_mg_per_l
-            + (self._effect_site_mg_per_l - plasma_concentration_mg_per_l) * decay
-        )
-        return self._effect_site_mg_per_l
+        decay = self._decay(-self.parameters.ke0_per_min * float(dt_min))
+        effect_site = self._effect_site_mg_per_l = (
+            plasma + (self._effect_site_mg_per_l - plasma) * decay)
+        return effect_site
 
     # ---------------------------------------------------------------- effects
     def respiratory_depression(self, effect_site: float = None) -> float:
@@ -131,16 +133,16 @@ class RespiratoryDepressionPD:
 
     def respiratory_drive(self, effect_site: float = None) -> float:
         """Remaining respiratory drive in [1 - max_depression, 1]."""
-        return 1.0 - self.respiratory_depression(effect_site)
+        p = self.parameters
+        concentration = self._effect_site_mg_per_l if effect_site is None else effect_site
+        return 1.0 - p.max_respiratory_depression * hill(
+            concentration, p.ec50_respiratory_mg_per_l, p.hill_respiratory)
 
     def analgesia(self, effect_site: float = None) -> float:
         """Fraction of pain relieved, in [0, 1)."""
+        p = self.parameters
         concentration = self._effect_site_mg_per_l if effect_site is None else effect_site
-        return hill(
-            concentration,
-            self.parameters.ec50_analgesia_mg_per_l,
-            self.parameters.hill_analgesia,
-        )
+        return hill(concentration, p.ec50_analgesia_mg_per_l, p.hill_analgesia)
 
     def concentration_for_depression(self, depression_fraction: float) -> float:
         """Invert the respiratory Hill curve: concentration giving the fraction.

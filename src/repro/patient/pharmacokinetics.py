@@ -24,6 +24,7 @@ only at a nonzero rate; an empty patient maps to a signed zero that the
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
@@ -142,15 +143,18 @@ class TwoCompartmentPK:
         require_finite_non_negative("dose_mg", dose_mg)
         self._central_mg += dose_mg
 
-    def advance(self, dt_min: float, infusion_rate_mg_per_min: float = 0.0) -> float:
+    def advance(self, dt_min: float, infusion_rate_mg_per_min: float = 0.0) -> float:  # repro-lint: hot
         """Advance the model ``dt_min`` minutes under a constant infusion rate.
 
         Returns the plasma concentration (mg/L) at the end of the step.
         """
-        require_finite_non_negative("dt_min", dt_min)
-        require_finite_non_negative("infusion_rate_mg_per_min", infusion_rate_mg_per_min)
+        if not 0 <= dt_min < math.inf:
+            require_finite_non_negative("dt_min", dt_min)
+        rate = infusion_rate_mg_per_min
+        if not 0 <= rate < math.inf:
+            require_finite_non_negative("infusion_rate_mg_per_min", rate)
         if dt_min == 0:
-            return self.plasma_concentration_mg_per_l
+            return self._central_mg / self.parameters.central_volume_l
 
         # x' = A x + u  ->  x(t) = e^{At} x0 + A^{-1}(e^{At} - I) u
         # A is invertible because k10 > 0.  The propagators depend only on
@@ -178,13 +182,18 @@ class TwoCompartmentPK:
             central, peripheral = (exp_at @ np.array([central, peripheral])).tolist()
         else:
             central = peripheral = 0.0  # not a np.float64 zero left by a numpy bolus
-        if infusion_rate_mg_per_min:
-            rate = float(infusion_rate_mg_per_min)
+        if rate:
+            rate = float(rate)
             central += f0 * rate
             peripheral += f1 * rate
-        self._central_mg = max(0.0, central)
-        self._peripheral_mg = max(0.0, peripheral)
-        return self.plasma_concentration_mg_per_l
+        # max(0.0, x) is x only when x > 0.0, so NaN and -0.0 clamp to 0.0.
+        if not central > 0.0:
+            central = 0.0
+        if not peripheral > 0.0:
+            peripheral = 0.0
+        self._central_mg = central
+        self._peripheral_mg = peripheral
+        return central / self.parameters.central_volume_l
 
     def advance_euler(self, dt_min: float, infusion_rate_mg_per_min: float = 0.0, substeps: int = 100) -> float:
         """Sub-stepped Euler integration; kept as an independent cross-check."""

@@ -10,6 +10,7 @@ artefacts on top.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -117,7 +118,7 @@ class VitalSignsModel:
         self._snapshot: Optional[VitalSigns] = None
 
     # ------------------------------------------------------------- dynamics
-    def advance(self, dt_min: float, respiratory_drive: float, analgesia: float) -> VitalSigns:
+    def advance(self, dt_min: float, respiratory_drive: float, analgesia: float) -> VitalSigns:  # repro-lint: hot
         """Advance ``dt_min`` minutes given the PD model's outputs.
 
         respiratory_drive:
@@ -125,13 +126,15 @@ class VitalSignsModel:
         analgesia:
             Fraction of pain relieved in [0, 1).
         """
-        require_finite_non_negative("dt_min", dt_min)
+        if not 0 <= dt_min < math.inf:
+            require_finite_non_negative("dt_min", dt_min)
         if not 0 <= respiratory_drive <= 1.0001:
             raise ValueError(f"respiratory_drive must be in [0, 1], got {respiratory_drive!r}")
         if not 0 <= analgesia <= 1.0001:
             raise ValueError(f"analgesia must be in [0, 1], got {analgesia!r}")
         if dt_min == 0:
             return self.state
+        dt_min = float(dt_min)
 
         p = self.parameters
         self._snapshot = None
@@ -140,26 +143,38 @@ class VitalSignsModel:
 
         # Effective ventilation relative to baseline; below the hypoventilation
         # threshold SpO2 relaxes toward a depressed target, above it SpO2
-        # recovers toward baseline.
+        # recovers toward baseline.  The clamps are min(max(v, lo), hi)
+        # written as comparisons: max(a, b) is a unless b > a, and min(a, b)
+        # is a unless b < a, so NaN and -0.0 come out as the builtins gave.
         ventilation_fraction = respiratory_drive
         if ventilation_fraction >= p.hypoventilation_threshold:
             spo2_target = p.baseline_spo2
         else:
             deficit = (p.hypoventilation_threshold - ventilation_fraction) / p.hypoventilation_threshold
             spo2_target = p.baseline_spo2 - deficit * (p.baseline_spo2 - p.min_spo2)
-        decay = self._spo2_decay(-dt_min / p.spo2_time_constant_min)
-        self._spo2 = float(spo2_target + (self._spo2 - spo2_target) * decay)
-        self._spo2 = float(min(max(self._spo2, p.min_spo2), 100.0))
+        spo2 = spo2_target + (self._spo2 - spo2_target) * self._spo2_decay(
+            -dt_min / p.spo2_time_constant_min)
+        if p.min_spo2 > spo2:
+            spo2 = float(p.min_spo2)
+        if 100.0 < spo2:
+            spo2 = 100.0
+        self._spo2 = spo2
 
         # Pain decays naturally and is relieved by analgesia.
-        natural_pain = self._pain * self._pain_decay(-p.pain_decay_per_min * dt_min)
-        self._pain = float(min(max(natural_pain * (1.0 - analgesia), 0.0), 10.0))
+        pain = self._pain * self._pain_decay(-p.pain_decay_per_min * dt_min) * (1.0 - analgesia)
+        if 0.0 > pain:
+            pain = 0.0
+        if 10.0 < pain:
+            pain = 10.0
+        self._pain = pain
 
         # Heart rate: baseline + pain contribution + hypoxia compensation.
-        hypoxia = max(0.0, p.baseline_spo2 - self._spo2)
-        self._heart_rate = float(
+        hypoxia = p.baseline_spo2 - spo2
+        if not hypoxia > 0.0:
+            hypoxia = 0.0
+        self._heart_rate = (
             p.baseline_heart_rate_bpm
-            + p.heart_rate_pain_gain * self._pain
+            + p.heart_rate_pain_gain * pain
             + p.heart_rate_hypoxia_gain * hypoxia
         )
         return self.state

@@ -39,7 +39,12 @@ from repro.sim.trace import TraceRecorder
 
 
 class SignalBatch:
-    """Pending samples of one signal, with the full name precomputed."""
+    """Pending samples of one signal, with the full name precomputed.
+
+    Hot producers (the patient step, a device's publish) append to
+    ``times`` and ``values`` themselves.  They hold the batch, never the
+    lists: a flush replaces both lists.
+    """
 
     __slots__ = ("signal", "source", "times", "values")
 

@@ -13,10 +13,11 @@ from repro.core.delays import (
     max_additional_drug_during_reaction,
     required_threshold_margin,
 )
-from repro.core.loop import ClosedLoopPCASystem, PCASystemConfig
+from repro.core.loop import ClosedLoopPCASystem, PCASystemConfig, _AlarmRelay
 from repro.core.pca import (
     DATA_STALENESS_LIMIT_S,
     RESUME_HOLD_TIME_S,
+    SPO2_STOP_THRESHOLD,
     STARTUP_GRACE_S,
     PCASafetySupervisor,
 )
@@ -364,6 +365,20 @@ class TestCaregiver:
         for _ in range(40):
             caregiver.notify_alarm("x")
         assert 0.0 < caregiver.response_rate < 1.0
+
+
+class TestAlarmRelay:
+    @pytest.mark.parametrize("spo2, alarms", [
+        (SPO2_STOP_THRESHOLD - 0.1, 1), (SPO2_STOP_THRESHOLD, 0), (float("nan"), 0)],
+        ids=["below", "at", "empty_window"])
+    def test_alarms_only_below_the_stop_threshold(self, spo2, alarms):
+        notified = []
+        oximeter = type("Oximeter", (), {"current_spo2": spo2})()
+        caregiver = type("Caregiver", (), {"notify_alarm": lambda self, label: notified.append(label)})()
+        relay = _AlarmRelay(oximeter, caregiver)
+        relay._check()
+        assert relay.alarms_raised == alarms
+        assert notified == ["low_spo2"] * alarms
 
 
 class TestClosedLoopPCASystem:

@@ -1,10 +1,14 @@
 """The patient model's memoised decay factors and shared vital-sign snapshot.
 
-The PD, vital-sign and MAP models remember the last ``np.exp`` decay
-factor, and the vital-sign model hands out one ``VitalSigns`` snapshot per
-change of state.  Neither may move a bit: every state below is checked
-against a fresh ``np.exp`` recomputation of the same step, value for value
-and type for type (the type decides which ``**`` runs in ``hill()``).
+The PD, vital-sign and MAP models remember the last decay factor as the
+Python ``float`` of ``np.exp``, compute their step in Python floats, and
+the vital-sign model hands out one ``VitalSigns`` snapshot per change of
+state.  None of this may move a bit: every state below is checked, bit for
+bit, against a fresh recomputation of the same step on the ``np.float64``
+scalars that ``np.exp`` returns.  A model coerces its step to ``float`` at
+entry, so the oracle widens an ``np.float32`` step too.  The ``**`` in
+``hill()`` is the one operator whose implementation follows its operand
+type, so it is pinned on its own over the operand ranges the cohorts use.
 """
 
 from __future__ import annotations
@@ -28,14 +32,23 @@ dt_values = st.one_of(
     st.builds(np.float64, st.floats(0.0, 5.0)),
     st.builds(np.float32, st.sampled_from((0.0, 0.25, 5.0 / 60.0))),
 )
-steps = st.lists(st.tuples(dt_values, st.floats(0.0, 0.2), st.floats(0.0, 1.0)),
+# (step, plasma or analgesia, respiratory drive); analgesia may reach the
+# 1.0001 the vital-sign model accepts, which drives pain below zero.
+steps = st.lists(st.tuples(dt_values, st.one_of(st.floats(0.0, 0.2), st.sampled_from((1.0, 1.0001))),
+                           st.floats(0.0, 1.0)),
                  min_size=1, max_size=40)
+# (baseline SpO2, SpO2 floor, pain decay per minute) set mid-run, unvalidated.
+retunes = st.tuples(st.floats(90.0, 105.0), st.floats(50.0, 99.0), st.floats(-5.0, 0.5))
 
 
 def same(actual, expected) -> bool:
-    """Equal bits and equal type (``0.0 == -0.0`` is not enough)."""
-    return (type(actual) is type(expected)
-            and struct.pack("<d", actual) == struct.pack("<d", expected))
+    """Equal float64 bits (``0.0 == -0.0`` is not enough)."""
+    return struct.pack("<d", actual) == struct.pack("<d", expected)
+
+
+def as_step(dt_min):
+    """The step as a model computes it: an ``np.float32`` widens to float64."""
+    return float(dt_min) if isinstance(dt_min, np.float32) else dt_min
 
 
 @settings(max_examples=200, deadline=None)
@@ -47,7 +60,7 @@ def test_pd_effect_site_matches_fresh_exp(sequence):
     for dt_min, plasma, _ in sequence:
         got = model.advance(dt_min, plasma)
         if dt_min != 0:
-            decay = np.exp(-p.ke0_per_min * dt_min)
+            decay = np.exp(-p.ke0_per_min * as_step(dt_min))
             effect_site = plasma + (effect_site - plasma) * decay
         assert same(got, effect_site)
         assert same(model.respiratory_drive(got),
@@ -58,15 +71,20 @@ def test_pd_effect_site_matches_fresh_exp(sequence):
 
 
 @settings(max_examples=200, deadline=None)
-@given(steps)
-def test_vitals_match_fresh_exp(sequence):
+@given(steps, retunes)
+def test_vitals_match_fresh_exp(sequence, retune):
     model = VitalSignsModel()
     p = model.parameters
     spo2, pain = p.baseline_spo2, p.initial_pain_level
     rr, hr = p.baseline_respiratory_rate_bpm, p.baseline_heart_rate_bpm
-    for dt_min, analgesia, drive in sequence:
+    for index, (dt_min, analgesia, drive) in enumerate(sequence):
+        if index == len(sequence) // 2:
+            # Past every clamp: SpO2 above 100 or below a raised floor,
+            # above a lowered baseline, and pain growing past 10.
+            p.baseline_spo2, p.min_spo2, p.pain_decay_per_min = retune
         got = model.advance(dt_min, drive, analgesia)
         if dt_min != 0:
+            dt_min = as_step(dt_min)
             rr = p.baseline_respiratory_rate_bpm * drive
             if drive >= p.hypoventilation_threshold:
                 target = p.baseline_spo2
@@ -97,18 +115,32 @@ def test_map_matches_fresh_exp(sequence, target):
             # A drift constant changed mid-run must not reuse a stale factor.
             model.parameters.drift_time_constant_min = 8.0
         tau = model.parameters.drift_time_constant_min
-        true_map = float(target + (true_map - target) * np.exp(-dt_min / tau))
+        true_map = float(target + (true_map - target) * np.exp(-as_step(dt_min) / tau))
         assert same(model.advance(dt_min), true_map)
 
 
-def test_exp_memo_returns_the_numpy_scalar_np_exp_made():
+def test_exp_memo_returns_the_float_of_what_np_exp_made():
     memo = ExpMemo()
     first = memo(-0.35)
-    assert type(first) is np.float64
+    assert type(first) is float
+    assert same(first, np.exp(-0.35))
     assert memo(-0.35) is first
     assert same(memo(np.float64(-0.35)), np.exp(np.float64(-0.35)))
-    assert type(memo(np.float32(-0.25))) is np.float32
+    # The key is value and type: an np.float32 exponent is its own entry.
+    assert same(memo(np.float32(-0.25)), np.exp(np.float32(-0.25)))
     assert same(memo(-0.5), np.exp(-0.5))
+    assert type(memo(-0.5)) is float
+
+
+# The cohorts' EC50s: the default respiratory and analgesia EC50s divided by
+# opioid sensitivities 0.4-3.0 (patient/population.py).
+@settings(max_examples=200, deadline=None)
+@given(st.floats(0.0, 20.0), st.floats(0.018 / 3.0, 0.045 / 0.4), st.floats(0.5, 5.0))
+def test_hill_power_has_the_same_bits_for_float_and_numpy_operands(concentration, ec50, coefficient):
+    expected = hill(np.float64(concentration), np.float64(ec50), np.float64(coefficient))
+    assert type(expected) is np.float64 or concentration == 0.0
+    assert same(hill(concentration, ec50, coefficient), expected)
+    assert same(hill(concentration, ec50, coefficient), hill(np.float64(concentration), ec50, coefficient))
 
 
 def test_state_snapshot_is_shared_until_the_state_changes():

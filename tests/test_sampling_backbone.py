@@ -6,9 +6,13 @@ stale trace no matter when batches were last flushed (the read barrier).
 """
 
 import json
+import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.loop import ClosedLoopPCASystem, PCASystemConfig
 from repro.devices.base import DeviceDescriptor, MedicalDevice
@@ -17,6 +21,11 @@ from repro.patient.model import PatientModel
 from repro.sim.kernel import SimulationError, Simulator
 from repro.sim.sampler import BatchedTraceWriter
 from repro.sim.trace import TraceRecorder
+
+
+def _bits(value):
+    """Bit pattern of a float; every NaN compares equal to every other."""
+    return "nan" if math.isnan(value) else struct.pack("<d", value)
 
 
 class TestBatchedTraceWriter:
@@ -144,11 +153,43 @@ class TestRollingMean:
         window = _RollingMean(4)
         reference = deque(maxlen=4)
         for value in rng.normal(95.0, 2.0, size=50):
-            window.append(float(value))
             reference.append(float(value))
             # Bit-identical to the old np.mean(deque) implementation.
+            assert window.push(float(value)) == float(np.mean(reference))
             assert window.mean == float(np.mean(reference))
         assert len(window) == 4
+
+    @settings(max_examples=150, deadline=None)
+    @given(size=st.integers(1, 130),
+           operations=st.lists(st.one_of(
+               st.tuples(st.just("push"), st.floats(-1e6, 1e6)),
+               st.tuples(st.just("push"), st.sampled_from([-0.0, 0.0, math.inf, math.nan])),
+               st.tuples(st.just("mean"), st.none()),
+               st.tuples(st.just("bias"), st.floats(-100.0, 100.0)),
+               st.tuples(st.just("clear"), st.none())), max_size=300))
+    def test_push_returns_the_numpy_mean(self, size, operations):
+        window = _RollingMean(size)
+        held = []
+        for operation, value in operations:
+            if operation == "push":
+                held = (held + [value])[-size:]
+                with np.errstate(invalid="ignore"):
+                    expected = np.mean(np.array(held))
+                mean = window.push(value)
+                assert type(mean) is float
+                assert _bits(mean) == _bits(expected)
+            elif operation == "bias":
+                held = [sample + value for sample in held]
+                window.bias(value)
+            elif operation == "clear":
+                held = []
+                window.clear()
+            if held:
+                with np.errstate(invalid="ignore"):
+                    assert _bits(window.mean) == _bits(np.mean(np.array(held)))
+            else:
+                assert math.isnan(window.mean)
+            assert len(window) == len(held)
 
     def test_empty_window_is_nan(self):
         window = _RollingMean(4)
@@ -158,7 +199,7 @@ class TestRollingMean:
     def test_clear_and_bias(self):
         window = _RollingMean(3)
         for value in (1.0, 2.0, 3.0):
-            window.append(value)
+            window.push(value)
         window.bias(10.0)
         assert window.mean == pytest.approx(12.0)
         window.clear()

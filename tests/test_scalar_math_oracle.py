@@ -3,17 +3,25 @@
 The oximeter's rolling mean and the clamps in the device and patient
 models run in plain Python floats.  numpy is the reference here only:
 every result must have the same bits as the numpy expression it replaced.
+The oximeter and capnograph ticks are also checked whole, against the
+builtin ``min``/``max`` formulas their comparisons replaced.
 """
 
 import math
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.devices.pulse_oximeter import _RollingMean
+from repro.devices.capnograph import BASELINE_ETCO2_MMHG, MAX_ETCO2_MMHG, Capnograph, CapnographConfig
+from repro.devices.pulse_oximeter import PulseOximeter, PulseOximeterConfig, _RollingMean
+from repro.patient.population import DEFAULT_PATIENT
+from repro.patient.vitals import VitalSigns
+from repro.sim.kernel import Simulator
+from repro.sim.random import GaussianNoise
 
 
 def _bits(value):
@@ -37,7 +45,7 @@ class TestRollingMeanBits:
         window = _RollingMean(size)
         held = []
         for value in values:
-            window.append(value)
+            window.push(value)
             held = (held + [value])[-size:]
             assert _bits(window.mean) == _bits(np.mean(np.array(held)))
         assert len(window) == len(held)
@@ -51,7 +59,7 @@ class TestRollingMeanBits:
         assert math.isnan(window.mean) and len(window) == 0
         held = []
         for value in after_clear:
-            window.append(value)
+            window.push(value)
             held = (held + [value])[-size:]
             assert _bits(window.mean) == _bits(np.mean(np.array(held)))
 
@@ -60,15 +68,16 @@ class TestRollingMeanBits:
         rng = np.random.default_rng(count)
         values = [float(v) for v in rng.normal(0.0, 1.0, size=count) * 10.0 ** rng.integers(-6, 6, size=count)]
         window = _RollingMean(count)
-        for value in values:
-            window.append(value)
+        for index, value in enumerate(values):
+            # push sums sequentially below 8 samples and pairwise from 8.
+            assert _bits(window.push(value)) == _bits(np.mean(np.array(values[:index + 1])))
         assert _bits(window.mean) == _bits(np.mean(np.array(values)))
 
     def test_signed_zero_windows(self):
         for count in (1, 7, 8, 9):
             window = _RollingMean(count)
             for _ in range(count):
-                window.append(-0.0)
+                window.push(-0.0)
             assert _bits(window.mean) == _bits(np.mean(np.full(count, -0.0)))
 
     def test_non_finite_samples(self):
@@ -76,14 +85,14 @@ class TestRollingMeanBits:
                        [1.0] * 7 + [math.inf], [-math.inf] * 9):
             window = _RollingMean(len(values))
             for value in values:
-                window.append(value)
+                window.push(value)
             with np.errstate(invalid="ignore"):
                 expected = np.mean(np.array(values))
             assert _bits(window.mean) == _bits(expected)
 
     def test_mean_is_a_python_float(self):
         window = _RollingMean(4)
-        window.append(np.float64(97.25))
+        window.push(97.25)
         window.bias(np.float64(0.5))
         assert type(window.mean) is float
 
@@ -95,7 +104,7 @@ BOUNDS = [(0.0, 100.0), (55.0, 100.0), (0.0, 10.0), (0.0, 90.0), (60, 100.0)]
 
 
 def _clamp(value, low, high):
-    """The clamp expression used on the sample path."""
+    """The builtin clamp whose choices the sample path's comparisons keep."""
     return float(min(max(value, low), high))
 
 
@@ -117,3 +126,80 @@ class TestClampBits:
         clamped = _clamp(value, low, high)
         assert type(clamped) is float
         assert _bits(clamped) == _bits(expected)
+
+
+class _StubPatient:
+    """Just what a sensor tick reads of a patient."""
+
+    def __init__(self, baseline_rr):
+        self.parameters = replace(DEFAULT_PATIENT, baseline_respiratory_rate_bpm=baseline_rr)
+        self.vital_signs = None
+
+
+def _ticking(device_class, patient, rng, **config):
+    simulator = Simulator()
+    configs = {PulseOximeter: PulseOximeterConfig, Capnograph: CapnographConfig}
+    device = device_class("dev", patient, configs[device_class](**config), rng=rng)
+    published = {}
+    device.attach_publisher(lambda topic, reading: published.__setitem__(topic, reading.value))
+    simulator.register(device)
+    return device, published
+
+
+vital_values = st.one_of(st.floats(-50.0, 250.0),
+                         st.sampled_from([-0.0, 0.0, 100.0, math.nan, math.inf, -math.inf]))
+noise_sds = st.one_of(st.just(0.0), st.floats(0.0, 200.0))
+
+
+class TestSensorTickBits:
+    """Each tick against the parent's builtin formula: ``min``/``max``, ``float()``, ``np.mean``."""
+
+    @given(ticks=st.lists(st.tuples(vital_values, vital_values), min_size=1, max_size=12),
+           window=st.integers(1, 10), noisy=st.booleans(), seed=st.integers(0, 2**16),
+           spo2_sd=noise_sds, hr_sd=noise_sds)
+    @settings(max_examples=150, deadline=None)
+    def test_oximeter_tick(self, ticks, window, noisy, seed, spo2_sd, hr_sd):
+        patient = _StubPatient(14.0)
+        oximeter, published = _ticking(
+            PulseOximeter, patient, np.random.default_rng(seed) if noisy else None,
+            averaging_window_samples=window, spo2_noise_sd=spo2_sd, heart_rate_noise_sd=hr_sd)
+        noise = GaussianNoise(np.random.default_rng(seed))
+        spo2_window, hr_window = [], []
+        for spo2, heart_rate in ticks:
+            patient.vital_signs = VitalSigns(14.0, spo2, heart_rate, 5.0)
+            oximeter._sample()
+            if noisy:
+                spo2 += noise(spo2_sd)
+                heart_rate += noise(hr_sd)
+            spo2_window = (spo2_window + [float(min(max(spo2, 0.0), 100.0))])[-window:]
+            hr_window = (hr_window + [float(max(0.0, heart_rate))])[-window:]
+            with np.errstate(invalid="ignore"):
+                assert _bits(published["spo2"]) == _bits(np.mean(spo2_window))
+                assert _bits(published["heart_rate"]) == _bits(np.mean(hr_window))
+            assert _bits(oximeter.current_spo2) == _bits(published["spo2"])
+
+    @given(ticks=st.lists(st.floats(-10.0, 40.0) | st.sampled_from([-0.0, 0.0, math.nan, math.inf]),
+                          min_size=1, max_size=12),
+           baseline_rr=st.floats(8.0, 22.0), noisy=st.booleans(), seed=st.integers(0, 2**16),
+           rr_sd=noise_sds, etco2_sd=noise_sds)
+    @settings(max_examples=150, deadline=None)
+    def test_capnograph_tick(self, ticks, baseline_rr, noisy, seed, rr_sd, etco2_sd):
+        patient = _StubPatient(baseline_rr)
+        capnograph, published = _ticking(
+            Capnograph, patient, np.random.default_rng(seed) if noisy else None,
+            respiratory_rate_noise_sd=rr_sd, etco2_noise_sd=etco2_sd)
+        noise = GaussianNoise(np.random.default_rng(seed))
+        for rr in ticks:
+            patient.vital_signs = VitalSigns(rr, 97.0, 70.0, 5.0)
+            capnograph._sample()
+            if noisy:
+                rr += noise(rr_sd)
+            rr = max(0.0, rr)
+            ventilation_fraction = min(1.0, rr / baseline_rr)
+            etco2 = BASELINE_ETCO2_MMHG / max(ventilation_fraction,
+                                              BASELINE_ETCO2_MMHG / MAX_ETCO2_MMHG)
+            if noisy:
+                etco2 += noise(etco2_sd)
+            etco2 = float(min(max(etco2, 0.0), MAX_ETCO2_MMHG))
+            assert _bits(published["respiratory_rate"]) == _bits(rr)
+            assert _bits(published["etco2"]) == _bits(etco2)
