@@ -126,23 +126,24 @@ class MedicalDevice(Process):
         # Fixed-rate sampling backbone: signal samples go through a batched
         # writer whose full names are precomputed at declare time, and event
         # names are cached — no per-sample f-strings anywhere.  The device
-        # holds each declared signal's batch, so a publish appends to it
-        # directly.  Assigning `trace` (at construction or later) rebuilds
-        # the writer and the batches, so a trace attached after __init__
+        # aliases the writer's batch map, so a recorded sample is appended
+        # to its batch directly.  Assigning `trace` (at construction or
+        # later) rebuilds the writer, so a trace attached after __init__
         # records signals exactly like one passed in: the old writer is
         # flushed and unregistered from its recorder.
         old_writer = getattr(self, "_writer", None)
         if old_writer is not None:
             old_writer.detach()
         self._trace = trace
-        self._batches: Dict[str, SignalBatch] = {}
         if trace is None:
             self._writer: Optional[BatchedTraceWriter] = None
+            self._batches: Dict[str, SignalBatch] = {}
         else:
             self._writer = BatchedTraceWriter(
                 trace, prefix=self.descriptor.device_id, source=self.name)
+            self._batches = self._writer.batches
             for signal in self._declared_signals:
-                self._batches[signal] = self._writer.declare(signal)
+                self._writer.declare(signal)
 
     # --------------------------------------------------------------- states
     def transition(self, new_state: DeviceState) -> bool:
@@ -230,7 +231,7 @@ class MedicalDevice(Process):
         if record is not None and self._writer is not None:
             batch = self._batches.get(record)
             if batch is None:
-                batch = self._batches[record] = self._writer.declare(record)
+                batch = self._writer.declare(record)
             batch.times.append(now)
             batch.values.append(value)
 
@@ -274,7 +275,7 @@ class MedicalDevice(Process):
         self._declared_signals.extend(signals)
         if self._writer is not None:
             for signal in signals:
-                self._batches[signal] = self._writer.declare(signal)
+                self._writer.declare(signal)
 
     def _declare_events(self, *kinds: str) -> None:
         """Pre-warm the event-name cache for the device's known event kinds."""
@@ -290,9 +291,14 @@ class MedicalDevice(Process):
             self.trace.event(self.now, name, value, source=self.name)
 
     def _record(self, signal: str, value: Any) -> None:
+        """Record ``value`` under ``signal`` alone, the way :meth:`publish_reading` does."""
         writer = self._writer
         if writer is not None and self._simulator is not None:
-            writer.record(self._simulator.now, signal, value)
+            batch = self._batches.get(signal)
+            if batch is None:
+                batch = writer.declare(signal)
+            batch.times.append(self._simulator.now)
+            batch.values.append(value)
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"<{type(self).__name__} {self.descriptor.device_id!r} {self.state.value}>"

@@ -77,7 +77,7 @@ class _RollingMean:
         return len(self._samples)
 
     def push(self, value: float) -> float:  # repro-lint: hot
-        """Append a float ``value`` and return the window's new mean.
+        """Append ``value`` as a float and return the window's new mean.
 
         The mean is cached for the next :attr:`mean` read.
         """
@@ -87,15 +87,8 @@ class _RollingMean:
             del samples[0]
         else:
             count += 1
-        samples.append(value)
-        if count < 8:
-            # numpy's sequential sum from 0.0, which is never -0.0.
-            total = 0.0
-            for sample in samples:
-                total += sample
-        else:
-            total = 0.0 + _pairwise_sum(samples)
-        mean = self._mean = total / count
+        samples.append(float(value))
+        mean = self._mean = (0.0 + _pairwise_sum(samples)) / count
         return mean
 
     @property

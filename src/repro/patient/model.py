@@ -119,27 +119,15 @@ class PatientModel(Process):
         true_map = self.map_model.advance(dt_min)
         if record_time is not None and self._writer is not None:
             # The seven ground-truth rows, appended to the declared batches.
-            batch = self._sig_plasma
-            batch.times.append(record_time)
-            batch.values.append(plasma)
-            batch = self._sig_effect_site
-            batch.times.append(record_time)
-            batch.values.append(effect_site)
-            batch = self._sig_spo2
-            batch.times.append(record_time)
-            batch.values.append(vitals.spo2_percent)
-            batch = self._sig_heart_rate
-            batch.times.append(record_time)
-            batch.values.append(vitals.heart_rate_bpm)
-            batch = self._sig_respiratory_rate
-            batch.times.append(record_time)
-            batch.values.append(vitals.respiratory_rate_bpm)
-            batch = self._sig_pain
-            batch.times.append(record_time)
-            batch.values.append(vitals.pain_level)
-            batch = self._sig_true_map
-            batch.times.append(record_time)
-            batch.values.append(true_map)
+            for batch, value in ((self._sig_plasma, plasma),
+                                 (self._sig_effect_site, effect_site),
+                                 (self._sig_spo2, vitals.spo2_percent),
+                                 (self._sig_heart_rate, vitals.heart_rate_bpm),
+                                 (self._sig_respiratory_rate, vitals.respiratory_rate_bpm),
+                                 (self._sig_pain, vitals.pain_level),
+                                 (self._sig_true_map, true_map)):
+                batch.times.append(record_time)
+                batch.values.append(value)
         self._update_failure_tracking(record_time)
         return vitals
 

@@ -97,6 +97,15 @@ class BatchedTraceWriter:
             self._batch_list.append(batch)
         return batch
 
+    @property
+    def batches(self) -> Dict[str, SignalBatch]:
+        """The declared batches by short signal name (the writer's own map).
+
+        A producer may alias it and append to a batch itself; a signal it
+        has not declared goes through :meth:`declare` first.
+        """
+        return self._batches
+
     def record(self, time: float, signal: str, value: Any) -> None:  # repro-lint: hot
         """Append a sample of ``signal`` (short name) at ``time``."""
         batch = self._batches.get(signal)

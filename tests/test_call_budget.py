@@ -69,7 +69,7 @@ def _closed_loop_pca() -> None:
     ClosedLoopPCASystem(PCASystemConfig(mode="closed_loop", duration_s=1800.0, seed=424242)).run()
 
 
-# CPython 3.11 reads 20.586 (ward) and 20.489 (PCA).  It read 24.384 and
+# CPython 3.11 reads 21.346 (ward) and 21.155 (PCA).  It read 24.384 and
 # 26.020 while the patient step and the sensor ticks called a function per
 # check, clamp and trace row, and 33.178 and 33.671 while the kernel clock
 # was a property and a channel made one call per delivered message.

@@ -69,7 +69,6 @@ class TestRollingMeanBits:
         values = [float(v) for v in rng.normal(0.0, 1.0, size=count) * 10.0 ** rng.integers(-6, 6, size=count)]
         window = _RollingMean(count)
         for index, value in enumerate(values):
-            # push sums sequentially below 8 samples and pairwise from 8.
             assert _bits(window.push(value)) == _bits(np.mean(np.array(values[:index + 1])))
         assert _bits(window.mean) == _bits(np.mean(np.array(values)))
 
@@ -92,7 +91,7 @@ class TestRollingMeanBits:
 
     def test_mean_is_a_python_float(self):
         window = _RollingMean(4)
-        window.push(97.25)
+        window.push(np.float64(97.25))
         window.bias(np.float64(0.5))
         assert type(window.mean) is float
 
