@@ -20,7 +20,7 @@ Subpackages
 ``repro.devices``
     Virtual medical devices (PCA pump, pulse oximeter, ventilator, ...).
 ``repro.middleware``
-    ICE-style interoperability: bus, registry, clock sync, supervisor hosting.
+    ICE-style interoperability: bus, registry, supervisor hosting.
 ``repro.core``
     Closed-loop PCA supervision (the paper's Figure 1 system).
 ``repro.control``
@@ -28,7 +28,7 @@ Subpackages
 ``repro.alarms``
     Threshold, patient-adaptive, and multivariate smart alarms.
 ``repro.ehr``
-    Electronic health record store with access control.
+    Electronic health record store: history and vital-sign baselines.
 ``repro.workflow``
     Executable clinical workflow language, analysis, and compilation.
 ``repro.verification``

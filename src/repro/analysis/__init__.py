@@ -6,7 +6,7 @@ from repro.analysis.metrics import (
     aggregate_outcomes,
     classify_alarms,
 )
-from repro.analysis.stats import bootstrap_ci, paired_difference, summarise
+from repro.analysis.stats import summarise
 from repro.analysis.tables import Table, format_table
 
 __all__ = [
@@ -14,8 +14,6 @@ __all__ = [
     "SafetyOutcome",
     "aggregate_outcomes",
     "classify_alarms",
-    "bootstrap_ci",
-    "paired_difference",
     "summarise",
     "Table",
     "format_table",

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence
 
 import numpy as np
 
@@ -43,53 +43,3 @@ def summarise(values: Sequence[float]) -> Summary:
         median=float(np.median(array)),
         maximum=float(array.max()),
     )
-
-
-def bootstrap_ci(
-    values: Sequence[float],
-    *,
-    confidence: float = 0.95,
-    resamples: int = 2000,
-    seed: int = 0,
-    statistic=np.mean,
-) -> Tuple[float, float]:
-    """Percentile bootstrap confidence interval for ``statistic`` of ``values``."""
-    array = np.asarray(list(values), dtype=float)
-    if array.size == 0:
-        raise ValueError("values must be non-empty")
-    if not 0 < confidence < 1:
-        raise ValueError("confidence must be in (0, 1)")
-    if resamples <= 0:
-        raise ValueError("resamples must be positive")
-    rng = np.random.default_rng(seed)
-    stats = np.empty(resamples)
-    for i in range(resamples):
-        sample = rng.choice(array, size=array.size, replace=True)
-        stats[i] = statistic(sample)
-    alpha = (1.0 - confidence) / 2.0
-    return float(np.quantile(stats, alpha)), float(np.quantile(stats, 1.0 - alpha))
-
-
-def paired_difference(
-    baseline: Sequence[float],
-    treatment: Sequence[float],
-) -> Dict[str, float]:
-    """Paired comparison (same workload under two configurations).
-
-    Returns the mean difference (treatment - baseline), the ratio of means,
-    and the fraction of pairs in which the treatment improved (was lower).
-    """
-    a = np.asarray(list(baseline), dtype=float)
-    b = np.asarray(list(treatment), dtype=float)
-    if a.size != b.size:
-        raise ValueError("paired samples must have equal length")
-    if a.size == 0:
-        raise ValueError("samples must be non-empty")
-    differences = b - a
-    baseline_mean = float(a.mean())
-    ratio = float(b.mean() / baseline_mean) if baseline_mean != 0 else float("inf")
-    return {
-        "mean_difference": float(differences.mean()),
-        "ratio_of_means": ratio,
-        "fraction_improved": float(np.mean(b < a)),
-    }

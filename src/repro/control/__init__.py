@@ -9,8 +9,6 @@ control" (Morse).  This package provides:
   of candidate controllers with a supervisor that switches to the candidate
   whose model best explains recent observations (Morse-style multi-model
   switching with hysteresis and dwell time).
-* :class:`~repro.control.envelope.SafetyEnvelope` -- output clamping and
-  rate limiting applied to any controller driving an infusion.
 """
 
 from repro.control.pid import PIDController, PIDGains
@@ -19,7 +17,6 @@ from repro.control.supervisory import (
     SupervisoryAdaptiveController,
     SupervisoryConfig,
 )
-from repro.control.envelope import SafetyEnvelope
 
 __all__ = [
     "PIDController",
@@ -27,5 +24,4 @@ __all__ = [
     "CandidateController",
     "SupervisoryAdaptiveController",
     "SupervisoryConfig",
-    "SafetyEnvelope",
 ]

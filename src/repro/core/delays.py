@@ -181,21 +181,3 @@ def max_additional_drug_during_reaction(
         raise ValueError("drug amounts must be non-negative")
     reaction_s = budget.worst_case_total_s if worst_case else budget.nominal_total_s
     return basal_rate_mg_per_hr * reaction_s / 3600.0 + pending_bolus_mg
-
-
-def required_threshold_margin(
-    budget: DelayBudget,
-    *,
-    spo2_fall_rate_per_min: float,
-    worst_case: bool = True,
-) -> float:
-    """How much SpO2 can fall during the reaction time.
-
-    The supervisor's stop threshold must sit at least this far above the
-    harm threshold for the stop to take effect before harm occurs, assuming
-    SpO2 falls at ``spo2_fall_rate_per_min`` percentage points per minute.
-    """
-    if spo2_fall_rate_per_min < 0:
-        raise ValueError("spo2_fall_rate_per_min must be non-negative")
-    reaction_s = budget.worst_case_total_s if worst_case else budget.nominal_total_s
-    return spo2_fall_rate_per_min * reaction_s / 60.0

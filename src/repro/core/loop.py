@@ -32,7 +32,6 @@ from repro.devices.capnograph import Capnograph
 from repro.devices.pca_pump import PCAPrescription, PCAPump
 from repro.devices.pulse_oximeter import PulseOximeter, PulseOximeterConfig
 from repro.middleware.bus import BusConfig, DeviceBus
-from repro.middleware.registry import DeviceRegistry
 from repro.middleware.supervisor_host import SupervisorHost
 from repro.obs.metrics import enabled as obs_enabled
 from repro.obs.spans import tracer as obs_tracer
@@ -173,7 +172,6 @@ class ClosedLoopPCASystem:
         self.host: Optional[SupervisorHost] = None
         self.supervisor: Optional[PCASafetySupervisor] = None
         self.caregiver: Optional[Caregiver] = None
-        self.registry = DeviceRegistry()
         self.fault_injector: Optional[FaultInjector] = None
         self.button: Optional[_PatientButton] = None
         self._alarm_relay: Optional[_AlarmRelay] = None
@@ -214,7 +212,6 @@ class ClosedLoopPCASystem:
             devices.append(self.capnograph)
         for device in devices:
             self.bus.attach_device(device)
-            self.registry.register(device.descriptor)
             self.simulator.register(device)
 
         # The patient's own button presses.

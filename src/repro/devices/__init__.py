@@ -1,9 +1,9 @@
 """Virtual medical device library.
 
-Every device the paper's clinical scenarios mention is modelled here as a
-timed finite-state machine bound to the simulation kernel, with a network
-interface (publish/command topics) compatible with the ICE-style middleware
-in :mod:`repro.middleware`:
+Every device that a bundled scenario, claim check or example runs is
+modelled here as a timed finite-state machine bound to the simulation
+kernel, with a network interface (publish/command topics) compatible with
+the ICE-style middleware in :mod:`repro.middleware`:
 
 * :class:`~repro.devices.pca_pump.PCAPump` -- patient-controlled analgesia
   infusion pump with programmable limits, bolus/basal delivery, lockout, and
@@ -19,8 +19,6 @@ in :mod:`repro.middleware`:
   of Section II(b).
 * :class:`~repro.devices.bed.HospitalBed` -- the Class I device whose height
   changes perturb MAP readings.
-* :class:`~repro.devices.ecg.ECGMonitor` -- heart-rate source for multivariate
-  alarm correlation.
 * :class:`~repro.devices.proton.ProtonTherapySystem` -- beam scheduling and
   emergency shutdown (Section II(a)).
 """
@@ -34,7 +32,6 @@ from repro.devices.bp_monitor import BloodPressureMonitor, BloodPressureMonitorC
 from repro.devices.ventilator import Ventilator, VentilatorSettings
 from repro.devices.xray import XRayMachine, XRayConfig
 from repro.devices.bed import HospitalBed
-from repro.devices.ecg import ECGMonitor, ECGConfig
 from repro.devices.proton import BeamRequest, ProtonTherapySystem, TreatmentRoom
 
 __all__ = [
@@ -55,8 +52,6 @@ __all__ = [
     "XRayMachine",
     "XRayConfig",
     "HospitalBed",
-    "ECGMonitor",
-    "ECGConfig",
     "BeamRequest",
     "ProtonTherapySystem",
     "TreatmentRoom",

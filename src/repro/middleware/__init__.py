@@ -14,15 +14,11 @@ scenarios.  This package implements the ICE conceptual model in simulation:
   and commands with authorisation checks from :mod:`repro.security`.  An app
   detects a communication failure in its control loop from its own
   deliveries (see :class:`repro.core.pca.PCASafetySupervisor`).
-* :class:`~repro.middleware.clock_sync.ClockSync` -- bounded-skew clock
-  synchronisation between devices, needed by timing-sensitive coordination
-  such as the X-ray/ventilator scenario.
 """
 
 from repro.middleware.bus import BusConfig, DeviceBus
 from repro.middleware.registry import DeviceRegistry, RegistrationError
 from repro.middleware.supervisor_host import SupervisorApp, SupervisorHost
-from repro.middleware.clock_sync import ClockSync, DeviceClock
 
 __all__ = [
     "BusConfig",
@@ -31,6 +27,4 @@ __all__ = [
     "RegistrationError",
     "SupervisorApp",
     "SupervisorHost",
-    "ClockSync",
-    "DeviceClock",
 ]

@@ -109,6 +109,8 @@ class PatientModel(Process):
 
     def advance_by(self, dt_min: float, record_time: Optional[float] = None) -> VitalSigns:  # repro-lint: hot
         """Advance the physiology ``dt_min`` minutes (also usable standalone)."""
+        # One coercion here keeps a numpy step out of the drug total.
+        dt_min = float(dt_min)
         rate = self._infusion_rate_mg_per_min
         plasma = self.pk.advance(dt_min, rate)
         self.total_drug_delivered_mg += rate * dt_min

@@ -32,6 +32,11 @@ import numpy as np
 
 from repro.patient.decay import require_finite_non_negative, require_finite_positive
 
+#: The largest single bolus (mg) the model accepts.  A PCA demand dose is
+#: about 1 mg and 10 g of morphine is far past any lethal dose, while a dose
+#: near the float range overflows the Hill response on the next step.
+MAX_BOLUS_MG = 1e4
+
 
 @dataclass
 class PKParameters:
@@ -141,6 +146,8 @@ class TwoCompartmentPK:
     def add_bolus(self, dose_mg: float) -> None:
         """Instantaneously inject ``dose_mg`` into the central compartment."""
         require_finite_non_negative("dose_mg", dose_mg)
+        if dose_mg > MAX_BOLUS_MG:
+            raise ValueError(f"dose_mg must be at most {MAX_BOLUS_MG} mg, got {dose_mg!r}")
         self._central_mg += dose_mg
 
     def advance(self, dt_min: float, infusion_rate_mg_per_min: float = 0.0) -> float:  # repro-lint: hot

@@ -541,13 +541,3 @@ class Process:
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"<{type(self).__name__} {self.name!r}>"
-
-
-def build_simulator(config: Optional[Dict[str, Any]] = None) -> Simulator:
-    """Convenience factory used by scenario builders.
-
-    ``config`` may carry a ``start_time`` key; everything else is ignored so
-    callers can pass their full scenario configuration dict straight through.
-    """
-    config = config or {}
-    return Simulator(start_time=float(config.get("start_time", 0.0)))

@@ -29,7 +29,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -304,17 +304,3 @@ class TraceRecorder:
     def __len__(self) -> int:
         self._drain()
         return sum(len(buffer.times) for buffer in self._signals.values()) + len(self._events)
-
-
-def resample(samples: Iterable[Tuple[float, float]], times: np.ndarray) -> np.ndarray:
-    """Step-interpolate ``samples`` onto ``times`` (last value carried forward)."""
-    samples = list(samples)
-    out = np.empty(len(times), dtype=float)
-    if not samples:
-        out.fill(np.nan)
-        return out
-    sample_times = np.array([t for t, _ in samples])
-    sample_values = np.array([v for _, v in samples], dtype=float)
-    idx = np.searchsorted(sample_times, times, side="right") - 1
-    out = np.where(idx >= 0, sample_values[np.clip(idx, 0, None)], np.nan)
-    return out

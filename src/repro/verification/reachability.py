@@ -90,7 +90,3 @@ def _reconstruct_path(parents: Dict[State, Optional[State]], last: State) -> Lis
         path.append(current)
     path.reverse()
     return path
-
-
-def count_reachable(system: TransitionSystem) -> int:
-    return len(reachable_states(system))

@@ -19,7 +19,6 @@ from repro.alarms.thresholds import (
     ThresholdRule,
     default_adult_rules,
 )
-from repro.ehr.access import AccessPolicy, AccessRequest, Role
 from repro.ehr.store import EHRStore, HistoryEntry
 from repro.patient.population import PatientPopulation
 from repro.readings import Reading
@@ -304,6 +303,37 @@ class TestEHRStore:
         record.add_history(HistoryEntry(1.0, "observation", "early"))
         assert [entry.description for entry in record.history] == ["early", "late"]
 
+    def test_explicit_baseline_overrides_observations(self):
+        ehr = EHRStore()
+        ehr.admit("p1")
+        ehr.record_observation("p1", 0.0, "heart_rate_bpm", 80.0)
+        ehr.set_baseline("p1", "heart_rate_bpm", 48)
+        assert ehr.baseline("p1", "heart_rate_bpm") == 48.0
+
+    def test_baseline_ignores_other_vitals(self):
+        ehr = EHRStore()
+        ehr.admit("p1")
+        ehr.record_observation("p1", 0.0, "heart_rate_bpm", 60.0)
+        ehr.record_observation("p1", 1.0, "map_mmhg", 95.0)
+        ehr.record_medication("p1", 2.0, "morphine", 2.0)
+        assert ehr.baseline("p1", "heart_rate_bpm") == 60.0
+        assert ehr.baseline("p1", "spo2_percent", default=97.0) == 97.0
+
+    def test_three_exercise_entries_mark_an_athlete(self):
+        record = EHRStore().admit("p1")
+        for index in range(2):
+            record.add_history(HistoryEntry(float(index), "exercise", "training"))
+        assert not record.is_athlete
+        record.add_history(HistoryEntry(2.0, "exercise", "training"))
+        assert record.is_athlete
+
+    def test_demographic_flag_marks_an_athlete(self):
+        assert EHRStore().admit("p1", {"is_athlete": True}).is_athlete
+
+    def test_observation_for_an_unadmitted_patient_raises(self):
+        with pytest.raises(KeyError):
+            EHRStore().record_observation("ghost", 0.0, "spo2_percent", 97.0)
+
 
 class TestEHRReadingIntake:
     def test_record_reading_stores_observation_with_reading_time(self):
@@ -322,47 +352,3 @@ class TestEHRReadingIntake:
             ehr.record_reading("p1", "map_mmhg", Reading(90.0 + index, True, float(index)))
         ehr.record_reading("p1", "map_mmhg", Reading(0.0, False, 6.0))  # artefact
         assert ehr.baseline("p1", "map_mmhg") == 92.0
-
-
-class TestEHRAccessPolicy:
-    def test_nurse_can_read_history(self):
-        policy = AccessPolicy()
-        decision = policy.check(AccessRequest("nurse-1", Role.NURSE, "p1", "history"))
-        assert decision.allowed
-
-    def test_researcher_cannot_read_history(self):
-        policy = AccessPolicy()
-        decision = policy.check(AccessRequest("res-1", Role.RESEARCHER, "p1", "history"))
-        assert not decision.allowed
-
-    def test_device_supervisor_reads_baselines_only(self):
-        policy = AccessPolicy()
-        assert policy.check(AccessRequest("app", Role.DEVICE_SUPERVISOR, "p1", "baselines")).allowed
-        assert not policy.check(AccessRequest("app", Role.DEVICE_SUPERVISOR, "p1", "demographics")).allowed
-
-    def test_write_permissions_separate_from_read(self):
-        policy = AccessPolicy()
-        assert not policy.check(
-            AccessRequest("admin", Role.ADMINISTRATOR, "p1", "demographics", write=True)
-        ).allowed
-
-    def test_grant_and_revoke(self):
-        policy = AccessPolicy()
-        policy.grant(Role.RESEARCHER, "history")
-        assert policy.check(AccessRequest("r", Role.RESEARCHER, "p1", "history")).allowed
-        policy.revoke(Role.RESEARCHER, "history")
-        assert not policy.check(AccessRequest("r", Role.RESEARCHER, "p1", "history")).allowed
-
-    def test_consent_withdrawal_overrides_role(self):
-        policy = AccessPolicy()
-        policy.withdraw_consent("p1", "nurse-1")
-        assert not policy.check(AccessRequest("nurse-1", Role.NURSE, "p1", "history")).allowed
-        assert policy.check(AccessRequest("nurse-2", Role.NURSE, "p1", "history")).allowed
-
-    def test_audit_log_records_everything(self):
-        policy = AccessPolicy()
-        policy.check(AccessRequest("nurse-1", Role.NURSE, "p1", "history"))
-        policy.check(AccessRequest("res-1", Role.RESEARCHER, "p1", "history"))
-        assert len(policy.audit_log) == 2
-        assert len(policy.denials()) == 1
-        assert len(policy.accesses_for_patient("p1")) == 2

@@ -7,9 +7,8 @@ from repro.analysis.metrics import (
     aggregate_outcomes,
     classify_alarms,
     detection_latency,
-    time_weighted_mean,
 )
-from repro.analysis.stats import bootstrap_ci, paired_difference, summarise
+from repro.analysis.stats import summarise
 from repro.analysis.tables import Table, format_table
 
 
@@ -72,13 +71,6 @@ class TestAlarmClassification:
         assert detection_latency(10.0, [5.0, 12.0, 20.0]) == 2.0
         assert detection_latency(30.0, [5.0, 12.0]) is None
 
-    def test_time_weighted_mean(self):
-        samples = [(0.0, 1.0), (10.0, 3.0)]
-        assert time_weighted_mean(samples, end_time=20.0) == pytest.approx(2.0)
-        with pytest.raises(ValueError):
-            time_weighted_mean([])
-
-
 class TestStats:
     def test_summary(self):
         summary = summarise([1.0, 2.0, 3.0, 4.0])
@@ -91,31 +83,6 @@ class TestStats:
     def test_summary_empty_rejected(self):
         with pytest.raises(ValueError):
             summarise([])
-
-    def test_bootstrap_ci_contains_mean(self):
-        low, high = bootstrap_ci([10.0] * 20, resamples=200)
-        assert low == pytest.approx(10.0) and high == pytest.approx(10.0)
-
-    def test_bootstrap_ci_orders_bounds(self):
-        low, high = bootstrap_ci(list(range(50)), resamples=500, seed=1)
-        assert low < high
-
-    def test_bootstrap_validation(self):
-        with pytest.raises(ValueError):
-            bootstrap_ci([], resamples=10)
-        with pytest.raises(ValueError):
-            bootstrap_ci([1.0], confidence=2.0)
-
-    def test_paired_difference(self):
-        result = paired_difference([10.0, 10.0], [5.0, 6.0])
-        assert result["mean_difference"] == pytest.approx(-4.5)
-        assert result["ratio_of_means"] == pytest.approx(0.55)
-        assert result["fraction_improved"] == 1.0
-
-    def test_paired_difference_length_mismatch(self):
-        with pytest.raises(ValueError):
-            paired_difference([1.0], [1.0, 2.0])
-
 
 class TestTables:
     def test_add_row_and_render(self):

@@ -11,7 +11,6 @@ from repro.core.delays import (
     DelayComponent,
     loop_delay_budget,
     max_additional_drug_during_reaction,
-    required_threshold_margin,
 )
 from repro.core.loop import ClosedLoopPCASystem, PCASystemConfig, _AlarmRelay
 from repro.core.pca import (
@@ -312,10 +311,66 @@ class TestDelayBudget:
         drug = max_additional_drug_during_reaction(budget, basal_rate_mg_per_hr=10.0, pending_bolus_mg=1.0)
         assert drug == pytest.approx(1.0 + 0.1)
 
-    def test_required_threshold_margin(self):
-        budget = DelayBudget([DelayComponent("total", 60.0)])
-        assert required_threshold_margin(budget, spo2_fall_rate_per_min=2.0) == pytest.approx(2.0)
+    def test_worst_defaults_to_nominal(self):
+        assert DelayComponent("x", 1.5).worst == 1.5
+        assert DelayComponent("x", 1.5, 4.0).worst == 4.0
 
+    def test_component_lookup_by_name(self):
+        budget = DelayBudget().add(DelayComponent("a", 1.0)).add(DelayComponent("b", 2.0))
+        assert budget.component("b").nominal_s == 2.0
+        with pytest.raises(KeyError):
+            budget.component("c")
+
+    def test_empty_budget(self):
+        budget = DelayBudget()
+        assert budget.nominal_total_s == 0.0
+        assert budget.worst_case_total_s == 0.0
+        assert budget.dominant_component() is None
+        assert [row["component"] for row in budget.as_rows()] == ["TOTAL"]
+
+    def test_total_row_matches_the_budget(self):
+        budget = DelayBudget().add(DelayComponent("a", 1.0, 3.0)).add(DelayComponent("b", 0.5))
+        rows = budget.as_rows()
+        assert [row["component"] for row in rows] == ["a", "b", "TOTAL"]
+        assert rows[0]["worst_case_s"] == 3.0
+        assert rows[-1]["nominal_s"] == pytest.approx(budget.nominal_total_s)
+        assert rows[-1]["worst_case_s"] == pytest.approx(budget.worst_case_total_s)
+
+    def test_worst_case_loses_a_full_sample_and_step_period(self):
+        budget = loop_delay_budget(
+            sensor_sample_period_s=2.0, signal_processing_delay_s=3.0, uplink_latency_s=0.1,
+            supervisor_step_period_s=4.0, algorithm_delay_s=0.1, command_latency_s=0.2,
+            pump_stop_delay_s=1.0, retransmissions=2,
+        )
+        assert budget.component("sensor_sampling").nominal_s == 1.0
+        assert budget.component("sensor_sampling").worst == 2.0
+        assert budget.component("supervisor_scheduling").worst == 4.0
+        assert budget.component("network_uplink").worst == pytest.approx(0.3)
+        assert budget.component("command_transmission").worst == pytest.approx(0.6)
+        assert budget.worst_case_total_s == pytest.approx(2.0 + 3.0 + 0.3 + 4.0 + 0.1 + 0.6 + 1.0)
+
+    def test_negative_retransmissions_rejected(self):
+        with pytest.raises(ValueError):
+            loop_delay_budget(
+                sensor_sample_period_s=2.0, signal_processing_delay_s=3.0, uplink_latency_s=0.1,
+                supervisor_step_period_s=2.0, algorithm_delay_s=0.1, command_latency_s=0.1,
+                pump_stop_delay_s=1.0, retransmissions=-1,
+            )
+
+    def test_nominal_reaction_delivers_less_drug(self):
+        budget = DelayBudget([DelayComponent("total", 36.0, 72.0)])
+        nominal = max_additional_drug_during_reaction(budget, basal_rate_mg_per_hr=10.0, worst_case=False)
+        worst = max_additional_drug_during_reaction(budget, basal_rate_mg_per_hr=10.0)
+        assert nominal == pytest.approx(0.1)
+        assert worst == pytest.approx(0.2)
+
+    @pytest.mark.parametrize(
+        "rate, bolus", [(-1.0, 0.0), (1.0, -0.5)], ids=["negative_rate", "negative_bolus"]
+    )
+    def test_negative_drug_amounts_rejected(self, rate, bolus):
+        budget = DelayBudget([DelayComponent("total", 36.0)])
+        with pytest.raises(ValueError):
+            max_additional_drug_during_reaction(budget, basal_rate_mg_per_hr=rate, pending_bolus_mg=bolus)
 
 class TestCaregiver:
     def test_config_validation(self):

@@ -1,4 +1,4 @@
-"""Tests for the sensing devices: pulse oximeter, capnograph, BP monitor, ECG, bed."""
+"""Tests for the sensing devices: pulse oximeter, capnograph, BP monitor, bed."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ import pytest
 from repro.devices.bed import HospitalBed
 from repro.devices.bp_monitor import BloodPressureMonitor, BloodPressureMonitorConfig
 from repro.devices.capnograph import Capnograph, CapnographConfig
-from repro.devices.ecg import ECGMonitor, ECGConfig
 from repro.devices.pulse_oximeter import PulseOximeter, PulseOximeterConfig
 from repro.patient.model import PatientModel
 from repro.sim.kernel import Simulator
@@ -214,35 +213,3 @@ class TestBloodPressureMonitorAndBed:
         monitor.handle_command("rezero")
         simulator.run(until=20.0)
         assert published[-1] == pytest.approx(90.0, abs=3.0)
-
-
-class TestECGMonitor:
-    def test_publishes_heart_rate(self, patient_sim):
-        simulator, patient = patient_sim
-        ecg = ECGMonitor("ecg-1", patient, rng=np.random.default_rng(0))
-        published = []
-        ecg.attach_publisher(lambda topic, payload: published.append((topic, payload)))
-        simulator.register(ecg)
-        simulator.run(until=10.0)
-        readings = [p.value for t, p in published if t == "ecg_heart_rate"]
-        assert readings
-        assert readings[-1] == pytest.approx(patient.vital_signs.heart_rate_bpm, abs=8.0)
-
-    def test_lead_off_reports_invalid(self, patient_sim):
-        simulator, patient = patient_sim
-        ecg = ECGMonitor("ecg-1", patient)
-        published = []
-        ecg.attach_publisher(lambda topic, payload: published.append((topic, payload)))
-        simulator.register(ecg)
-        ecg.detach_lead()
-        simulator.run(until=5.0)
-        hr = [p for t, p in published if t == "ecg_heart_rate"]
-        assert hr and not hr[-1].valid
-        ecg.reattach_lead()
-        simulator.run(until=10.0)
-        hr = [p for t, p in published if t == "ecg_heart_rate"]
-        assert hr[-1].valid
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            ECGConfig(sample_period_s=0.0).validate()

@@ -21,7 +21,7 @@ from repro.devices.pca_pump import PCAPrescription, PCAPump
 from repro.patient.map_model import ArterialPressureModel, ArterialPressureParameters
 from repro.patient.model import PatientModel
 from repro.patient.pharmacodynamics import PDParameters, RespiratoryDepressionPD
-from repro.patient.pharmacokinetics import PKParameters, TwoCompartmentPK
+from repro.patient.pharmacokinetics import MAX_BOLUS_MG, PKParameters, TwoCompartmentPK
 from repro.patient.population import DEFAULT_PATIENT
 from repro.patient.vitals import VitalSignsModel, VitalSignsParameters
 from repro.scenarios.bed_map import BedMapConfig
@@ -92,6 +92,35 @@ def test_pk_rejects_non_finite_bolus_and_leaves_the_state(bad):
     with pytest.raises(ValueError, match="dose_mg"):
         pk.add_bolus(bad)
     assert pk.central_amount_mg == 1.0
+
+
+@pytest.mark.parametrize("bad", (math.nextafter(MAX_BOLUS_MG, math.inf), 1e200))
+def test_bolus_above_the_bound_is_refused_and_leaves_the_state(bad):
+    # 1e200 mg used to be accepted and then overflow hill() on the next step.
+    pk = TwoCompartmentPK(PKParameters())
+    pk.add_bolus(1.0)
+    with pytest.raises(ValueError, match="dose_mg"):
+        pk.add_bolus(bad)
+    assert pk.central_amount_mg == 1.0
+    patient = PatientModel()
+    with pytest.raises(ValueError, match="dose_mg"):
+        patient.infuse_bolus(bad)
+    assert patient.total_drug_delivered_mg == 0.0
+
+
+@pytest.mark.parametrize("parameters", (
+    DEFAULT_PATIENT,
+    dataclasses.replace(DEFAULT_PATIENT, weight_kg=20.0, opioid_sensitivity=5.0),
+), ids=("default", "small_sensitive"))
+def test_largest_accepted_bolus_steps_finitely(parameters):
+    patient = PatientModel(parameters)
+    patient.infuse_bolus(MAX_BOLUS_MG)
+    patient.infuse_bolus(MAX_BOLUS_MG)
+    for dt_min in (5.0 / 60.0, 5.0 / 60.0, 60.0):
+        vitals = patient.advance_by(dt_min)
+        values = (patient.plasma_concentration_mg_per_l, patient.total_drug_delivered_mg,
+                  *vitals.as_dict().values())
+        assert all(math.isfinite(value) for value in values)
 
 
 @pytest.mark.parametrize("bad", NON_FINITE)

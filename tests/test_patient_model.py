@@ -1,5 +1,6 @@
 """Tests for the composite PatientModel (the Figure 1 'Patient Model' box)."""
 
+import numpy as np
 import pytest
 
 from repro.patient.model import PatientModel
@@ -33,6 +34,17 @@ class TestStandalone:
         patient.advance_by(60.0)
         assert patient.total_drug_delivered_mg == pytest.approx(6.0)
         assert patient.plasma_concentration_mg_per_l > 0
+
+    def test_numpy_step_keeps_the_drug_total_a_python_float(self):
+        # The step is coerced before it meets the total, so a float32 step
+        # no longer makes the total a float32 that accumulates in float32.
+        patient = PatientModel()
+        patient.set_infusion_rate(0.5)
+        step = np.float32(5.0 / 60.0)
+        for _ in range(3):
+            patient.advance_by(step)
+        assert type(patient.total_drug_delivered_mg) is float
+        assert patient.total_drug_delivered_mg == 1.5 * float(step)
 
     def test_negative_rate_rejected(self):
         with pytest.raises(ValueError):

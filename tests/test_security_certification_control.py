@@ -1,11 +1,12 @@
 """Tests for security, certification, and control packages."""
 
+import dataclasses
+
 import pytest
 
 from repro.certification.evidence import Evidence, EvidenceStatus, EvidenceStore
 from repro.certification.gsn import AssuranceCase, GoalNode, NodeType, SolutionNode, StrategyNode
 from repro.certification.incremental import IncrementalCertifier
-from repro.control.envelope import EnvelopeLimits, SafetyEnvelope
 from repro.control.pid import PIDController, PIDGains
 from repro.control.supervisory import (
     CandidateController,
@@ -176,6 +177,107 @@ class TestAuditLog:
         log.append(3.0, "a", "y")
         assert len(log.records_for("a")) == 2
         assert len(log.records_with_action("x")) == 2
+
+    def test_queries_for_unknown_names_are_empty(self):
+        log = AuditLog()
+        log.append(1.0, "a", "x")
+        assert log.records_for("nobody") == []
+        assert log.records_with_action("nothing") == []
+
+    def test_empty_log_verifies(self):
+        log = AuditLog()
+        assert len(log) == 0
+        assert log.verify_chain()
+
+    def test_first_record_chains_to_genesis(self):
+        record = AuditLog().append(1.0, "supervisor", "stop_pump")
+        assert record.index == 0
+        assert record.previous_hash == AuditLog.GENESIS
+        assert len(record.entry_hash) == 64
+        int(record.entry_hash, 16)  # a hex SHA-256 digest
+
+    def test_each_record_names_its_predecessors_hash(self):
+        log = AuditLog()
+        for time in (1.0, 2.0, 3.0):
+            log.append(time, "supervisor", "tick")
+        records = list(log)
+        assert [record.index for record in records] == [0, 1, 2]
+        for previous, record in zip(records, records[1:]):
+            assert record.previous_hash == previous.entry_hash
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("time", 99.0),
+            ("actor", "attacker"),
+            ("action", "resume_pump"),
+            ("details", {"device": "pump-2"}),
+            ("previous_hash", "f" * 64),
+            ("entry_hash", "0" * 64),
+        ],
+    )
+    def test_tampering_any_field_of_a_middle_record_is_detected(self, field, value):
+        log = AuditLog()
+        log.append(1.0, "supervisor", "stop_pump", {"device": "pump-1"})
+        log.append(2.0, "supervisor", "stop_pump", {"device": "pump-1"})
+        log.append(3.0, "nurse", "resume_pump")
+        log.tamper(1, **{field: value})
+        assert not log.verify_chain()
+
+    def test_tampering_the_last_record_is_detected(self):
+        log = AuditLog()
+        log.append(1.0, "supervisor", "stop_pump")
+        log.append(2.0, "nurse", "resume_pump")
+        log.tamper(1, time=2.5)
+        assert not log.verify_chain()
+
+    def test_a_rehashed_forgery_breaks_its_successor(self):
+        # The forger rewrites record 1 and gives it the hash a genuine log
+        # with that content would carry; record 2 still names the old hash.
+        log = AuditLog()
+        log.append(1.0, "supervisor", "stop_pump")
+        log.append(2.0, "nurse", "resume_pump")
+        log.append(3.0, "supervisor", "stop_pump")
+        forged = AuditLog()
+        forged.append(1.0, "supervisor", "stop_pump")
+        forged_record = forged.append(2.0, "attacker", "resume_pump")
+        log.tamper(1, actor="attacker", entry_hash=forged_record.entry_hash)
+        assert not log.verify_chain()
+        assert forged.verify_chain()
+
+    def test_append_copies_the_callers_details(self):
+        log = AuditLog()
+        details = {"device": "pump-1"}
+        record = log.append(1.0, "supervisor", "stop_pump", details)
+        details["device"] = "pump-2"
+        assert record.details == {"device": "pump-1"}
+        assert log.verify_chain()
+
+    def test_identical_histories_hash_identically(self):
+        def history():
+            log = AuditLog()
+            log.append(1.0, "supervisor", "stop_pump", {"device": "pump-1"})
+            log.append(2.0, "nurse", "resume_pump")
+            return [record.entry_hash for record in log]
+
+        assert history() == history()
+
+    def test_the_same_event_at_another_position_hashes_differently(self):
+        log = AuditLog()
+        first = log.append(1.0, "supervisor", "stop_pump")
+        second = log.append(1.0, "supervisor", "stop_pump")
+        assert first.entry_hash != second.entry_hash
+
+    def test_iteration_is_in_append_order(self):
+        log = AuditLog()
+        for action in ("stop_pump", "page_nurse", "resume_pump"):
+            log.append(1.0, "supervisor", action)
+        assert [record.action for record in log] == ["stop_pump", "page_nurse", "resume_pump"]
+
+    def test_records_are_immutable(self):
+        record = AuditLog().append(1.0, "supervisor", "stop_pump")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            record.actor = "attacker"
 
 
 def build_assurance_case():
@@ -373,37 +475,3 @@ class TestSupervisoryAdaptiveController:
         controller.update(0.0, 0.0, dt=1.0)
         controller.update(1.0, 1.0, dt=1.0)
         assert set(controller.scores) == {"gain-0.5", "gain-1.0", "gain-2.0"}
-
-
-class TestSafetyEnvelope:
-    def _envelope(self, **overrides):
-        limits = dict(max_rate=5.0, max_rate_change_per_s=1.0, max_cumulative=10.0,
-                      cumulative_window_s=100.0)
-        limits.update(overrides)
-        return SafetyEnvelope(EnvelopeLimits(**limits))
-
-    def test_limits_validation(self):
-        with pytest.raises(ValueError):
-            EnvelopeLimits(max_rate=0.0, max_rate_change_per_s=1.0, max_cumulative=1.0,
-                           cumulative_window_s=1.0).validate()
-
-    def test_absolute_clamp(self):
-        envelope = self._envelope(max_rate_change_per_s=1000.0)
-        assert envelope.apply(1.0, 50.0) == 5.0
-        assert envelope.clamp_events == 1
-
-    def test_rate_of_change_clamp(self):
-        envelope = self._envelope()
-        envelope.apply(0.0, 0.0)
-        assert envelope.apply(1.0, 5.0) == pytest.approx(1.0)
-
-    def test_negative_request_clamped_to_zero(self):
-        envelope = self._envelope()
-        assert envelope.apply(0.0, -3.0) == 0.0
-
-    def test_cumulative_limit(self):
-        envelope = self._envelope(max_rate=100.0, max_rate_change_per_s=1000.0, max_cumulative=10.0)
-        envelope.apply(0.0, 10.0)
-        envelope.apply(1.0, 10.0)  # delivered 10 over the previous second
-        allowed = envelope.apply(2.0, 10.0)
-        assert allowed < 10.0

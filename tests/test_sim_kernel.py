@@ -6,7 +6,7 @@ import math
 import pytest
 
 from golden_workload import GOLDEN_PATH, kernel_workload, pca_system_probe
-from repro.sim.kernel import Process, SimulationError, Simulator, build_simulator
+from repro.sim.kernel import Process, SimulationError, Simulator
 
 
 class TestScheduling:
@@ -394,14 +394,3 @@ class TestGoldenDeterminism:
         assert probe["event_count"] == golden["pca_system"]["event_count"]
         assert probe["trace_digest"] == golden["pca_system"]["trace_digest"]
         assert probe["record_digest"] == golden["pca_system"]["record_digest"]
-
-
-class TestFactory:
-    def test_build_simulator_default(self):
-        assert build_simulator().now == 0.0
-
-    def test_build_simulator_with_start_time(self):
-        assert build_simulator({"start_time": 3.0}).now == 3.0
-
-    def test_build_simulator_ignores_unknown_keys(self):
-        assert build_simulator({"whatever": 1}).now == 0.0

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from repro.sim.channel import Channel, ChannelConfig
-from repro.sim.faults import FaultInjector, FaultSpec, communication_failure_campaign
+from repro.sim.faults import FaultInjector, FaultSpec
 from repro.sim.kernel import Simulator
 from repro.sim.random import RandomStreams
-from repro.sim.trace import TraceRecorder, resample
+from repro.sim.trace import TraceRecorder
 
 
 class TestTraceRecorder:
@@ -77,19 +77,6 @@ class TestTraceRecorder:
         trace.record(0.0, "x", 1)
         trace.event(1.0, "e")
         assert len(trace) == 2
-
-    def test_resample_step_interpolation(self):
-        samples = [(0.0, 1.0), (10.0, 2.0)]
-        values = resample(samples, np.array([0.0, 5.0, 10.0, 15.0]))
-        assert list(values) == [1.0, 1.0, 2.0, 2.0]
-
-    def test_resample_before_first_sample_is_nan(self):
-        values = resample([(5.0, 1.0)], np.array([0.0, 6.0]))
-        assert np.isnan(values[0]) and values[1] == 1.0
-
-    def test_resample_empty_samples(self):
-        values = resample([], np.array([0.0, 1.0]))
-        assert np.isnan(values).all()
 
     def test_record_many_bulk_append(self, trace):
         trace.record(0.0, "spo2", 99.0)
@@ -445,16 +432,3 @@ class TestFaultInjectorMetrics:
             obsm.registry().reset()
             if not was_enabled:
                 obsm.disable()
-
-
-class TestCommunicationFailureCampaign:
-    def test_communication_failure_campaign_builder(self):
-        specs = communication_failure_campaign("link", first_start=10.0, outage_duration=5.0,
-                                                period=100.0, count=3)
-        assert len(specs) == 3
-        assert specs[1].start == 110.0
-        assert all(spec.kind == "channel_outage" for spec in specs)
-
-    def test_campaign_negative_count_rejected(self):
-        with pytest.raises(ValueError):
-            communication_failure_campaign("link", 0.0, 1.0, 10.0, -1)

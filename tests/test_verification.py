@@ -14,7 +14,7 @@ from repro.verification.interfaces import (
     TopicProduction,
     check_interface_compatibility,
 )
-from repro.verification.reachability import check_invariant, count_reachable, reachable_states
+from repro.verification.reachability import check_invariant, reachable_states
 from repro.verification.transition_system import Rule, TransitionSystem, compose, compose_many, make_state
 
 
@@ -120,7 +120,7 @@ class TestTransitionSystem:
                              [Rule(lambda s: s["y"] == 0, lambda s: {"y": 1}, name="by")])
         composed = compose(a, b)
         assert composed.state_space_size == 4
-        assert count_reachable(composed) == 4
+        assert len(reachable_states(composed)) == 4
 
     def test_compose_synchronises_shared_labels(self):
         pump, monitor = pump_monitor_pair()
@@ -153,7 +153,37 @@ class TestTransitionSystem:
 
 class TestReachabilityAndBMC:
     def test_reachable_states_counter(self):
-        assert count_reachable(counter_system(5)) == 6
+        assert len(reachable_states(counter_system(5))) == 6
+
+    def test_max_states_truncates_to_a_subset(self):
+        full = reachable_states(counter_system(10))
+        truncated = reachable_states(counter_system(10), max_states=4)
+        assert truncated < full
+        assert len(truncated) == 4
+
+    def test_max_states_above_the_space_changes_nothing(self):
+        system = counter_system(5)
+        assert reachable_states(system, max_states=100) == reachable_states(system)
+
+    def test_counterexample_is_a_run_of_the_system(self):
+        system = counter_system(5)
+        result = check_invariant(system, lambda s: s["value"] < 4)
+        path = result.counterexample
+        assert path[0] in system.initial_states
+        for state, successor in zip(path, path[1:]):
+            assert successor in system.successor_states(state)
+
+    def test_max_states_bounds_the_invariant_search(self):
+        # The violation at value 8 lies beyond the bound, so a bounded search
+        # reports none and says how far it looked.
+        result = check_invariant(counter_system(10), lambda s: s["value"] < 8, max_states=3)
+        assert result.holds
+        assert result.states_explored == 3
+
+    def test_work_units_count_successor_computations(self):
+        # Four states, one successor each (three increments and the wrap).
+        result = check_invariant(counter_system(3), lambda s: s["value"] <= 3)
+        assert result.work_units == 4
 
     def test_invariant_holds(self):
         result = check_invariant(counter_system(3), lambda s: s["value"] <= 3)
@@ -291,7 +321,7 @@ class TestAssumeGuarantee:
         )
         assert monolithic.holds
         # The compositional obligations explore component state spaces only.
-        component_states = count_reachable(pump) + count_reachable(monitor)
+        component_states = len(reachable_states(pump)) + len(reachable_states(monitor))
         assert compositional.obligations[0].states_explored <= component_states
 
 
